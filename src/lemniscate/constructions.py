@@ -6,24 +6,30 @@ right-angle two-stick linkage), plus the inversion correspondence with
 the equilateral hyperbola, the tangent circle at a curve point, and the
 angle-doubling normal construction.
 
-All solvers are pure: a parameter value in, a solved immutable state out.
+Each construction is one numpy kernel (the `*_array` functions): a
+parameter array, or points as rows of an (N, 2) array, in; (N, 2) arrays
+out. The scalar functions are one-row calls of their kernel and return
+immutable states. A kernel that meets an invalid parameter raises the
+construction's GeometryError naming the first offending parameter.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from .curves import (
     BernoulliConfig,
     EquilateralHyperbola,
     field_scale,
-    lemniscate_field,
+    lemniscate_field_array,
 )
 from .errors import (
     DoublePoint,
     NoChord,
-    NoSolution,
     NotOnCurve,
     OutOfReach,
     UndefinedCenter,
@@ -32,19 +38,41 @@ from .geometry import (
     Circle,
     Line,
     Point,
-    angle_at,
-    circle_circle_intersection,
-    invert_point,
-    line_circle_intersection,
-    line_line_intersection,
-    midpoint,
-    reflect_across_line,
+    angle_at_array,
+    invert_point_array,
+    line_line_intersection_array,
+    reflect_across_line_array,
+    row_dot,
+    row_norm,
+    row_perp,
+    row_point,
+    row_rotate,
+    row_unit,
+    xy,
 )
 
 _SQRT2 = math.sqrt(2.0)
 
 SIDE_OPPOSITE = "opposite"
 SIDE_SAME = "same"
+
+
+def _state(cls, arrays, k: int = 0):
+    """Row k of a kernel's arrays as the scalar state cls: parameters as
+    floats, points as Points (None for a NaN row)."""
+
+    def value(v):
+        if isinstance(v, str):
+            return v
+        if v.ndim == 1:
+            return float(v[k])
+        return None if np.isnan(v[k, 0]) else row_point(v[k])
+
+    return cls(**{name: value(v) for name, v in arrays._asdict().items()})
+
+
+def _rows(p: Point | None) -> np.ndarray:
+    return np.full((1, 2), np.nan) if p is None else xy(p)[None]
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,6 +94,26 @@ class ThreeBarState:
     side: str
 
 
+class ThreeBarArrays(NamedTuple):
+    """Three-stick states at N crank angles: theta (N,), points (N, 2);
+    p and q are NaN rows where the stick lines are parallel."""
+
+    theta: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    x: np.ndarray
+    p: np.ndarray
+    q: np.ndarray
+    side: str
+
+    def state(self, k: int) -> ThreeBarState:
+        return _state(ThreeBarState, self, k)
+
+    def select(self, rows) -> "ThreeBarArrays":
+        """The states at the given rows (an index or boolean mask)."""
+        return ThreeBarArrays(*(field[rows] for field in self[:-1]), self.side)
+
+
 @dataclass(frozen=True, slots=True)
 class MaclaurinSample:
     """Chord a->b of the construction circle cut by the secant at angle phi,
@@ -76,6 +124,14 @@ class MaclaurinSample:
     b: Point
     x: Point
     x_prime: Point
+
+
+class MaclaurinArrays(NamedTuple):
+    phi: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    x: np.ndarray
+    x_prime: np.ndarray
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,134 +145,179 @@ class RightAngleState:
     y: Point
 
 
+class RightAngleArrays(NamedTuple):
+    alpha: np.ndarray
+    a: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+
+
 def three_bar_solve(B: BernoulliConfig, theta: float, side: str = SIDE_OPPOSITE) -> ThreeBarState:
-    """Solve the three-stick linkage at crank angle theta.
+    """Solve the three-stick linkage at crank angle theta (see three_bar_array)."""
+    return three_bar_array(B, [theta], side).state(0)
+
+
+def three_bar_array(B: BernoulliConfig, theta, side: str = SIDE_OPPOSITE) -> ThreeBarArrays:
+    """Solve the three-stick linkage at each crank angle, in closed form.
 
     theta is the angle of stick f1->a measured from the f1->f2 direction.
-    The crossed (opposite-side) branch traces the lemniscate; the
-    parallelogram (same-side) branch traces a circle of radius c*sqrt(2)
-    about the double point. Branch selection picks the candidate for b
-    whose signed distance from the focal axis has the requested sign
-    relative to a's.
+    The crossed (opposite-side) branch traces the lemniscate: f1-a-f2-b
+    is an isosceles trapezoid, so b is f1 reflected in the perpendicular
+    bisector of a-f2. The parallelogram (same-side) branch, b = a + f2 - f1,
+    traces a circle of radius c*sqrt(2) about the double point. Every
+    crank angle solves; at theta = 0 and pi, x is a vertex.
     """
     if side not in (SIDE_OPPOSITE, SIDE_SAME):
         raise ValueError(f"side must be '{SIDE_OPPOSITE}' or '{SIDE_SAME}', got {side!r}")
+    theta = np.asarray(theta, dtype=float)
     c = B.half_distance
-    u = B.axis_unit
-    a = B.f1 + u.rotated(theta) * (c * _SQRT2)
-
-    candidates = circle_circle_intersection(Circle(a, 2.0 * c), Circle(B.f2, c * _SQRT2))
-    if not candidates:
-        raise NoSolution(f"stick constraint circles do not intersect at theta = {theta}")
-
-    sign_a = u.cross(a - B.f1)
-    chosen = []
-    for cand in candidates:
-        s = u.cross(cand - B.f1)
-        prod = sign_a * s
-        if side == SIDE_OPPOSITE and prod <= 0.0:
-            chosen.append((abs(s), cand))
-        elif side == SIDE_SAME and prod >= 0.0:
-            chosen.append((abs(s), cand))
-    if not chosen:
-        raise NoSolution(f"no {side}-side branch at theta = {theta}")
-    chosen.sort(key=lambda item: item[0])
-    b = chosen[0][1]
-
-    x = midpoint(a, b)
-    p = line_line_intersection(Line.through(B.f1, a), Line.through(B.f2, b))
-    q = reflect_across_line(Line(B.f1, u), p) if p is not None else None
-    return ThreeBarState(theta=theta, a=a, b=b, x=x, p=p, q=q, side=side)
+    f1, f2, u = xy(B.f1), xy(B.f2), xy(B.axis_unit)
+    a = f1 + row_rotate(u, theta) * (c * _SQRT2)
+    if side == SIDE_SAME:
+        b = a + (f2 - f1)
+    else:
+        b = reflect_across_line_array(0.5 * (a + f2), row_perp(row_unit(f2 - a)), f1)
+    x = 0.5 * (a + b)
+    p = line_line_intersection_array(f1, row_unit(a - f1), f2, row_unit(b - f2))
+    q = reflect_across_line_array(f1, u, p)
+    return ThreeBarArrays(theta, a, b, x, p, q, side)
 
 
 def maclaurin_sample(B: BernoulliConfig, phi: float) -> MaclaurinSample:
-    """Secant-chord construction at secant angle phi.
+    """Secant-chord construction at secant angle phi (see maclaurin_array)."""
+    return _state(MaclaurinSample, maclaurin_array(B, [phi]))
+
+
+def maclaurin_array(B: BernoulliConfig, phi) -> MaclaurinArrays:
+    """Secant-chord construction at each secant angle.
 
     The secant through the double point at angle phi (measured from the
     center-to-f1 direction) cuts the circle of radius c/sqrt(2) about f1
     in a chord a->b; x and x_prime lie on the secant at distance |ab|
-    from the center, one to each side.
+    from the center, one to each side. A tangent secant gives a = b and
+    x = x_prime = o; a secant that misses the circle raises NoChord.
     """
-    o = B.center
-    c = B.half_distance
-    direction = (B.f1 - o).unit().rotated(phi)
-    secant = Line(o, direction)
-    pts = line_circle_intersection(secant, Circle(B.f1, c / _SQRT2))
-    if not pts:
-        raise NoChord(f"secant at phi = {phi} misses the construction circle")
-    if len(pts) == 1:
-        a = b = pts[0]
-        length = 0.0
-    else:
-        a, b = pts
-        length = a.distance_to(b)
-    return MaclaurinSample(
-        phi=phi,
-        a=a,
-        b=b,
-        x=o + direction * length,
-        x_prime=o - direction * length,
-    )
+    phi = np.asarray(phi, dtype=float)
+    o = xy(B.center)
+    f1 = xy(B.f1)
+    r = B.half_distance / _SQRT2
+    d = row_rotate(row_unit(f1 - o), phi)
+    t0 = row_dot(f1 - o, d)
+    closest = o + d * t0[..., None]
+    off = f1 - closest
+    h2 = r * r - row_dot(off, off)
+    misses = h2 < -1e-12 * r * r
+    if misses.any():
+        raise NoChord(f"secant at phi = {float(phi[misses][0])} misses the construction circle")
+    h = np.sqrt(np.maximum(h2, 0.0))[..., None]
+    a = o + d * (t0[..., None] - h)
+    b = o + d * (t0[..., None] + h)
+    length = row_norm(a - b)[..., None]
+    return MaclaurinArrays(phi, a, b, o + d * length, o - d * length)
 
 
 def right_angle_solve(B: BernoulliConfig, alpha: float) -> RightAngleState:
-    """Solve the right-angle linkage at crank angle alpha.
+    """Solve the right-angle linkage at crank angle alpha (see right_angle_array)."""
+    return _state(RightAngleState, right_angle_array(B, [alpha]))
+
+
+def right_angle_array(B: BernoulliConfig, alpha) -> RightAngleArrays:
+    """Solve the right-angle linkage at each crank angle.
 
     a runs on the circle of radius c about f1 (alpha measured from the
     direction toward the double point); the sticks a->x and a->y of
     length c*sqrt(2) are held so that the mid-stick ties to the double
     point force a right angle there. Then |ox| = c*sqrt(2*cos(alpha))
     and x sits at polar angle alpha/2, which also resolves the removable
-    singularity at alpha = 0 by continuity.
+    singularity at alpha = 0 by continuity. cos(alpha) < 0 raises
+    OutOfReach.
     """
-    cos_a = math.cos(alpha)
-    if cos_a < 0.0:
-        raise OutOfReach(f"crank at alpha = {alpha} puts the double point out of reach")
+    alpha = np.asarray(alpha, dtype=float)
+    cos_a = np.cos(alpha)
+    out = cos_a < 0.0
+    if out.any():
+        raise OutOfReach(f"crank at alpha = {float(alpha[out][0])} puts the double point out of reach")
     c = B.half_distance
-    u = B.axis_unit
-    a = B.f1 + u.rotated(alpha) * c
-    r = c * math.sqrt(2.0 * cos_a)
-    w = u.rotated(0.5 * alpha)
-    o = B.center
-    return RightAngleState(alpha=alpha, a=a, x=o + w * r, y=o - w * r)
+    u = xy(B.axis_unit)
+    a = xy(B.f1) + row_rotate(u, alpha) * c
+    r = (c * np.sqrt(2.0 * cos_a))[..., None]
+    w = row_rotate(u, 0.5 * alpha)
+    o = xy(B.center)
+    return RightAngleArrays(alpha, a, o + w * r, o - w * r)
 
 
 def invert_between(B: BernoulliConfig, p: Point) -> Point:
-    """Inversion in the circle about the double point through the foci.
+    """Inversion in the circle about the double point through the foci
+    (see invert_between_array)."""
+    return row_point(invert_between_array(B, xy(p)))
+
+
+def invert_between_array(B: BernoulliConfig, p) -> np.ndarray:
+    """Images of the rows of p under the inversion in the circle about the
+    double point through the foci.
 
     Maps lemniscate points to equilateral-hyperbola points (same foci)
-    and back; the double point itself maps to infinity.
+    and back; the double point itself maps to infinity (CenterSingular).
     """
-    return invert_point(B.inversion, p)
+    inv = B.inversion
+    return invert_point_array(xy(inv.center), inv.radius, p)
 
 
 def tangent_circle_at(state: ThreeBarState) -> Circle:
     """Circle centered at the stick-line intersection p through x and the
-    double point; it touches the lemniscate at x."""
-    if state.p is None:
-        raise UndefinedCenter("stick lines are parallel; the tangent circle has no center")
-    return Circle(state.p, state.p.distance_to(state.x))
+    double point; it touches the lemniscate at x (see tangent_circle_array)."""
+    points = (_rows(pt) for pt in (state.a, state.b, state.x, state.p, state.q))
+    center, radius = tangent_circle_array(ThreeBarArrays(np.array([state.theta]), *points, state.side))
+    return Circle(row_point(center[0]), float(radius[0]))
+
+
+def tangent_circle_array(states: ThreeBarArrays) -> tuple[np.ndarray, np.ndarray]:
+    """Centers (N, 2) and radii (N,) of the tangent circles of the states.
+
+    Raises UndefinedCenter, naming the crank angle, where the stick lines
+    are parallel.
+    """
+    parallel = np.isnan(states.p[..., 0])
+    if parallel.any():
+        raise UndefinedCenter(
+            f"stick lines are parallel at theta = {float(states.theta[parallel][0])}; "
+            "the tangent circle has no center"
+        )
+    return states.p, row_norm(states.p - states.x)
 
 
 def normal_by_angle(B: BernoulliConfig, x: Point) -> Line:
-    """Normal line to the lemniscate at x by angle doubling.
+    """Normal line to the lemniscate at x by angle doubling (see
+    normal_by_angle_array)."""
+    return Line(x, row_point(normal_by_angle_array(B, xy(x)[None])[0]))
+
+
+def normal_by_angle_array(B: BernoulliConfig, x) -> np.ndarray:
+    """Unit directions (N, 2) of the normals at the curve points x (N, 2).
 
     The normal through x forms an unsigned angle of 2 * angle(x, o, f1)
     with the line o->x; the rotation sense swings the ray x->o toward
-    the ray x->f1. Matches the direction of the field gradient.
+    the ray x->f1. Matches the direction of the field gradient. Raises
+    NotOnCurve for a point off the lemniscate and DoublePoint at o.
     """
+    x = np.asarray(x, dtype=float)
     L = B.lemniscate
-    if abs(lemniscate_field(L, x)) > 1e-9 * field_scale(L):
-        raise NotOnCurve(f"point {x} is not on the lemniscate")
-    o = B.center
-    if x.distance_to(o) <= 1e-12:
-        raise DoublePoint("two branches cross at the double point; no single normal")
-    delta = angle_at(o, x, B.f1)
-    phi0 = (o - x).angle()
-    swing = math.remainder((B.f1 - x).angle() - phi0, math.tau)
-    sense = 1.0 if swing >= 0.0 else -1.0
-    ang = phi0 + sense * 2.0 * delta
-    return Line(x, Point(math.cos(ang), math.sin(ang)))
+    off = np.abs(lemniscate_field_array(L, x[..., 0], x[..., 1])) > 1e-9 * field_scale(L)
+    if off.any():
+        raise NotOnCurve(f"point {row_point(x[off][0])} is not on the lemniscate")
+    o, f1 = xy(B.center), xy(B.f1)
+    to_o = o - x
+    at_o = row_norm(to_o) <= 1e-12
+    if at_o.any():
+        raise DoublePoint(
+            f"two branches cross at the double point {row_point(x[at_o][0])}; no single normal"
+        )
+    delta = angle_at_array(o, x, f1)
+    phi0 = np.arctan2(to_o[..., 1], to_o[..., 0])
+    turn = np.arctan2(f1[1] - x[..., 1], f1[0] - x[..., 0]) - phi0
+    swing = turn - math.tau * np.round(turn / math.tau)  # math.remainder(turn, tau)
+    ang = phi0 + np.where(swing >= 0.0, 1.0, -1.0) * 2.0 * delta
+    return np.stack((np.cos(ang), np.sin(ang)), axis=-1)
 
 
 def hyperbola_of(B: BernoulliConfig) -> EquilateralHyperbola:

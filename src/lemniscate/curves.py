@@ -17,7 +17,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotOnCurve, OutsideLobe, TooManyFoci
-from .geometry import InversionMap, Line, Point, midpoint
+from .geometry import (
+    InversionMap,
+    Line,
+    Point,
+    midpoint,
+    row_cross,
+    row_dot,
+    row_norm,
+    row_perp,
+    row_point,
+    xy,
+)
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -97,6 +108,30 @@ def lemniscate_gradient(L: PolynomialLemniscate, p: Point) -> Point:
         gx += pref * 2.0 * (p.x - f.x)
         gy += pref * 2.0 * (p.y - f.y)
     return Point(gx, gy)
+
+
+def lemniscate_field_array(L: PolynomialLemniscate, x, y) -> np.ndarray:
+    """lemniscate_field at the points (x, y), broadcasting the coordinate
+    arrays; the same operations in the same order, so equal values."""
+    acc = np.ones(np.broadcast_shapes(np.shape(x), np.shape(y)))
+    for f in L.foci:
+        acc *= (x - f.x) ** 2 + (y - f.y) ** 2
+    acc -= L.level
+    return acc
+
+
+def lemniscate_gradient_array(L: PolynomialLemniscate, x, y) -> np.ndarray:
+    """lemniscate_gradient at the points (x, y) as rows (..., 2)."""
+    q = [(x - f.x) ** 2 + (y - f.y) ** 2 for f in L.foci]
+    gx = gy = 0.0
+    for i, f in enumerate(L.foci):
+        pref = 1.0
+        for j, qj in enumerate(q):
+            if j != i:
+                pref = pref * qj
+        gx = gx + pref * 2.0 * (x - f.x)
+        gy = gy + pref * 2.0 * (y - f.y)
+    return np.stack(np.broadcast_arrays(gx, gy), axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,15 +244,28 @@ def bernoulli_polar_point(B: BernoulliConfig, theta: float) -> Point:
     r^2 = 2 c^2 cos(2 theta), so theta is restricted to the two lobes
     where cos(2 theta) >= 0.
     """
-    cos2 = math.cos(2.0 * theta)
-    if cos2 < 0.0:
-        raise OutsideLobe(f"cos(2*theta) = {cos2} < 0: no curve point at theta = {theta}")
+    return row_point(bernoulli_polar_array(B, [theta])[0])
+
+
+def bernoulli_polar_array(B: BernoulliConfig, theta) -> np.ndarray:
+    """bernoulli_polar_point at each polar angle, as rows (N, 2).
+
+    Raises OutsideLobe naming the first angle outside the lobes.
+    """
+    theta = np.asarray(theta, dtype=float)
+    cos2 = np.cos(2.0 * theta)
+    outside = cos2 < 0.0
+    if outside.any():
+        raise OutsideLobe(
+            f"cos(2*theta) = {float(cos2[outside][0])} < 0: "
+            f"no curve point at theta = {float(theta[outside][0])}"
+        )
     c = B.half_distance
-    r = c * math.sqrt(2.0 * cos2)
+    r = c * np.sqrt(2.0 * cos2)
     u = B.axis_unit
-    ct, st = math.cos(theta), math.sin(theta)
+    ct, st = np.cos(theta), np.sin(theta)
     o = B.center
-    return Point(o.x + r * (u.x * ct - u.y * st), o.y + r * (u.x * st + u.y * ct))
+    return np.stack((o.x + r * (u.x * ct - u.y * st), o.y + r * (u.x * st + u.y * ct)), axis=-1)
 
 
 def bernoulli_area(B: BernoulliConfig) -> float:
@@ -256,21 +304,24 @@ class EquilateralHyperbola:
 
 def hyperbola_residual(H: EquilateralHyperbola, p: Point) -> float:
     """Defining residual | |p F1| - |p F2| | - |F1 F2| / sqrt(2)."""
-    d1 = p.distance_to(H.f1)
-    d2 = p.distance_to(H.f2)
-    return abs(d1 - d2) - H.f1.distance_to(H.f2) / _SQRT2
+    return float(hyperbola_residual_array(H, xy(p)))
 
 
-def _form_and_gradient(H: EquilateralHyperbola, p: Point) -> tuple[float, Point]:
-    # quadratic form xi^2 - eta^2 - a^2 in the frame aligned with the focal axis
-    u = H.axis_unit
-    v = p - H.center
-    xi = v.dot(u)
-    eta = u.cross(v)
-    a = H.semi_axis
-    form = xi * xi - eta * eta - a * a
-    grad = u * (2.0 * xi) - u.perp() * (2.0 * eta)
-    return form, grad
+def hyperbola_residual_array(H: EquilateralHyperbola, p) -> np.ndarray:
+    """hyperbola_residual at each row of p."""
+    d1 = row_norm(p - xy(H.f1))
+    d2 = row_norm(p - xy(H.f2))
+    return np.abs(d1 - d2) - H.f1.distance_to(H.f2) / _SQRT2
+
+
+def hyperbola_gradient_array(H: EquilateralHyperbola, p) -> np.ndarray:
+    """Gradient of the quadratic form xi^2 - eta^2 - a^2, written in the
+    frame aligned with the focal axis, at each row of p."""
+    u = xy(H.axis_unit)
+    v = p - xy(H.center)
+    xi = row_dot(v, u)
+    eta = row_cross(u, v)
+    return u * (2.0 * xi)[..., None] - row_perp(u) * (2.0 * eta)[..., None]
 
 
 def hyperbola_tangent_at(H: EquilateralHyperbola, q: Point) -> Line:
@@ -281,17 +332,22 @@ def hyperbola_tangent_at(H: EquilateralHyperbola, q: Point) -> Line:
     """
     if abs(hyperbola_residual(H, q)) > 1e-8:
         raise NotOnCurve(f"point {q} is not on the hyperbola")
-    _, grad = _form_and_gradient(H, q)
-    return Line(q, grad.perp())
+    return Line(q, row_point(hyperbola_gradient_array(H, xy(q))).perp())
 
 
 def hyperbola_point(H: EquilateralHyperbola, t: float, branch: int = 1) -> Point:
     """Point at hyperbolic parameter t on the branch nearest f2 (+1) or f1 (-1)."""
+    return row_point(hyperbola_point_array(H, [t], branch)[0])
+
+
+def hyperbola_point_array(H: EquilateralHyperbola, t, branch: int = 1) -> np.ndarray:
+    """hyperbola_point at each parameter t on one branch, as rows (N, 2)."""
+    t = np.asarray(t, dtype=float)
     a = H.semi_axis
-    u = H.axis_unit
-    xi = (1.0 if branch >= 0 else -1.0) * a * math.cosh(t)
-    eta = a * math.sinh(t)
-    return H.center + u * xi + u.perp() * eta
+    u = xy(H.axis_unit)
+    xi = (1.0 if branch >= 0 else -1.0) * a * np.cosh(t)
+    eta = a * np.sinh(t)
+    return xy(H.center) + u * xi[..., None] + row_perp(u) * eta[..., None]
 
 
 def unit_hyperbola_foci() -> tuple[Point, Point]:

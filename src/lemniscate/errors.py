@@ -37,10 +37,6 @@ class NotOnCurve(GeometryError):
     """Operation requires a point on the curve within tolerance."""
 
 
-class NoSolution(GeometryError):
-    """Linkage constraint circles do not intersect for the requested branch."""
-
-
 class NoChord(GeometryError):
     """Secant misses the construction circle."""
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .constructions import (
     hyperbola_of,
     maclaurin_sample,
@@ -24,11 +26,11 @@ from .curves import (
     BernoulliConfig,
     PolynomialLemniscate,
     bernoulli_polar_point,
-    hyperbola_point,
+    hyperbola_point_array,
     hyperbola_tangent_at,
 )
 from .errors import UnknownPreset
-from .geometry import Point, midpoint
+from .geometry import Point, midpoint, row_point
 from .tracer import TraceWindow, trace
 
 _SQRT2 = math.sqrt(2.0)
@@ -171,9 +173,9 @@ def _clip_runs(points, scene: Scene):
 def _add_hyperbola(scene: Scene, B: BernoulliConfig, w: TraceWindow) -> None:
     H = hyperbola_of(B)
     sw = _stroke(w)
-    ts = [-3.0 + 6.0 * k / 240 for k in range(241)]
+    ts = -3.0 + 6.0 * np.arange(241) / 240
     for branch in (1, -1):
-        pts = [hyperbola_point(H, t, branch) for t in ts]
+        pts = [row_point(row) for row in hyperbola_point_array(H, ts, branch)]
         for run in _clip_runs(pts, scene):
             scene.add(PolylineElement(tuple(run), False, Style(stroke_width=sw)))
 

@@ -7,12 +7,19 @@ computations, so everything here is safe to use concurrently.
 Conventions: angles are radians, tolerances are absolute on unit-scale
 configurations (callers normalize), intersection results are returned in
 a deterministic order so downstream branch selection is reproducible.
+
+Angles, reflection, inversion of points and lines, and line
+intersection each have one array form (the `*_array` functions) that takes points as rows
+of a float array of shape (..., 2) and broadcasts its arguments; the
+Point functions are one-row calls of it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import CenterSingular, Concentric, DegenerateRay, LineThroughCenter
 
@@ -70,13 +77,6 @@ class Point:
     def perp(self) -> "Point":
         """Rotate by +90 degrees."""
         return Point(-self.y, self.x)
-
-    def rotated(self, angle: float) -> "Point":
-        c, s = math.cos(angle), math.sin(angle)
-        return Point(self.x * c - self.y * s, self.x * s + self.y * c)
-
-    def angle(self) -> float:
-        return math.atan2(self.y, self.x)
 
 
 def midpoint(a: Point, b: Point) -> Point:
@@ -148,18 +148,12 @@ class InversionMap:
 
 def invert_point(inv: InversionMap, p: Point) -> Point:
     """Image of p under the inversion. Raises CenterSingular at the center."""
-    v = p - inv.center
-    d2 = v.norm_sq()
-    if d2 <= _EPS * _EPS:
-        raise CenterSingular("cannot invert the center of inversion")
-    k = (inv.radius * inv.radius) / d2
-    return Point(inv.center.x + v.x * k, inv.center.y + v.y * k)
+    return row_point(invert_point_array(xy(inv.center), inv.radius, xy(p)))
 
 
 def reflect_across_line(l: Line, p: Point) -> Point:
     """Mirror image of p in the line (an involution)."""
-    foot = l.foot_of(p)
-    return Point(2.0 * foot.x - p.x, 2.0 * foot.y - p.y)
+    return row_point(reflect_across_line_array(xy(l.anchor), xy(l.direction), xy(p)))
 
 
 def invert_line(inv: InversionMap, l: Line) -> Circle:
@@ -169,11 +163,8 @@ def invert_line(inv: InversionMap, l: Line) -> Circle:
     The circle's center coincides with the inversion image of the
     reflection of the inversion center in the line.
     """
-    foot = l.foot_of(inv.center)
-    if foot.distance_to(inv.center) <= _EPS:
-        raise LineThroughCenter("line through the inversion center maps to a line")
-    image = invert_point(inv, foot)
-    return Circle(midpoint(inv.center, image), 0.5 * image.distance_to(inv.center))
+    center, radius = invert_line_array(xy(inv.center), inv.radius, xy(l.anchor), xy(l.direction))
+    return Circle(row_point(center), float(radius))
 
 
 def circle_circle_intersection(c1: Circle, c2: Circle) -> list[Point]:
@@ -218,17 +209,112 @@ def line_circle_intersection(l: Line, c: Circle) -> list[Point]:
 
 def angle_at(vertex: Point, a: Point, b: Point) -> float:
     """Unsigned angle in [0, pi] between the rays vertex->a and vertex->b."""
-    va = a - vertex
-    vb = b - vertex
-    if va.norm() <= _EPS or vb.norm() <= _EPS:
-        raise DegenerateRay("ray endpoint coincides with the vertex")
-    return math.atan2(abs(va.cross(vb)), va.dot(vb))
+    return float(angle_at_array(xy(vertex), xy(a), xy(b)))
 
 
 def line_line_intersection(l1: Line, l2: Line) -> Point | None:
     """Intersection of two lines, or None when they are parallel."""
-    denom = l1.direction.cross(l2.direction)
-    if abs(denom) <= _EPS:
-        return None
-    t = (l2.anchor - l1.anchor).cross(l2.direction) / denom
-    return l1.point_at(t)
+    p = line_line_intersection_array(
+        xy(l1.anchor), xy(l1.direction), xy(l2.anchor), xy(l2.direction)
+    )
+    return None if np.isnan(p[0]) else row_point(p)
+
+
+# --- array forms --------------------------------------------------------------
+
+
+def xy(p: Point) -> np.ndarray:
+    """A Point as a one-row coordinate array."""
+    return np.array((p.x, p.y))
+
+
+def row_point(row) -> Point:
+    return Point(*row.tolist())
+
+
+def row_dot(u, v):
+    return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1]
+
+
+def row_cross(u, v):
+    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+
+
+def row_norm(v):
+    return np.hypot(v[..., 0], v[..., 1])
+
+
+def row_unit(v):
+    return v / row_norm(v)[..., None]
+
+
+def row_perp(v):
+    """Rotate each row by +90 degrees."""
+    return np.stack((-v[..., 1], v[..., 0]), axis=-1)
+
+
+def row_rotate(v, angle):
+    """Rotate the vector(s) v counterclockwise by the angle(s)."""
+    c, s = np.cos(angle), np.sin(angle)
+    return np.stack((v[..., 0] * c - v[..., 1] * s, v[..., 0] * s + v[..., 1] * c), axis=-1)
+
+
+def angle_at_array(vertex, a, b):
+    """angle_at for each row. Raises DegenerateRay where a ray endpoint
+    lies within 1e-12 of its vertex."""
+    va = a - vertex
+    vb = b - vertex
+    if ((row_norm(va) <= _EPS) | (row_norm(vb) <= _EPS)).any():
+        raise DegenerateRay("ray endpoint coincides with the vertex")
+    return np.arctan2(np.abs(row_cross(va, vb)), row_dot(va, vb))
+
+
+def reflect_across_line_array(anchor, direction, p):
+    """Mirror images of the points p in the lines through anchor along the
+    unit direction."""
+    foot = anchor + direction * row_dot(p - anchor, direction)[..., None]
+    return 2.0 * foot - p
+
+
+def invert_point_array(center, radius, p):
+    """Images of the points p under inversion in the circles (center, radius).
+
+    Raises CenterSingular, naming the first offending point, when a point
+    lies within 1e-12 of its center.
+    """
+    v = p - center
+    d2 = v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1]
+    at_center = d2 <= _EPS * _EPS
+    if at_center.any():
+        bad = np.broadcast_to(p, v.shape)[at_center][0]
+        raise CenterSingular(f"cannot invert the center of inversion (point {row_point(bad)})")
+    k = (radius * radius) / d2
+    return center + v * k[..., None]
+
+
+def invert_line_array(center, radius, anchor, direction):
+    """Images of the lines through anchor along the unit direction under
+    inversion in the circles (center, radius): circle centers (..., 2)
+    and radii (...). Raises LineThroughCenter for a line through its center.
+    """
+    foot = anchor + direction * row_dot(center - anchor, direction)[..., None]
+    through = row_norm(foot - center) <= _EPS
+    if through.any():
+        bad = np.broadcast_to(anchor, foot.shape)[through][0]
+        raise LineThroughCenter(
+            f"line through {row_point(bad)} and the inversion center maps to a line"
+        )
+    image = invert_point_array(center, radius, foot)
+    return 0.5 * (center + image), 0.5 * row_norm(image - center)
+
+
+def line_line_intersection_array(a1, d1, a2, d2):
+    """Intersections of the lines a1 + s d1 and a2 + t d2 (unit directions).
+
+    Rows where the lines are parallel, |d1 x d2| <= 1e-12, are NaN.
+    """
+    denom = row_cross(d1, d2)
+    parallel = np.abs(denom) <= _EPS
+    t = row_cross(a2 - a1, d2) / np.where(parallel, 1.0, denom)
+    p = a1 + d1 * t[..., None]
+    return np.where(parallel[..., None], np.nan, p)

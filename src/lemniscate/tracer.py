@@ -22,6 +22,7 @@ from .curves import (
     PolynomialLemniscate,
     field_scale,
     lemniscate_field,
+    lemniscate_field_array,
     lemniscate_gradient,
 )
 from .errors import EmptyTrace, NoConvergence, OpenContour, SingularPoint
@@ -326,10 +327,7 @@ def trace(L: PolynomialLemniscate, w: TraceWindow) -> list[Contour]:
     xs = np.linspace(w.xmin, w.xmax, w.nx + 1)
     ys = np.linspace(w.ymin, w.ymax, w.ny + 1)
     xx, yy = np.meshgrid(xs, ys, indexing="ij")
-    grid = np.ones_like(xx)
-    for f in L.foci:
-        grid *= (xx - f.x) ** 2 + (yy - f.y) ** 2
-    grid -= L.level
+    grid = lemniscate_field_array(L, xx, yy)
 
     neg, edge_pts = _edge_points(L, w, xs, ys, grid)
     if not edge_pts:

@@ -3,8 +3,12 @@
 Each check drives a construction through a dense parameter sweep and
 measures the worst residual against an independent arithmetic oracle
 (distance products, defining relations, finite differences, sampled
-memberships). The CLI's `verify` subcommand runs everything and fails on
-any violation.
+memberships). A sweep is one call of the construction's array kernel,
+reduced with numpy. Residuals are scale-free: each is divided by the
+power of the half focal distance c that matches its dimension (c for
+lengths, c^2 for products of lengths, c^4 for the Bernoulli field), so
+one tolerance holds at any similarity placement of the foci. The CLI's
+`verify` subcommand runs everything and fails on any violation.
 """
 
 from __future__ import annotations
@@ -12,37 +16,44 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .curves import (
     BernoulliConfig,
     EquilateralHyperbola,
     PolynomialLemniscate,
     bernoulli_area,
-    bernoulli_polar_point,
+    bernoulli_polar_array,
     expand_coefficients,
-    hyperbola_point,
-    hyperbola_residual,
-    hyperbola_tangent_at,
+    hyperbola_gradient_array,
+    hyperbola_point_array,
+    hyperbola_residual_array,
     lemniscate_field,
-    lemniscate_gradient,
+    lemniscate_field_array,
+    lemniscate_gradient_array,
     unit_hyperbola_foci,
 )
 from .constructions import (
     hyperbola_of,
-    invert_between,
-    maclaurin_sample,
-    normal_by_angle,
-    right_angle_solve,
-    tangent_circle_at,
-    three_bar_solve,
+    invert_between_array,
+    maclaurin_array,
+    normal_by_angle_array,
+    right_angle_array,
+    tangent_circle_array,
+    three_bar_array,
 )
 from .geometry import (
-    InversionMap,
-    Line,
     Point,
-    invert_line,
-    invert_point,
-    line_line_intersection,
-    reflect_across_line,
+    invert_line_array,
+    invert_point_array,
+    line_line_intersection_array,
+    reflect_across_line_array,
+    row_cross,
+    row_dot,
+    row_norm,
+    row_perp,
+    row_unit,
+    xy,
 )
 from .tracer import TraceWindow, contour_area, trace
 
@@ -63,270 +74,228 @@ class Check:
         return self.max_residual <= self.tolerance
 
 
+def _worst(*residuals) -> float:
+    """Largest absolute value over the residual arrays (0 when all are empty)."""
+    return max((float(np.max(np.abs(r))) for r in residuals if np.size(r)), default=0.0)
+
+
+def _field(L, pts):
+    return lemniscate_field_array(L, pts[..., 0], pts[..., 1])
+
+
 def canonical_config() -> BernoulliConfig:
     return BernoulliConfig(Point(-1.0, 0.0), Point(1.0, 0.0))
 
 
-def polar_angles(count: int, margin: float = 0.0):
+def polar_angles(count: int, margin: float = 0.0) -> np.ndarray:
     """Angles across both lobes where the polar radius is defined."""
     half = count // 2
     span = math.pi / 2 - 2 * margin
-    out = []
-    for k in range(half):
-        t = -math.pi / 4 + margin + span * (k + 0.5) / half
-        out.append(t)
-        out.append(t + math.pi)
-    return out[:count]
+    t = -math.pi / 4 + margin + span * (np.arange(half) + 0.5) / half
+    return np.stack((t, t + math.pi), axis=-1).ravel()[:count]
 
 
-def sweep_angles(count: int, avoid_multiples_of: float | None = None, tol: float = 1e-9):
+def sweep_angles(count: int, avoid_multiples_of: float | None = None, tol: float = 1e-9) -> np.ndarray:
     """(k + 1/2) * tau / count grid, optionally skipping near-degenerate values."""
-    out = []
-    for k in range(count):
-        t = (k + 0.5) * TAU / count
-        if avoid_multiples_of is not None:
-            r = math.remainder(t, avoid_multiples_of)
-            if abs(r) < tol:
-                continue
-        out.append(t)
-    return out
+    t = (np.arange(count) + 0.5) * TAU / count
+    if avoid_multiples_of is not None:
+        r = t - avoid_multiples_of * np.round(t / avoid_multiples_of)
+        t = t[np.abs(r) >= tol]
+    return t
 
 
 def check_defining_product(B: BernoulliConfig, count: int = 10_000) -> Check:
     c2 = B.half_distance**2
-    worst = 0.0
-    for t in polar_angles(count):
-        x = bernoulli_polar_point(B, t)
-        worst = max(worst, abs(x.distance_to(B.f1) * x.distance_to(B.f2) - c2))
-    return Check("defining_product", worst, 1e-10)
+    x = bernoulli_polar_array(B, polar_angles(count))
+    product = row_norm(x - xy(B.f1)) * row_norm(x - xy(B.f2))
+    return Check("defining_product", _worst(product - c2) / c2, 1e-10)
 
 
 def threebar_states(B: BernoulliConfig, count: int, side: str = "opposite"):
-    return [three_bar_solve(B, t, side) for t in sweep_angles(count)]
+    return three_bar_array(B, sweep_angles(count), side)
 
 
 def check_threebar(B: BernoulliConfig, states) -> list[Check]:
-    L = B.lemniscate
-    worst_field = 0.0
-    worst_trap = 0.0
-    worst_len = 0.0
     c = B.half_distance
-    for st in states:
-        worst_field = max(worst_field, abs(lemniscate_field(L, st.x)))
-        # isosceles trapezoid f1-a-f2-b: the legs f1a, f2b are equal by
-        # construction, so the testable content is that the bases a->f2
-        # and b->f1 are parallel
-        worst_trap = max(
-            worst_trap, abs((B.f2 - st.a).unit().cross((B.f1 - st.b).unit()))
-        )
-        worst_len = max(
-            worst_len,
-            abs(st.a.distance_to(B.f1) - c * _SQRT2),
-            abs(st.b.distance_to(B.f2) - c * _SQRT2),
-            abs(st.a.distance_to(st.b) - 2.0 * c),
-        )
+    f1, f2 = xy(B.f1), xy(B.f2)
+    # isosceles trapezoid f1-a-f2-b: the legs f1a, f2b are equal by
+    # construction, so the testable content is that the bases a->f2
+    # and b->f1 are parallel
+    trapezoid = row_cross(row_unit(f2 - states.a), row_unit(f1 - states.b))
+    lengths = (
+        row_norm(states.a - f1) - c * _SQRT2,
+        row_norm(states.b - f2) - c * _SQRT2,
+        row_norm(states.a - states.b) - 2.0 * c,
+    )
     return [
-        Check("threebar_field", worst_field, 1e-8),
-        Check("threebar_trapezoid", worst_trap, 1e-9),
-        Check("threebar_stick_lengths", worst_len, 1e-10),
+        Check("threebar_field", _worst(_field(B.lemniscate, states.x)) / c**4, 1e-8),
+        Check("threebar_trapezoid", _worst(trapezoid), 1e-9),
+        Check("threebar_stick_lengths", _worst(*lengths) / c, 1e-10),
     ]
 
 
 def check_inversion_pairing(B: BernoulliConfig, states) -> list[Check]:
     H = hyperbola_of(B)
-    o = B.center
-    c2 = B.half_distance**2
-    worst_h = 0.0
-    worst_pair = 0.0
-    worst_ray = 0.0
-    for st in states:
-        if st.p is None:
-            continue
-        worst_h = max(worst_h, abs(hyperbola_residual(H, st.p)), abs(hyperbola_residual(H, st.q)))
-        ox = st.x - o
-        oq = st.q - o
-        worst_pair = max(worst_pair, abs(ox.norm() * oq.norm() - c2))
-        worst_ray = max(worst_ray, abs(ox.unit().cross(oq.unit())), max(0.0, -ox.dot(oq)))
+    o = xy(B.center)
+    c = B.half_distance
+    c2 = c**2
+    states = states.select(~np.isnan(states.p[:, 0]))
+    ox = states.x - o
+    oq = states.q - o
+    membership = _worst(hyperbola_residual_array(H, states.p), hyperbola_residual_array(H, states.q))
+    pairing = _worst(row_norm(ox) * row_norm(oq) - c2)
+    ray = max(
+        _worst(row_cross(row_unit(ox), row_unit(oq))),
+        _worst(np.maximum(0.0, -row_dot(ox, oq))) / c2,
+    )
     return [
-        Check("hyperbola_membership_pq", worst_h, 1e-8),
-        Check("inversion_pairing", worst_pair, 1e-8),
-        Check("inversion_ray", worst_ray, 1e-8),
+        Check("hyperbola_membership_pq", membership / c, 1e-8),
+        Check("inversion_pairing", pairing / c2, 1e-8),
+        Check("inversion_ray", ray, 1e-8),
     ]
 
 
 def check_hyperbola_inverse(B: BernoulliConfig, count: int = 1_000) -> Check:
     H = hyperbola_of(B)
-    L = B.lemniscate
-    worst = 0.0
     half = count // 2
-    for k in range(half):
-        t = -3.0 + 6.0 * (k + 0.5) / half
-        for branch in (1, -1):
-            q = hyperbola_point(H, t, branch)
-            x = invert_between(B, q)
-            worst = max(worst, abs(lemniscate_field(L, x)))
-    return Check("hyperbola_inverse_direction", worst, 1e-8)
+    t = -3.0 + 6.0 * (np.arange(half) + 0.5) / half
+    q = np.concatenate([hyperbola_point_array(H, t, branch) for branch in (1, -1)])
+    x = invert_between_array(B, q)
+    return Check("hyperbola_inverse_direction", _worst(_field(B.lemniscate, x)) / B.half_distance**4, 1e-8)
 
 
 def check_sameside_locus(B: BernoulliConfig, count: int = 10_000) -> Check:
-    target = B.half_distance * _SQRT2
-    o = B.center
-    worst = 0.0
-    for st in threebar_states(B, count, side="same"):
-        worst = max(worst, abs(st.x.distance_to(o) - target))
-    return Check("sameside_locus", worst, 1e-8)
+    c = B.half_distance
+    states = threebar_states(B, count, side="same")
+    return Check("sameside_locus", _worst(row_norm(states.x - xy(B.center)) - c * _SQRT2) / c, 1e-8)
 
 
 def check_maclaurin(B: BernoulliConfig, count: int = 10_000) -> list[Check]:
     L = B.lemniscate
-    worst_field = 0.0
-    worst_len = 0.0
-    for k in range(count):
-        phi = -math.pi / 4 + (k + 0.5) * (math.pi / 2) / count
-        s = maclaurin_sample(B, phi)
-        worst_field = max(
-            worst_field, abs(lemniscate_field(L, s.x)), abs(lemniscate_field(L, s.x_prime))
-        )
-        chord = s.a.distance_to(s.b)
-        worst_len = max(
-            worst_len,
-            abs(s.x.distance_to(B.center) - chord),
-            abs(s.x_prime.distance_to(B.center) - chord),
-        )
+    c = B.half_distance
+    o = xy(B.center)
+    phi = -math.pi / 4 + (np.arange(count) + 0.5) * (math.pi / 2) / count
+    s = maclaurin_array(B, phi)
+    chord = row_norm(s.a - s.b)
     return [
-        Check("maclaurin_field", worst_field, 1e-8),
-        Check("maclaurin_chord_identity", worst_len, 1e-10),
+        Check("maclaurin_field", _worst(_field(L, s.x), _field(L, s.x_prime)) / c**4, 1e-8),
+        Check(
+            "maclaurin_chord_identity",
+            _worst(row_norm(s.x - o) - chord, row_norm(s.x_prime - o) - chord) / c,
+            1e-10,
+        ),
     ]
 
 
 def check_rightangle(B: BernoulliConfig, count: int = 10_000) -> list[Check]:
     L = B.lemniscate
-    o = B.center
-    u = B.axis_unit
+    o = xy(B.center)
+    u = xy(B.axis_unit)
     c = B.half_distance
-    worst_field = 0.0
-    worst_right = 0.0
-    lobe_margin = math.inf
-    for k in range(count):
-        alpha = -math.pi / 2 + (k + 0.5) * math.pi / count
-        st = right_angle_solve(B, alpha)
-        worst_field = max(
-            worst_field, abs(lemniscate_field(L, st.x)), abs(lemniscate_field(L, st.y))
-        )
-        for tip in (st.x, st.y):
-            worst_right = max(
-                worst_right,
-                abs(
-                    tip.distance_to(o) ** 2
-                    + st.a.distance_to(o) ** 2
-                    - st.a.distance_to(tip) ** 2
-                ),
-                abs(st.a.distance_to(tip) - c * _SQRT2),
-            )
-        lobe_margin = min(lobe_margin, u.dot(st.x - o), -u.dot(st.y - o))
+    alpha = -math.pi / 2 + (np.arange(count) + 0.5) * math.pi / count
+    st = right_angle_array(B, alpha)
+    right = []
+    sticks = []
+    for tip in (st.x, st.y):
+        stick = row_norm(st.a - tip)
+        right.append(row_norm(tip - o) ** 2 + row_norm(st.a - o) ** 2 - stick**2)
+        sticks.append(stick - c * _SQRT2)
+    lobe_margin = min(np.min(row_dot(st.x - o, u)), np.min(-row_dot(st.y - o, u)))
     return [
-        Check("rightangle_field", worst_field, 1e-8),
-        Check("rightangle_right_angle", worst_right, 1e-10),
-        Check("rightangle_lobe_separation", max(0.0, -lobe_margin), 0.0),
+        Check("rightangle_field", _worst(_field(L, st.x), _field(L, st.y)) / c**4, 1e-8),
+        Check("rightangle_right_angle", max(_worst(*right) / c**2, _worst(*sticks) / c), 1e-10),
+        Check("rightangle_lobe_separation", max(0.0, -float(lobe_margin)) / c, 0.0),
     ]
 
 
 def check_normals(B: BernoulliConfig, count: int = 1_000) -> Check:
-    L = B.lemniscate
-    worst = 0.0
-    for t in polar_angles(count, margin=0.02):
-        x = bernoulli_polar_point(B, t)
-        normal = normal_by_angle(B, x)
-        g = lemniscate_gradient(L, x).unit()
-        worst = max(worst, abs(math.asin(max(-1.0, min(1.0, normal.direction.cross(g))))))
-    return Check("normal_vs_gradient_angle", worst, 1e-8)
+    x = bernoulli_polar_array(B, polar_angles(count, margin=0.02))
+    normal = normal_by_angle_array(B, x)
+    g = row_unit(lemniscate_gradient_array(B.lemniscate, x[:, 0], x[:, 1]))
+    angle = np.arcsin(np.clip(row_cross(normal, g), -1.0, 1.0))
+    return Check("normal_vs_gradient_angle", _worst(angle), 1e-8)
 
 
 def check_tangent_circle(B: BernoulliConfig, count: int = 1_000) -> list[Check]:
     L = B.lemniscate
     H = hyperbola_of(B)
-    o = B.center
-    worst_align = 0.0
-    worst_radius = 0.0
-    worst_center = 0.0
-    slope_deficit = 0.0
+    o = xy(B.center)
+    c = B.half_distance
     # pad the grid so at least `count` states survive after skipping the
     # crank angles where the stick lines are parallel or x hits o; near
     # those angles the tangent circle degenerates (radius to infinity)
-    for t in sweep_angles(count + count // 4, avoid_multiples_of=math.pi / 4, tol=5e-2):
-        st = three_bar_solve(B, t)
-        if st.p is None:
-            continue
-        circle = tangent_circle_at(st)
-        radial = (st.x - circle.center).unit()
-        grad = lemniscate_gradient(L, st.x).unit()
-        worst_align = max(worst_align, abs(radial.cross(grad)))
-        worst_radius = max(worst_radius, abs(circle.radius - circle.center.distance_to(o)))
+    states = three_bar_array(B, sweep_angles(count + count // 4, avoid_multiples_of=math.pi / 4, tol=5e-2))
+    states = states.select(~np.isnan(states.p[:, 0]))
+    center, radius = tangent_circle_array(states)
+    radial = row_unit(states.x - center)
+    grad = row_unit(lemniscate_gradient_array(L, states.x[:, 0], states.x[:, 1]))
 
-        # the circle center also sits on the normal at x and on the
-        # perpendicular from o to the hyperbola tangent at q
-        tangent = hyperbola_tangent_at(H, st.q)
-        rebuilt = line_line_intersection(normal_by_angle(B, st.x), Line(o, tangent.direction.perp()))
-        if rebuilt is not None:
-            worst_center = max(worst_center, rebuilt.distance_to(circle.center))
+    # the circle center also sits on the normal at x and on the
+    # perpendicular from o to the hyperbola tangent at q
+    rebuilt = line_line_intersection_array(
+        states.x, normal_by_angle_array(B, states.x), o, row_unit(hyperbola_gradient_array(H, states.q))
+    )
+    rebuilt_off = row_norm(rebuilt - center)
 
-        slope_deficit = max(slope_deficit, max(0.0, 1.9 - _contact_slope(L, circle, st.x)))
+    slope_deficit = np.maximum(0.0, 1.9 - _contact_slope(L, center, radius, states.x, c))
     return [
-        Check("tangent_circle_alignment", worst_align, 1e-8),
-        Check("tangent_circle_through_o", worst_radius, 1e-9),
-        Check("tangent_circle_center_rebuild", worst_center, 1e-8),
-        Check("tangent_contact_slope_deficit", slope_deficit, 1e-9),
+        Check("tangent_circle_alignment", _worst(row_cross(radial, grad)), 1e-8),
+        Check("tangent_circle_through_o", _worst(radius - row_norm(center - o)) / c, 1e-9),
+        Check("tangent_circle_center_rebuild", _worst(rebuilt_off[~np.isnan(rebuilt_off)]) / c, 1e-8),
+        Check("tangent_contact_slope_deficit", _worst(slope_deficit), 1e-9),
     ]
 
 
-def _contact_slope(L, circle, x) -> float:
-    """Least-squares log-log slope of |field| along the circle near x."""
-    base = math.atan2(x.y - circle.center.y, x.x - circle.center.x)
-    logs = []
-    for s in (1e-2, 1e-3, 1e-4):
-        ang = base + s / circle.radius
-        p = Point(
-            circle.center.x + circle.radius * math.cos(ang),
-            circle.center.y + circle.radius * math.sin(ang),
+def _contact_slope(L, center, radius, x, c: float) -> np.ndarray:
+    """Least-squares log-log slope of |field| along each circle near its x,
+    over arc steps of 1e-2 c, 1e-3 c and 1e-4 c; 2 where the field is 0."""
+    steps = np.array((1e-2, 1e-3, 1e-4)) * c
+    base = np.arctan2(x[:, 1] - center[:, 1], x[:, 0] - center[:, 0])
+    ang = base[:, None] + steps / radius[:, None]
+    value = np.abs(
+        lemniscate_field_array(
+            L,
+            center[:, 0:1] + radius[:, None] * np.cos(ang),
+            center[:, 1:2] + radius[:, None] * np.sin(ang),
         )
-        value = abs(lemniscate_field(L, p))
-        if value == 0.0:
-            return 2.0
-        logs.append((math.log(s), math.log(value)))
-    n = len(logs)
-    mean_x = sum(lx for lx, _ in logs) / n
-    mean_y = sum(ly for _, ly in logs) / n
-    num = sum((lx - mean_x) * (ly - mean_y) for lx, ly in logs)
-    den = sum((lx - mean_x) ** 2 for lx, _ in logs)
-    return num / den
+    )
+    exact = (value == 0.0).any(axis=1)
+    lx = np.log(steps)
+    ly = np.log(np.where(value == 0.0, 1.0, value))
+    dx = lx - lx.mean()
+    slope = ((ly - ly.mean(axis=1, keepdims=True)) * dx).sum(axis=1) / (dx * dx).sum()
+    return np.where(exact, 2.0, slope)
 
 
 def check_lemma1(pair_count: int = 1_000, samples_per_line: int = 50, seed: int = 42) -> list[Check]:
     import random
 
     rng = random.Random(seed)
-    worst_on = 0.0
-    worst_center = 0.0
+    pairs = []
     for _ in range(pair_count):
-        center = Point(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
-        inv = InversionMap(center, rng.uniform(0.5, 2.0))
-        ang = rng.uniform(0.0, math.pi)
-        direction = Point(math.cos(ang), math.sin(ang))
+        center = (rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+        radius, ang = rng.uniform(0.5, 2.0), rng.uniform(0.0, math.pi)
         offset = rng.choice((-1.0, 1.0)) * rng.uniform(0.1, 3.0)
-        anchor = center + direction.perp() * offset
-        line = Line(anchor, direction)
+        pairs.append((*center, radius, ang, offset))
+    cx, cy, radius, ang, offset = np.array(pairs).T
+    center = np.stack((cx, cy), axis=-1)
+    direction = np.stack((np.cos(ang), np.sin(ang)), axis=-1)
+    anchor = center + row_perp(direction) * offset[:, None]
+    image_center, image_radius = invert_line_array(center, radius, anchor, direction)
 
-        image = invert_line(inv, line)
-        for k in range(samples_per_line):
-            t = -5.0 + 10.0 * (k + 0.5) / samples_per_line
-            b = invert_point(inv, line.point_at(t))
-            worst_on = max(worst_on, abs(b.distance_to(image.center) - image.radius))
-        worst_on = max(worst_on, abs(center.distance_to(image.center) - image.radius))
-        mirrored = reflect_across_line(line, center)
-        worst_center = max(worst_center, invert_point(inv, mirrored).distance_to(image.center))
+    # samples_per_line points of each line, inverted, must land on its image
+    # circle, which also passes through the center of inversion
+    t = -5.0 + 10.0 * (np.arange(samples_per_line) + 0.5) / samples_per_line
+    samples = anchor[:, None] + direction[:, None] * t[:, None]
+    images = invert_point_array(center[:, None], radius[:, None], samples)
+    on_circle = row_norm(images - image_center[:, None]) - image_radius[:, None]
+    through_center = row_norm(center - image_center) - image_radius
+    # the circle's center is the image of the center mirrored in the line
+    mirrored = reflect_across_line_array(anchor, direction, center)
+    center_off = row_norm(invert_point_array(center, radius, mirrored) - image_center)
     return [
-        Check("line_inversion_on_circle", worst_on, 1e-9),
-        Check("line_inversion_center", worst_center, 1e-9),
+        Check("line_inversion_on_circle", _worst(on_circle, through_center), 1e-9),
+        Check("line_inversion_center", _worst(center_off), 1e-9),
     ]
 
 
@@ -348,29 +317,29 @@ def check_coefficients(seed: int = 42) -> Check:
 
 
 def check_unit_hyperbola(count: int = 100) -> list[Check]:
-    f1, f2 = unit_hyperbola_foci()
-    H = EquilateralHyperbola(f1, f2)
-    worst_res = 0.0
-    worst_mid = 0.0
-    for k in range(count):
-        t = 0.1 * (10.0 / 0.1) ** (k / (count - 1))
-        q = Point(t, 1.0 / t)
-        worst_res = max(worst_res, abs(hyperbola_residual(H, q)))
-        tangent = hyperbola_tangent_at(H, q)
-        r = line_line_intersection(tangent, Line(Point(0.0, 0.0), Point(1.0, 0.0)))
-        s = line_line_intersection(tangent, Line(Point(0.0, 0.0), Point(0.0, 1.0)))
-        mid = Point(0.5 * (r.x + s.x), 0.5 * (r.y + s.y))
-        worst_mid = max(worst_mid, mid.distance_to(q))
+    H = EquilateralHyperbola(*unit_hyperbola_foci())
+    t = 0.1 * (10.0 / 0.1) ** (np.arange(count) / (count - 1))
+    q = np.stack((t, 1.0 / t), axis=-1)
+    # the tangent at q (perpendicular to the gradient of the quadratic
+    # form) meets the axes at r and s, and q is the midpoint of rs
+    tangent = row_unit(row_perp(hyperbola_gradient_array(H, q)))
+    origin = np.zeros(2)
+    r = line_line_intersection_array(q, tangent, origin, np.array((1.0, 0.0)))
+    s = line_line_intersection_array(q, tangent, origin, np.array((0.0, 1.0)))
     return [
-        Check("unit_hyperbola_residual", worst_res, 1e-9),
-        Check("tangent_midpoint", worst_mid, 1e-12),
+        Check("unit_hyperbola_residual", _worst(hyperbola_residual_array(H, q)), 1e-9),
+        Check("tangent_midpoint", _worst(row_norm(0.5 * (r + s) - q)), 1e-12),
     ]
 
 
 def check_area(B: BernoulliConfig, grid: int = 512) -> Check:
+    # the +-1.6c x +-0.8c box about o, turned onto the focal axis, and the
+    # axis-aligned window around it
     o = B.center
-    hx = 1.6 * B.half_distance
-    hy = 0.8 * B.half_distance
+    c = B.half_distance
+    u = B.axis_unit
+    hx = 1.6 * c * abs(u.x) + 0.8 * c * abs(u.y)
+    hy = 1.6 * c * abs(u.y) + 0.8 * c * abs(u.x)
     w = TraceWindow(o.x - hx, o.x + hx, o.y - hy, o.y + hy, grid, grid)
     contours = trace(B.lemniscate, w)
     total = sum(contour_area(c) for c in contours if c.closed)
@@ -391,6 +360,7 @@ def run_verification(
     states = threebar_states(B, sweep)
     checks += check_threebar(B, states)
     checks += check_inversion_pairing(B, states)
+    del states  # not held through the trace in check_area
     checks.append(check_hyperbola_inverse(B, dense))
     checks.append(check_sameside_locus(B, sweep))
     checks += check_maclaurin(B, sweep)

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from lemniscate import (
@@ -19,7 +20,16 @@ from lemniscate import (
     tangent_circle_at,
     three_bar_solve,
 )
-from lemniscate.constructions import hyperbola_of
+from lemniscate.constructions import (
+    hyperbola_of,
+    invert_between_array,
+    maclaurin_array,
+    normal_by_angle_array,
+    right_angle_array,
+    tangent_circle_array,
+    three_bar_array,
+)
+from lemniscate.curves import bernoulli_polar_array, lemniscate_field_array
 from lemniscate.errors import (
     CenterSingular,
     DoublePoint,
@@ -29,6 +39,7 @@ from lemniscate.errors import (
     UndefinedCenter,
 )
 from lemniscate.geometry import Line
+from lemniscate.verify import threebar_states
 
 SQRT2 = math.sqrt(2.0)
 B = BernoulliConfig(Point(-1.0, 0.0), Point(1.0, 0.0))
@@ -276,3 +287,124 @@ class TestNormal:
     def test_not_on_curve(self):
         with pytest.raises(NotOnCurve):
             normal_by_angle(B, Point(0.9, 0.9))
+
+
+class TestThreeBarClosedForm:
+    @pytest.mark.parametrize("c", [1.0, 1000.0])
+    def test_vertices_at_zero_and_pi(self, c):
+        config = BernoulliConfig(Point(-c, 0.0), Point(c, 0.0))
+        for theta, vertex in ((0.0, Point(c * SQRT2, 0.0)), (math.pi, Point(-c * SQRT2, 0.0))):
+            st = three_bar_solve(config, theta)
+            assert st.x.distance_to(vertex) <= 1e-15 * c
+
+    @pytest.mark.parametrize("c", [1.0, 1000.0])
+    def test_double_point_at_quarter_turns(self, c):
+        config = BernoulliConfig(Point(-c, 0.0), Point(c, 0.0))
+        for theta in (math.pi / 4, -math.pi / 4):
+            st = three_bar_solve(config, theta)
+            assert st.x.distance_to(config.center) <= 1e-15 * c
+            assert st.p is None and st.q is None
+
+    def test_sweep_through_pi(self):
+        # 9999 samples put one crank angle exactly at pi
+        states = threebar_states(B, 9999)
+        k = int(np.argmin(np.abs(states.theta - math.pi)))
+        assert states.theta[k] == math.pi
+        assert states.x[k, 0] == pytest.approx(-SQRT2, abs=1e-15)
+        field = lemniscate_field_array(L, states.x[:, 0], states.x[:, 1])
+        assert np.max(np.abs(field)) <= 1e-12
+
+
+def _same_point(p, row):
+    if p is None:
+        return bool(np.isnan(row).all())
+    return p.x == row[0] and p.y == row[1]
+
+
+TILTED = BernoulliConfig(Point(0.7, -0.3), Point(1.9, 1.1))
+
+
+@pytest.mark.parametrize("config", [B, TILTED], ids=["canonical", "tilted"])
+class TestKernelParity:
+    """Each scalar construction is row k of its kernel, bit for bit."""
+
+    def test_three_bar(self, config):
+        for side in ("opposite", "same"):
+            theta = (np.arange(200) + 0.5) * math.tau / 200
+            rows = three_bar_array(config, theta, side)
+            for k in range(200):
+                st = three_bar_solve(config, float(theta[k]), side)
+                assert st == rows.state(k)
+                for name in ("a", "b", "x", "p", "q"):
+                    assert _same_point(getattr(st, name), getattr(rows, name)[k])
+
+    def test_maclaurin(self, config):
+        phi = -math.pi / 4 + (np.arange(200) + 0.5) * (math.pi / 2) / 200
+        rows = maclaurin_array(config, phi)
+        for k in range(200):
+            s = maclaurin_sample(config, float(phi[k]))
+            for name in ("a", "b", "x", "x_prime"):
+                assert _same_point(getattr(s, name), getattr(rows, name)[k])
+
+    def test_right_angle(self, config):
+        alpha = -math.pi / 2 + (np.arange(200) + 0.5) * math.pi / 200
+        rows = right_angle_array(config, alpha)
+        for k in range(200):
+            st = right_angle_solve(config, float(alpha[k]))
+            for name in ("a", "x", "y"):
+                assert _same_point(getattr(st, name), getattr(rows, name)[k])
+
+    def test_normal_and_inversion(self, config):
+        t = -math.pi / 4 + 0.02 + (math.pi / 2 - 0.04) * (np.arange(100) + 0.5) / 100
+        x = bernoulli_polar_array(config, np.concatenate((t, t + math.pi)))
+        directions = normal_by_angle_array(config, x)
+        images = invert_between_array(config, x)
+        for k in range(200):
+            point = Point(*x[k])
+            line = normal_by_angle(config, point)
+            assert line.anchor == point
+            assert _same_point(line.direction, directions[k])
+            assert _same_point(invert_between(config, point), images[k])
+
+    def test_tangent_circle(self, config):
+        theta = (np.arange(200) + 0.5) * math.tau / 200
+        rows = three_bar_array(config, theta)
+        rows = rows.select(~np.isnan(rows.p[:, 0]))
+        centers, radii = tangent_circle_array(rows)
+        for k in range(len(rows.theta)):
+            circle = tangent_circle_at(three_bar_solve(config, float(rows.theta[k])))
+            assert _same_point(circle.center, centers[k])
+            assert circle.radius == radii[k]
+
+
+class TestKernelErrors:
+    """A kernel that meets a bad parameter inside a sweep names it."""
+
+    def test_no_chord(self):
+        with pytest.raises(NoChord, match=f"phi = {math.pi / 3}"):
+            maclaurin_array(B, [0.1, math.pi / 3, 0.2])
+
+    def test_out_of_reach(self):
+        with pytest.raises(OutOfReach, match=f"alpha = {2 * math.pi / 3}"):
+            right_angle_array(B, [0.0, 2 * math.pi / 3])
+
+    def test_not_on_curve(self):
+        with pytest.raises(NotOnCurve, match="0.9"):
+            normal_by_angle_array(B, np.array([[SQRT2, 0.0], [0.9, 0.9]]))
+
+    def test_double_point(self):
+        with pytest.raises(DoublePoint):
+            normal_by_angle_array(B, np.array([[SQRT2, 0.0], [0.0, 0.0]]))
+
+    def test_undefined_center(self):
+        rows = three_bar_array(B, [1.0, math.pi / 4])
+        with pytest.raises(UndefinedCenter, match=f"theta = {math.pi / 4}"):
+            tangent_circle_array(rows)
+
+    def test_center_singular(self):
+        with pytest.raises(CenterSingular):
+            invert_between_array(B, np.array([[1.0, 0.0], [0.0, 0.0]]))
+
+    def test_side_validation(self):
+        with pytest.raises(ValueError, match="sideways"):
+            three_bar_array(B, [1.0], side="sideways")
