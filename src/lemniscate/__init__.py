@@ -54,6 +54,7 @@ from .tracer import (
     contours_from_csv,
     contours_to_csv,
     refine,
+    refine_array,
     trace,
 )
 from .figures import FIGURE_PRESETS, Scene, Style, emit_svg, figure_scene

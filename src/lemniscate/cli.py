@@ -30,10 +30,8 @@ from .constructions import (
 )
 from .errors import GeometryError
 from .figures import FIGURE_PRESETS, emit_svg, figure_scene
-from .geometry import Point
+from .geometry import SQRT2, Point
 from .tracer import TraceWindow, contours_to_csv, trace
-
-_SQRT2 = math.sqrt(2.0)
 
 
 def _parse_floats(text: str, count: int | None = None):
@@ -80,8 +78,8 @@ def _window(args, L: PolynomialLemniscate) -> TraceWindow:
     if L.n == 2 and abs(L.radius - 0.5 * L.foci[0].distance_to(L.foci[1])) <= 1e-12:
         B = BernoulliConfig(L.foci[0], L.foci[1])
         o = B.center
-        hx = 1.6 * B.half_distance * _SQRT2
-        hy = 0.8 * B.half_distance * _SQRT2
+        hx = 1.6 * B.half_distance * SQRT2
+        hy = 0.8 * B.half_distance * SQRT2
         return TraceWindow(o.x - hx, o.x + hx, o.y - hy, o.y + hy, args.grid, args.grid)
     cx = sum(f.x for f in L.foci) / L.n
     cy = sum(f.y for f in L.foci) / L.n

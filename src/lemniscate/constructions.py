@@ -35,6 +35,7 @@ from .errors import (
     UndefinedCenter,
 )
 from .geometry import (
+    SQRT2,
     Circle,
     Line,
     Point,
@@ -51,7 +52,6 @@ from .geometry import (
     xy,
 )
 
-_SQRT2 = math.sqrt(2.0)
 
 SIDE_OPPOSITE = "opposite"
 SIDE_SAME = "same"
@@ -172,7 +172,7 @@ def three_bar_array(B: BernoulliConfig, theta, side: str = SIDE_OPPOSITE) -> Thr
     theta = np.asarray(theta, dtype=float)
     c = B.half_distance
     f1, f2, u = xy(B.f1), xy(B.f2), xy(B.axis_unit)
-    a = f1 + row_rotate(u, theta) * (c * _SQRT2)
+    a = f1 + row_rotate(u, theta) * (c * SQRT2)
     if side == SIDE_SAME:
         b = a + (f2 - f1)
     else:
@@ -200,7 +200,7 @@ def maclaurin_array(B: BernoulliConfig, phi) -> MaclaurinArrays:
     phi = np.asarray(phi, dtype=float)
     o = xy(B.center)
     f1 = xy(B.f1)
-    r = B.half_distance / _SQRT2
+    r = B.half_distance / SQRT2
     d = row_rotate(row_unit(f1 - o), phi)
     t0 = row_dot(f1 - o, d)
     closest = o + d * t0[..., None]

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import NotOnCurve, OutsideLobe, TooManyFoci
 from .geometry import (
+    SQRT2,
     InversionMap,
     Line,
     Point,
@@ -29,8 +30,6 @@ from .geometry import (
     row_point,
     xy,
 )
-
-_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,36 +82,20 @@ def lemniscate_field(L: PolynomialLemniscate, p: Point) -> float:
 
     Zero exactly on the curve, negative inside a lobe, positive outside.
     """
-    acc = 1.0
-    for f in L.foci:
-        dx = p.x - f.x
-        dy = p.y - f.y
-        acc *= dx * dx + dy * dy
-    return acc - L.level
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf, as float arithmetic does
+        return float(lemniscate_field_array(L, np.array((p.x,)), np.array((p.y,)))[0])
 
 
 def lemniscate_gradient(L: PolynomialLemniscate, p: Point) -> Point:
     """Analytic gradient of lemniscate_field at p."""
-    q = []
-    for f in L.foci:
-        dx = p.x - f.x
-        dy = p.y - f.y
-        q.append(dx * dx + dy * dy)
-    gx = 0.0
-    gy = 0.0
-    for i, f in enumerate(L.foci):
-        pref = 1.0
-        for j, qj in enumerate(q):
-            if j != i:
-                pref *= qj
-        gx += pref * 2.0 * (p.x - f.x)
-        gy += pref * 2.0 * (p.y - f.y)
-    return Point(gx, gy)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = lemniscate_gradient_array(L, np.array((p.x,)), np.array((p.y,)))
+    return row_point(g[0])
 
 
 def lemniscate_field_array(L: PolynomialLemniscate, x, y) -> np.ndarray:
     """lemniscate_field at the points (x, y), broadcasting the coordinate
-    arrays; the same operations in the same order, so equal values."""
+    arrays; the scalar form is a one-row call of it."""
     acc = np.ones(np.broadcast_shapes(np.shape(x), np.shape(y)))
     for f in L.foci:
         acc *= (x - f.x) ** 2 + (y - f.y) ** 2
@@ -299,7 +282,7 @@ class EquilateralHyperbola:
     @property
     def semi_axis(self) -> float:
         """Common semi-axis a = b = |F1 F2| / (2 sqrt(2))."""
-        return self.f1.distance_to(self.f2) / (2.0 * _SQRT2)
+        return self.f1.distance_to(self.f2) / (2.0 * SQRT2)
 
 
 def hyperbola_residual(H: EquilateralHyperbola, p: Point) -> float:
@@ -311,7 +294,7 @@ def hyperbola_residual_array(H: EquilateralHyperbola, p) -> np.ndarray:
     """hyperbola_residual at each row of p."""
     d1 = row_norm(p - xy(H.f1))
     d2 = row_norm(p - xy(H.f2))
-    return np.abs(d1 - d2) - H.f1.distance_to(H.f2) / _SQRT2
+    return np.abs(d1 - d2) - H.f1.distance_to(H.f2) / SQRT2
 
 
 def hyperbola_gradient_array(H: EquilateralHyperbola, p) -> np.ndarray:
@@ -352,4 +335,4 @@ def hyperbola_point_array(H: EquilateralHyperbola, t, branch: int = 1) -> np.nda
 
 def unit_hyperbola_foci() -> tuple[Point, Point]:
     """Foci of the hyperbola y = 1/x: on the diagonal at distance 2 from O."""
-    return (Point(_SQRT2, _SQRT2), Point(-_SQRT2, -_SQRT2))
+    return (Point(SQRT2, SQRT2), Point(-SQRT2, -SQRT2))

@@ -30,10 +30,9 @@ from .curves import (
     hyperbola_tangent_at,
 )
 from .errors import UnknownPreset
-from .geometry import Point, midpoint, row_point
+from .geometry import SQRT2, Point, midpoint, row_point
 from .tracer import TraceWindow, trace
 
-_SQRT2 = math.sqrt(2.0)
 
 FIGURE_PRESETS = (
     "family3",
@@ -135,8 +134,8 @@ def _default_window(B: BernoulliConfig, grid: int, tall: float = 0.8) -> TraceWi
     # factor grows for presets whose construction elements reach above
     # the curve (stick tips go up to c*sqrt(2) from the double point)
     o = B.center
-    hx = 1.6 * B.half_distance * _SQRT2
-    hy = tall * B.half_distance * _SQRT2
+    hx = 1.6 * B.half_distance * SQRT2
+    hy = tall * B.half_distance * SQRT2
     return TraceWindow(o.x - hx, o.x + hx, o.y - hy, o.y + hy, grid, grid)
 
 
@@ -237,7 +236,7 @@ def _scene_maclaurin(B, grid, phi=math.pi / 6, **_):
     _add_lemniscate(scene, B, w)
     sample = maclaurin_sample(B, phi)
     c = B.half_distance
-    scene.add(CircleElement(B.f1, c / _SQRT2, Style(stroke_width=_stroke(w), dashed=True)))
+    scene.add(CircleElement(B.f1, c / SQRT2, Style(stroke_width=_stroke(w), dashed=True)))
     scene.add(SegmentElement(sample.x_prime, sample.b, Style(stroke_width=1.2 * _stroke(w))))
     _marker(scene, B.f1, "F1")
     _marker(scene, B.center, "O")

@@ -24,6 +24,7 @@ import numpy as np
 from .errors import CenterSingular, Concentric, DegenerateRay, LineThroughCenter
 
 _EPS = 1e-12
+SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True, slots=True)

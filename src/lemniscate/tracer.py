@@ -6,9 +6,10 @@ deliberate splitting of contours at the Bernoulli double point where the
 two lobes cross. Closed contours are oriented with the interior (field
 negative) on the left, so their signed shoelace area is positive.
 
-Field evaluation over the grid is vectorized; contour assembly is a
-deterministic sequential pass, so output is independent of how the grid
-evaluation is scheduled.
+Field evaluation over the grid and crossing interpolation are
+vectorized, and refinement is one batched numpy pass; contour assembly
+stays sequential and deterministic, so output is independent of how the
+array work is scheduled.
 """
 
 from __future__ import annotations
@@ -23,14 +24,18 @@ from .curves import (
     field_scale,
     lemniscate_field,
     lemniscate_field_array,
-    lemniscate_gradient,
+    lemniscate_gradient_array,
 )
 from .errors import EmptyTrace, NoConvergence, OpenContour, SingularPoint
-from .geometry import Point, midpoint
+from .geometry import Point, midpoint, row_point, xy
 
 _GRAD_EPS = 1e-12
 _REFINE_TOL = 1e-12
 _MAX_NEWTON = 20
+_FAILURE_TEXT = {
+    SingularPoint: "gradient vanishes near",
+    NoConvergence: "Newton refinement stalled near",
+}
 
 # segments per marching-squares case, by cell edge name; cases 5 and 10
 # are saddles resolved by the field sign at the cell center
@@ -114,25 +119,63 @@ class Contour:
 def refine(L: PolynomialLemniscate, p: Point) -> Point:
     """Newton-polish p onto the curve along the field gradient.
 
-    Steps until |field| <= 1e-12 * scale**(2n) or 20 iterations; raises
-    SingularPoint when the gradient vanishes (such as at the Bernoulli
-    double point) and NoConvergence when iteration stalls.
+    A one-row call of refine_array, with the same targets and errors.
     """
+    return row_point(refine_array(L, xy(p)[None])[0])
+
+
+def refine_array(L: PolynomialLemniscate, pts) -> np.ndarray:
+    """Newton-polish each row of the (M, 2) array pts onto the curve.
+
+    Every row steps x -> x - grad * f / |grad|^2 until |field| <= 1e-12 *
+    scale**(2n) or 20 iterations, and leaves the batch once it converges.
+    After the whole batch has run, the first failing row raises:
+    SingularPoint when the gradient vanishes (such as at the Bernoulli
+    double point), NoConvergence when iteration stalls, ValueError when a
+    gradient or a step is not finite.
+    """
+    cur = np.array(pts, dtype=float).reshape(-1, 2)
     target = _REFINE_TOL * field_scale(L)
-    cur = p
-    for _ in range(_MAX_NEWTON):
-        g = lemniscate_gradient(L, cur)
-        g2 = g.norm_sq()
-        if g2 <= _GRAD_EPS * _GRAD_EPS:
-            raise SingularPoint(f"gradient vanishes near {cur}")
-        f = lemniscate_field(L, cur)
-        if abs(f) <= target:
-            return cur
-        k = f / g2
-        cur = Point(cur.x - g.x * k, cur.y - g.y * k)
-    if abs(lemniscate_field(L, cur)) <= target:
-        return cur
-    raise NoConvergence(f"Newton refinement stalled near {cur}")
+    first = None  # (row, error, x, y) of the first failing row
+    rows = np.arange(len(cur))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_MAX_NEWTON):
+            x, y = cur[rows, 0], cur[rows, 1]
+            g = lemniscate_gradient_array(L, x, y)
+            gx, gy = g[:, 0], g[:, 1]
+            g2 = gx * gx + gy * gy
+            bad = ~(np.isfinite(gx) & np.isfinite(gy))
+            first = _first_failure(first, ValueError, rows[bad], gx[bad], gy[bad])
+            singular = ~bad & (g2 <= _GRAD_EPS * _GRAD_EPS)
+            first = _first_failure(first, SingularPoint, rows[singular], x[singular], y[singular])
+            f = lemniscate_field_array(L, x, y)
+            step = ~bad & ~singular & ~(np.abs(f) <= target)
+            rows, gx, gy = rows[step], gx[step], gy[step]
+            k = f[step] / g2[step]
+            x = x[step] - gx * k
+            y = y[step] - gy * k
+            cur[rows, 0], cur[rows, 1] = x, y
+            bad = ~(np.isfinite(x) & np.isfinite(y))
+            first = _first_failure(first, ValueError, rows[bad], x[bad], y[bad])
+            rows = rows[~bad]
+            if not rows.size:
+                break
+        else:
+            stalled = rows[~(np.abs(lemniscate_field_array(L, cur[rows, 0], cur[rows, 1])) <= target)]
+            first = _first_failure(first, NoConvergence, stalled, cur[stalled, 0], cur[stalled, 1])
+    if first is not None:
+        _, error, x, y = first
+        p = Point(x, y)  # raises Point's own ValueError for a non-finite gradient or step
+        raise error(f"{_FAILURE_TEXT[error]} {p}")
+    return cur
+
+
+def _first_failure(first, error, rows, x, y):
+    """Keep whichever fails first in input order: the recorded failure or
+    the first of rows (ascending), which failed with error at (x, y)."""
+    if rows.size and (first is None or rows[0] < first[0]):
+        return (int(rows[0]), error, float(x[0]), float(y[0]))
+    return first
 
 
 def contour_area(c: Contour) -> float:
@@ -163,24 +206,20 @@ def _singular_points(L: PolynomialLemniscate) -> list[Point]:
     return []
 
 
-def _edge_points(L, w, xs, ys, grid):
-    """Interpolated zero crossings on grid edges, keyed by edge identity."""
+def _edge_points(w, xs, ys, grid):
+    """Interpolated zero crossings on grid edges: the sign mask, the row of
+    each crossing keyed by edge identity, and the crossings as rows (M, 2)."""
     neg = grid < 0.0
-    pts: dict[tuple, Point] = {}
-
-    hmask = neg[:-1, :] != neg[1:, :]
-    for i, j in np.argwhere(hmask):
-        g0 = grid[i, j]
-        t = g0 / (g0 - grid[i + 1, j])
-        pts[("h", int(i), int(j))] = Point(xs[i] + t * w.dx, ys[j])
-
-    vmask = neg[:, :-1] != neg[:, 1:]
-    for i, j in np.argwhere(vmask):
-        g0 = grid[i, j]
-        t = g0 / (g0 - grid[i, j + 1])
-        pts[("v", int(i), int(j))] = Point(xs[i], ys[j] + t * w.dy)
-
-    return neg, pts
+    hi, hj = np.nonzero(neg[:-1, :] != neg[1:, :])
+    vi, vj = np.nonzero(neg[:, :-1] != neg[:, 1:])
+    g0 = grid[hi, hj]
+    hx = xs[hi] + g0 / (g0 - grid[hi + 1, hj]) * w.dx
+    g0 = grid[vi, vj]
+    vy = ys[vj] + g0 / (g0 - grid[vi, vj + 1]) * w.dy
+    keys = [("h", i, j) for i, j in zip(hi.tolist(), hj.tolist())]
+    keys += [("v", i, j) for i, j in zip(vi.tolist(), vj.tolist())]
+    coords = np.concatenate((np.stack((hx, ys[hj]), axis=-1), np.stack((xs[vi], vy), axis=-1)))
+    return neg, {k: r for r, k in enumerate(keys)}, coords
 
 
 def _cell_edges(i: int, j: int) -> dict[str, tuple]:
@@ -192,7 +231,7 @@ def _cell_edges(i: int, j: int) -> dict[str, tuple]:
     }
 
 
-def _build_adjacency(L, w, xs, ys, grid, neg):
+def _build_adjacency(L, w, xs, ys, neg):
     case = (
         neg[:-1, :-1].astype(np.int8)
         + 2 * neg[1:, :-1].astype(np.int8)
@@ -252,26 +291,29 @@ def _extract_chains(adjacency):
     return chains
 
 
-def _snap_and_split(points, closed, singulars, snap_radius):
+def _snap_and_split(rows, closed, xs, ys, singular_rows, snap_radius):
     """Snap vertices near a singular point onto it and split the chain
-    there, so a figure-eight separates into one loop per lobe."""
-    if not singulars:
-        return [(points, closed)]
+    there, so a figure-eight separates into one loop per lobe.
+
+    Vertices are rows of the coordinate lists xs, ys; singular_rows are
+    the rows that hold the singular points."""
+    if not singular_rows:
+        return [(rows, closed)]
     snapped = []
-    for p in points:
-        for s in singulars:
-            if p.distance_to(s) <= snap_radius:
-                p = s
+    for r in rows:
+        for s in singular_rows:
+            if math.hypot(xs[r] - xs[s], ys[r] - ys[s]) <= snap_radius:
+                r = s
                 break
-        snapped.append(p)
+        snapped.append(r)
     deduped = [snapped[0]]
-    for p in snapped[1:]:
-        if p.x != deduped[-1].x or p.y != deduped[-1].y:
-            deduped.append(p)
-    if closed and len(deduped) > 1 and deduped[0] is deduped[-1]:
+    for r in snapped[1:]:
+        if xs[r] != xs[deduped[-1]] or ys[r] != ys[deduped[-1]]:
+            deduped.append(r)
+    if closed and len(deduped) > 1 and deduped[0] == deduped[-1]:
         deduped.pop()
 
-    hits = [k for k, p in enumerate(deduped) if any(p is s for s in singulars)]
+    hits = [k for k, r in enumerate(deduped) if r in singular_rows]
     if closed and len(hits) >= 2:
         loops = []
         for m, start in enumerate(hits):
@@ -285,18 +327,13 @@ def _snap_and_split(points, closed, singulars, snap_radius):
     return [(deduped, closed)]
 
 
-def _refine_chain(L, points, singulars):
-    out = []
-    for p in points:
-        if any(p.x == s.x and p.y == s.y for s in singulars):
-            out.append(p)
-        else:
-            out.append(refine(L, p))
-    deduped = [out[0]]
-    for p in out[1:]:
-        if p.distance_to(deduped[-1]) > 1e-12:
-            deduped.append(p)
-    return deduped
+def _dedupe(rows, xs, ys):
+    """Drop each vertex within 1e-12 of the last one kept."""
+    kept = [rows[0]]
+    for r in rows[1:]:
+        if math.hypot(xs[r] - xs[kept[-1]], ys[r] - ys[kept[-1]]) > 1e-12:
+            kept.append(r)
+    return kept
 
 
 def _orient(L, w, points, closed):
@@ -326,27 +363,37 @@ def trace(L: PolynomialLemniscate, w: TraceWindow) -> list[Contour]:
     """
     xs = np.linspace(w.xmin, w.xmax, w.nx + 1)
     ys = np.linspace(w.ymin, w.ymax, w.ny + 1)
-    xx, yy = np.meshgrid(xs, ys, indexing="ij")
-    grid = lemniscate_field_array(L, xx, yy)
+    grid = lemniscate_field_array(L, xs[:, None], ys[None, :])
 
-    neg, edge_pts = _edge_points(L, w, xs, ys, grid)
-    if not edge_pts:
+    neg, edge_rows, coords = _edge_points(w, xs, ys, grid)
+    if not edge_rows:
         raise EmptyTrace("no sign change in the window")
 
-    adjacency = _build_adjacency(L, w, xs, ys, grid, neg)
+    adjacency = _build_adjacency(L, w, xs, ys, neg)
+    # the singular points follow the crossings as extra rows, which stay fixed
     singulars = _singular_points(L)
-    snap_radius = w.cell_diagonal
+    singular_rows = range(len(coords), len(coords) + len(singulars))
+    coords = np.concatenate((coords, np.array([(s.x, s.y) for s in singulars]).reshape(-1, 2)))
+    cx, cy = coords[:, 0].tolist(), coords[:, 1].tolist()
+
+    pieces = []
+    for keys, closed in _extract_chains(adjacency):
+        rows = [edge_rows[k] for k in keys]
+        pieces += _snap_and_split(rows, closed, cx, cy, singular_rows, w.cell_diagonal)
+
+    # one Newton pass over every vertex of every piece, in piece order
+    moving = [r for rows, _ in pieces for r in rows if r not in singular_rows]
+    coords[moving] = refine_array(L, coords[moving])
+    cx, cy = coords[:, 0].tolist(), coords[:, 1].tolist()
 
     contours = []
-    for keys, closed in _extract_chains(adjacency):
-        raw = [edge_pts[k] for k in keys]
-        for piece, piece_closed in _snap_and_split(raw, closed, singulars, snap_radius):
-            refined = _refine_chain(L, piece, singulars)
-            if len(refined) < (3 if piece_closed else 2):
-                continue
-            oriented = _orient(L, w, refined, piece_closed)
-            residual = max(abs(lemniscate_field(L, p)) for p in oriented)
-            contours.append(Contour(tuple(oriented), piece_closed, residual))
+    for rows, closed in pieces:
+        kept = _dedupe(rows, cx, cy)
+        if len(kept) < (3 if closed else 2):
+            continue
+        residual = float(np.abs(lemniscate_field_array(L, coords[kept, 0], coords[kept, 1])).max())
+        oriented = _orient(L, w, [Point(cx[r], cy[r]) for r in kept], closed)
+        contours.append(Contour(tuple(oriented), closed, residual))
 
     contours.sort(key=lambda c: min((p.x, p.y) for p in c.points))
     return contours

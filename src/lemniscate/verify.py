@@ -43,6 +43,7 @@ from .constructions import (
     three_bar_array,
 )
 from .geometry import (
+    SQRT2,
     Point,
     invert_line_array,
     invert_point_array,
@@ -57,7 +58,6 @@ from .geometry import (
 )
 from .tracer import TraceWindow, contour_area, trace
 
-_SQRT2 = math.sqrt(2.0)
 TAU = math.tau
 
 
@@ -123,8 +123,8 @@ def check_threebar(B: BernoulliConfig, states) -> list[Check]:
     # and b->f1 are parallel
     trapezoid = row_cross(row_unit(f2 - states.a), row_unit(f1 - states.b))
     lengths = (
-        row_norm(states.a - f1) - c * _SQRT2,
-        row_norm(states.b - f2) - c * _SQRT2,
+        row_norm(states.a - f1) - c * SQRT2,
+        row_norm(states.b - f2) - c * SQRT2,
         row_norm(states.a - states.b) - 2.0 * c,
     )
     return [
@@ -167,7 +167,7 @@ def check_hyperbola_inverse(B: BernoulliConfig, count: int = 1_000) -> Check:
 def check_sameside_locus(B: BernoulliConfig, count: int = 10_000) -> Check:
     c = B.half_distance
     states = threebar_states(B, count, side="same")
-    return Check("sameside_locus", _worst(row_norm(states.x - xy(B.center)) - c * _SQRT2) / c, 1e-8)
+    return Check("sameside_locus", _worst(row_norm(states.x - xy(B.center)) - c * SQRT2) / c, 1e-8)
 
 
 def check_maclaurin(B: BernoulliConfig, count: int = 10_000) -> list[Check]:
@@ -199,7 +199,7 @@ def check_rightangle(B: BernoulliConfig, count: int = 10_000) -> list[Check]:
     for tip in (st.x, st.y):
         stick = row_norm(st.a - tip)
         right.append(row_norm(tip - o) ** 2 + row_norm(st.a - o) ** 2 - stick**2)
-        sticks.append(stick - c * _SQRT2)
+        sticks.append(stick - c * SQRT2)
     lobe_margin = min(np.min(row_dot(st.x - o, u)), np.min(-row_dot(st.y - o, u)))
     return [
         Check("rightangle_field", _worst(_field(L, st.x), _field(L, st.y)) / c**4, 1e-8),

@@ -1,7 +1,11 @@
 """Tracer tests: extraction topology, refinement, area, CSV round trip."""
 
+import itertools
 import math
+import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from lemniscate import (
@@ -14,17 +18,29 @@ from lemniscate import (
     contour_area,
     contours_from_csv,
     contours_to_csv,
+    field_scale,
     lemniscate_field,
     lemniscate_gradient,
     refine,
+    refine_array,
     trace,
 )
-from lemniscate.errors import EmptyTrace, OpenContour, SingularPoint
-from lemniscate.tracer import _signed_area
+from lemniscate.curves import lemniscate_field_array
+from lemniscate.errors import EmptyTrace, NoConvergence, OpenContour, SingularPoint
+from lemniscate.tracer import _edge_points, _signed_area
 
 B = BernoulliConfig(Point(-1.0, 0.0), Point(1.0, 0.0))
 L = B.lemniscate
 CIRCLE = PolynomialLemniscate((Point(0.0, 0.0),), 1.0)
+# seeded lemniscates with 3 to 6 foci in [-1, 1]^2
+_rng = random.Random(404)
+SEEDED = [
+    PolynomialLemniscate(
+        tuple(Point(_rng.uniform(-1, 1), _rng.uniform(-1, 1)) for _ in range(n)),
+        _rng.uniform(0.6, 1.2),
+    )
+    for n in (3, 4, 5, 6)
+]
 
 
 def equilateral_foci():
@@ -33,6 +49,38 @@ def equilateral_foci():
         Point(r * math.cos(a), r * math.sin(a))
         for a in (math.pi / 2, math.pi / 2 + 2 * math.pi / 3, math.pi / 2 + 4 * math.pi / 3)
     )
+
+
+def newton_iterates(L, p):
+    """Scalar Newton along the field gradient: yields each iterate with its
+    field value and gradient."""
+    cur = p
+    while True:
+        f = lemniscate_field(L, cur)
+        g = lemniscate_gradient(L, cur)
+        yield cur, f, g
+        k = f / g.norm_sq()
+        cur = Point(cur.x - g.x * k, cur.y - g.y * k)
+
+
+def reference_refine(L, p):
+    """The refinement contract, one point at a time: at most 20 steps to
+    |field| <= 1e-12 * field_scale, refusing a vanishing gradient."""
+    target = 1e-12 * field_scale(L)
+    for step, (cur, f, g) in enumerate(newton_iterates(L, p)):
+        if step < 20 and g.norm_sq() <= 1e-24:
+            raise SingularPoint(f"gradient vanishes near {cur}")
+        if abs(f) <= target:
+            return cur
+        if step == 20:
+            raise NoConvergence(f"Newton refinement stalled near {cur}")
+
+
+def raw_crossings(L, w):
+    xs = np.linspace(w.xmin, w.xmax, w.nx + 1)
+    ys = np.linspace(w.ymin, w.ymax, w.ny + 1)
+    grid = lemniscate_field_array(L, xs[:, None], ys[None, :])
+    return _edge_points(w, xs, ys, grid)[2]
 
 
 class TestRefine:
@@ -53,15 +101,10 @@ class TestRefine:
         # successive residuals should reach 2 (residual_{k+1} ~ C residual_k^2)
         for seed in (Point(1.45, 0.03), Point(0.9, 0.44), Point(-1.38, 0.12)):
             residuals = []
-            cur = seed
-            for _ in range(6):
-                f = lemniscate_field(L, cur)
+            for _, f, _ in itertools.islice(newton_iterates(L, seed), 6):
                 if abs(f) < 1e-14:
                     break
                 residuals.append(abs(f))
-                g = lemniscate_gradient(L, cur)
-                k = f / g.norm_sq()
-                cur = Point(cur.x - g.x * k, cur.y - g.y * k)
             ratios = [
                 math.log(residuals[i + 1]) / math.log(residuals[i])
                 for i in range(len(residuals) - 1)
@@ -69,6 +112,61 @@ class TestRefine:
             ]
             assert ratios, f"no contraction observed from {seed}"
             assert ratios[-1] >= 1.9
+
+
+class TestRefineArray:
+    @pytest.mark.parametrize(
+        "lem, window",
+        [(L, TraceWindow(-1.6, 1.6, -0.8, 0.8, 256, 256))]
+        + [(lem, TraceWindow(-2.0, 2.0, -2.0, 2.0, 256, 256)) for lem in SEEDED],
+    )
+    def test_matches_scalar_newton_on_raw_crossings(self, lem, window):
+        pts = raw_crossings(lem, window)
+        assert len(pts) > 100
+        expected, refused = {}, {}
+        for r, (x, y) in enumerate(pts.tolist()):
+            try:
+                expected[r] = reference_refine(lem, Point(x, y))
+            except (SingularPoint, NoConvergence) as exc:
+                refused[r] = exc
+        got = refine_array(lem, pts[list(expected)])
+        assert got.tolist() == [[p.x, p.y] for p in expected.values()]
+        for r, exc in refused.items():
+            with pytest.raises(type(exc)) as info:
+                refine_array(lem, pts[r : r + 1])
+            assert str(info.value) == str(exc)
+
+    def test_first_failing_row_raises(self):
+        stalled, singular = Point(1e3, 1e3), Point(0.0, 0.0)
+        with pytest.raises(NoConvergence) as info:
+            reference_refine(L, stalled)
+        message = str(info.value)
+        batch = np.array([(1.42, 0.01), (stalled.x, stalled.y), (0.0, 0.0), (0.9, 0.44)])
+        with pytest.raises(NoConvergence) as info:
+            refine_array(L, batch)
+        assert str(info.value) == message
+        with pytest.raises(SingularPoint) as info:
+            refine_array(L, batch[[0, 2, 1]])
+        assert str(info.value) == f"gradient vanishes near {singular}"
+
+    def test_empty_batch(self):
+        out = refine_array(L, np.empty((0, 2)))
+        assert out.shape == (0, 2)
+
+
+class TestTraceMemory:
+    def test_peak_below_100_mb_at_grid_2048(self):
+        # the field grid is evaluated by broadcasting the axes, with no
+        # meshgrid copies; one float grid at 2049 x 2049 is 33.6 MB
+        w = TraceWindow(-1.6, 1.6, -0.8, 0.8, 2048, 2048)
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            trace(L, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
 
 
 class TestTraceCircle:
