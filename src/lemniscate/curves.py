@@ -138,14 +138,19 @@ class CoefficientTable:
         return float(self.coeffs[i, j])
 
     def evaluate(self, p: Point) -> float:
-        """Horner evaluation, inner loop over y inside a loop over x."""
+        """The expanded polynomial at p: a one-row call of evaluate_array."""
+        return float(self.evaluate_array(np.array((p.x,)), np.array((p.y,)))[0])
+
+    def evaluate_array(self, x, y) -> np.ndarray:
+        """Horner evaluation at the points (x, y), broadcasting the
+        coordinate arrays: inner loop over y inside a loop over x."""
         acc = 0.0
         for i in range(self.coeffs.shape[0] - 1, -1, -1):
             row = self.coeffs[i]
             r = 0.0
             for j in range(self.coeffs.shape[1] - 1, -1, -1):
-                r = r * p.y + row[j]
-            acc = acc * p.x + r
+                r = r * y + row[j]
+            acc = acc * x + r
         return acc
 
 

@@ -6,10 +6,26 @@ deliberate splitting of contours at the Bernoulli double point where the
 two lobes cross. Closed contours are oriented with the interior (field
 negative) on the left, so their signed shoelace area is positive.
 
-Field evaluation over the grid and crossing interpolation are
-vectorized, and refinement is one batched numpy pass; contour assembly
-stays sequential and deterministic, so output is independent of how the
-array work is scheduled.
+The field is evaluated only in a band of blocks that may hold the curve.
+The window's cells are split into blocks of 16 x 16, and each block is
+tested exactly: over the block's box the squared distance to focus k
+lies between dmin_k^2 (to the box's nearest point) and dmax_k^2 (to its
+farthest corner), so the products of those bounds bound the field's
+product term at every node. A block whose low bound exceeds the level by
+a relative 1e-9, or whose high bound falls short of it by as much, has
+every node on one side of the curve and is left out; the margin is far
+above the rounding of the bounds and of the field, so no node's computed
+sign can differ from the full grid's. Bounds that are not finite or not
+normal floats certify nothing. Unlike coarse sampling, the test cannot
+miss a lobe smaller than a block. The uncertified blocks' nodes are
+evaluated in one call with the full grid's element-wise arithmetic, so
+every value, crossing and contour is what the full grid would give.
+
+Crossed edges carry integer ids in the full grid's order, and the
+marching-squares links between them are found with array operations;
+only the chain walk, snapping and output assembly stay sequential, and
+they are deterministic, so output is independent of how the array work
+is scheduled. Refinement is one batched numpy pass.
 """
 
 from __future__ import annotations
@@ -61,6 +77,23 @@ _SADDLE_CENTER_OUT = {
     5: [("left", "bottom"), ("right", "top")],
     10: [("bottom", "right"), ("top", "left")],
 }
+
+
+def _segment_table() -> np.ndarray:
+    """_SEGMENTS[case, centre inside, segment] is the pair of cell edges a
+    segment joins, as 0 bottom, 1 top, 2 left, 3 right; -1 for none."""
+    names = ("bottom", "top", "left", "right")
+    table = np.full((16, 2, 2, 2), -1, dtype=np.intp)
+    for inside, saddles in enumerate((_SADDLE_CENTER_OUT, _SADDLE_CENTER_IN)):
+        for code, segments in (_CASE_SEGMENTS | saddles).items():
+            for s, pair in enumerate(segments):
+                table[code, inside, s] = [names.index(e) for e in pair]
+    return table
+
+
+_SEGMENTS = _segment_table()
+# cells per side of the blocks that the band keeps or leaves out whole
+_BLOCK = 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -206,59 +239,110 @@ def _singular_points(L: PolynomialLemniscate) -> list[Point]:
     return []
 
 
-def _edge_points(w, xs, ys, grid):
-    """Interpolated zero crossings on grid edges: the sign mask, the row of
-    each crossing keyed by edge identity, and the crossings as rows (M, 2)."""
-    neg = grid < 0.0
-    hi, hj = np.nonzero(neg[:-1, :] != neg[1:, :])
-    vi, vj = np.nonzero(neg[:, :-1] != neg[:, 1:])
-    g0 = grid[hi, hj]
-    hx = xs[hi] + g0 / (g0 - grid[hi + 1, hj]) * w.dx
-    g0 = grid[vi, vj]
-    vy = ys[vj] + g0 / (g0 - grid[vi, vj + 1]) * w.dy
-    keys = [("h", i, j) for i, j in zip(hi.tolist(), hj.tolist())]
-    keys += [("v", i, j) for i, j in zip(vi.tolist(), vj.tolist())]
-    coords = np.concatenate((np.stack((hx, ys[hj]), axis=-1), np.stack((xs[vi], vy), axis=-1)))
-    return neg, {k: r for r, k in enumerate(keys)}, coords
+def _band(L, w, xs, ys):
+    """The blocks of cells that may hold the curve, and the field on their
+    nodes.
+
+    Returns the node indices of each such block along x and along y, as
+    rows (k, _BLOCK + 1) clamped at the window edge, and the field at
+    those nodes, shape (k, _BLOCK + 1, _BLOCK + 1). A block is left out
+    when the bounds on the product of squared focal distances over its
+    box put every node on one side of the level.
+    """
+    bx = np.arange(0, w.nx, _BLOCK)
+    by = np.arange(0, w.ny, _BLOCK)
+    x0, x1 = xs[bx], xs[np.minimum(bx + _BLOCK, w.nx)]
+    y0, y1 = ys[by], ys[np.minimum(by + _BLOCK, w.ny)]
+    lo = np.ones((len(bx), len(by)))
+    hi = np.ones((len(bx), len(by)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for f in L.foci:
+            # nearest and farthest offsets from the focus over the box, per axis
+            nearx = np.maximum(np.maximum(x0 - f.x, f.x - x1), 0.0)
+            neary = np.maximum(np.maximum(y0 - f.y, f.y - y1), 0.0)
+            farx = np.maximum(np.abs(x0 - f.x), np.abs(x1 - f.x))
+            fary = np.maximum(np.abs(y0 - f.y), np.abs(y1 - f.y))
+            lo *= nearx[:, None] ** 2 + neary[None, :] ** 2
+            hi *= farx[:, None] ** 2 + fary[None, :] ** 2
+        normal = (lo >= np.finfo(float).tiny) & np.isfinite(hi)
+        one_sign = (lo > L.level * (1.0 + 1e-9)) | (hi < L.level * (1.0 - 1e-9))
+    bi, bj = np.nonzero(~(normal & one_sign))
+    steps = np.arange(_BLOCK + 1)
+    ci = np.minimum(bx[bi, None] + steps, w.nx)
+    cj = np.minimum(by[bj, None] + steps, w.ny)
+    return ci, cj, lemniscate_field_array(L, xs[ci][:, :, None], ys[cj][:, None, :])
 
 
-def _cell_edges(i: int, j: int) -> dict[str, tuple]:
-    return {
-        "bottom": ("h", i, j),
-        "top": ("h", i, j + 1),
-        "left": ("v", i, j),
-        "right": ("v", i + 1, j),
-    }
+def _edge_points(w, xs, ys, ci, cj, vals):
+    """Interpolated zero crossings on the grid edges inside the band.
 
-
-def _build_adjacency(L, w, xs, ys, neg):
-    case = (
-        neg[:-1, :-1].astype(np.int8)
-        + 2 * neg[1:, :-1].astype(np.int8)
-        + 4 * neg[1:, 1:].astype(np.int8)
-        + 8 * neg[:-1, 1:].astype(np.int8)
+    Edges have linear ids: the edge from node (i, j) to (i + 1, j) is
+    i * (ny + 1) + j, and the edge from (i, j) to (i, j + 1) follows all of
+    those, at nx * (ny + 1) + i * ny + j. Returns the sign mask of vals,
+    the sorted ids of the crossed edges and their crossings as rows
+    (M, 2), in id order."""
+    neg = vals < 0.0
+    h = np.nonzero(neg[:, :-1, :] != neg[:, 1:, :])
+    v = np.nonzero(neg[:, :, :-1] != neg[:, :, 1:])
+    hi, hj = ci[h[0], h[1]], cj[h[0], h[2]]
+    vi, vj = ci[v[0], v[1]], cj[v[0], v[2]]
+    ids, first = np.unique(
+        np.concatenate((hi * (w.ny + 1) + hj, w.nx * (w.ny + 1) + vi * w.ny + vj)),
+        return_index=True,
     )
-    adjacency: dict[tuple, list[tuple]] = {}
-    for i, j in np.argwhere((case > 0) & (case < 15)):
-        i, j = int(i), int(j)
-        code = int(case[i, j])
-        if code in _SADDLE_CENTER_IN:
-            center = Point(xs[i] + 0.5 * w.dx, ys[j] + 0.5 * w.dy)
-            table = _SADDLE_CENTER_IN if lemniscate_field(L, center) < 0.0 else _SADDLE_CENTER_OUT
-            segments = table[code]
-        else:
-            segments = _CASE_SEGMENTS[code]
-        edges = _cell_edges(i, j)
-        for e1, e2 in segments:
-            k1, k2 = edges[e1], edges[e2]
-            adjacency.setdefault(k1, []).append(k2)
-            adjacency.setdefault(k2, []).append(k1)
-    return adjacency
+    # an edge on a block boundary is found in both blocks, with the same values
+    fh = first[first < len(hi)]
+    fv = first[first >= len(hi)] - len(hi)
+    hk, ha, hb = h[0][fh], h[1][fh], h[2][fh]
+    vk, va, vb = v[0][fv], v[1][fv], v[2][fv]
+    g0 = vals[hk, ha, hb]
+    hx = xs[hi[fh]] + g0 / (g0 - vals[hk, ha + 1, hb]) * w.dx
+    g0 = vals[vk, va, vb]
+    vy = ys[vj[fv]] + g0 / (g0 - vals[vk, va, vb + 1]) * w.dy
+    coords = np.concatenate(
+        (np.stack((hx, ys[hj[fh]]), axis=-1), np.stack((xs[vi[fv]], vy), axis=-1))
+    )
+    return neg, ids, coords
+
+
+def _build_adjacency(L, w, xs, ys, ci, cj, neg, ids):
+    """Neighbour lists of the crossings, as rows into ids.
+
+    Each crossed cell links its crossed edges by its marching-squares
+    segments; cells are taken in (i, j) order and each link is appended
+    to both of its ends, so every list holds one or two rows."""
+    neg = neg.astype(np.int8)
+    case = neg[:, :-1, :-1] + 2 * neg[:, 1:, :-1] + 4 * neg[:, 1:, 1:] + 8 * neg[:, :-1, 1:]
+    # clamping repeats the last node of a short block: those cells are not cells
+    real = (ci[:, :-1, None] < w.nx) & (cj[:, None, :-1] < w.ny)
+    k, a, b = np.nonzero((case > 0) & (case < 15) & real)
+    i, j = ci[k, a], cj[k, b]
+    order = np.argsort(i * w.ny + j)
+    i, j, case = i[order], j[order], case[k, a, b][order]
+
+    inside = np.zeros(len(case), dtype=np.intp)
+    saddle = np.nonzero((case == 5) | (case == 10))[0]
+    if saddle.size:
+        centre = lemniscate_field_array(L, xs[i[saddle]] + 0.5 * w.dx, ys[j[saddle]] + 0.5 * w.dy)
+        inside[saddle] = centre < 0.0
+    bottom = i * (w.ny + 1) + j
+    left = w.nx * (w.ny + 1) + i * w.ny + j
+    edges = np.stack((bottom, bottom + 1, left, left + w.ny), axis=-1)
+    seg = _SEGMENTS[case, inside]
+    ends = np.take_along_axis(edges, seg.reshape(len(case), 4), axis=1).reshape(-1, 2, 2)
+    ends = np.searchsorted(ids, ends[seg[:, :, 0] >= 0])
+
+    node = ends.ravel()
+    neighbour = ends[:, ::-1].ravel()
+    order = np.argsort(node, kind="stable")
+    neighbour = neighbour[order].tolist()
+    stops = np.cumsum(np.bincount(node, minlength=len(ids))).tolist()
+    return [neighbour[start:stop] for start, stop in zip([0] + stops, stops)]
 
 
 def _walk(adjacency, start, visited):
     seq = [start]
-    visited.add(start)
+    visited[start] = True
     prev = None
     cur = start
     while True:
@@ -271,22 +355,21 @@ def _walk(adjacency, start, visited):
             return seq, False
         if nxt == start:
             return seq, True
-        if nxt in visited:
+        if visited[nxt]:
             return seq, False
         seq.append(nxt)
-        visited.add(nxt)
+        visited[nxt] = True
         prev, cur = cur, nxt
 
 
 def _extract_chains(adjacency):
     chains = []
-    visited: set[tuple] = set()
-    nodes = sorted(adjacency)
-    for node in nodes:
-        if node not in visited and len(adjacency[node]) == 1:
+    visited = [False] * len(adjacency)
+    for node, nbs in enumerate(adjacency):
+        if not visited[node] and len(nbs) == 1:
             chains.append(_walk(adjacency, node, visited))
-    for node in nodes:
-        if node not in visited:
+    for node in range(len(adjacency)):
+        if not visited[node]:
             chains.append(_walk(adjacency, node, visited))
     return chains
 
@@ -363,13 +446,12 @@ def trace(L: PolynomialLemniscate, w: TraceWindow) -> list[Contour]:
     """
     xs = np.linspace(w.xmin, w.xmax, w.nx + 1)
     ys = np.linspace(w.ymin, w.ymax, w.ny + 1)
-    grid = lemniscate_field_array(L, xs[:, None], ys[None, :])
-
-    neg, edge_rows, coords = _edge_points(w, xs, ys, grid)
-    if not edge_rows:
+    ci, cj, vals = _band(L, w, xs, ys)
+    neg, ids, coords = _edge_points(w, xs, ys, ci, cj, vals)
+    if not ids.size:
         raise EmptyTrace("no sign change in the window")
 
-    adjacency = _build_adjacency(L, w, xs, ys, neg)
+    adjacency = _build_adjacency(L, w, xs, ys, ci, cj, neg, ids)
     # the singular points follow the crossings as extra rows, which stay fixed
     singulars = _singular_points(L)
     singular_rows = range(len(coords), len(coords) + len(singulars))
@@ -377,8 +459,7 @@ def trace(L: PolynomialLemniscate, w: TraceWindow) -> list[Contour]:
     cx, cy = coords[:, 0].tolist(), coords[:, 1].tolist()
 
     pieces = []
-    for keys, closed in _extract_chains(adjacency):
-        rows = [edge_rows[k] for k in keys]
+    for rows, closed in _extract_chains(adjacency):
         pieces += _snap_and_split(rows, closed, cx, cy, singular_rows, w.cell_diagonal)
 
     # one Newton pass over every vertex of every piece, in piece order

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -132,6 +133,25 @@ class TestExpand:
             f = lemniscate_field(L, p)
             magnitude = max(1.0, f + 2 * L.level)
             assert abs(table.evaluate(p) - f) <= 1e-9 * magnitude
+
+    def test_evaluate_array_matches_scalar_horner(self):
+        rng = random.Random(5)
+        for n in (1, 2, 5):
+            foci = tuple(Point(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(n))
+            table = expand_coefficients(PolynomialLemniscate(foci, 0.9))
+            pts = [(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(50)]
+            expected = []
+            for x, y in pts:
+                acc = 0.0
+                for row in table.coeffs[::-1]:
+                    r = 0.0
+                    for c in row[::-1]:
+                        r = r * y + float(c)
+                    acc = acc * x + r
+                expected.append(acc)
+            xs, ys = np.array(pts).T
+            assert table.evaluate_array(xs, ys).tolist() == expected
+            assert [table.evaluate(Point(x, y)) for x, y in pts] == expected
 
     def test_leading_form_is_binomial(self):
         rng = random.Random(11)

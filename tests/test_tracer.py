@@ -27,7 +27,15 @@ from lemniscate import (
 )
 from lemniscate.curves import lemniscate_field_array
 from lemniscate.errors import EmptyTrace, NoConvergence, OpenContour, SingularPoint
-from lemniscate.tracer import _edge_points, _signed_area
+from lemniscate.tracer import (
+    _CASE_SEGMENTS,
+    _SADDLE_CENTER_IN,
+    _SADDLE_CENTER_OUT,
+    _band,
+    _build_adjacency,
+    _edge_points,
+    _signed_area,
+)
 
 B = BernoulliConfig(Point(-1.0, 0.0), Point(1.0, 0.0))
 L = B.lemniscate
@@ -76,11 +84,66 @@ def reference_refine(L, p):
             raise NoConvergence(f"Newton refinement stalled near {cur}")
 
 
-def raw_crossings(L, w):
+def dense_crossings(L, w):
+    """Reference marching squares over every node of the window: the
+    linear ids of the crossed edges (edges along x in (i, j) order, then
+    edges along y), the interpolated crossings as rows (M, 2) in that
+    order, and each crossed edge's neighbour edge ids, linked cell by cell
+    in (i, j) order."""
     xs = np.linspace(w.xmin, w.xmax, w.nx + 1)
     ys = np.linspace(w.ymin, w.ymax, w.ny + 1)
     grid = lemniscate_field_array(L, xs[:, None], ys[None, :])
-    return _edge_points(w, xs, ys, grid)[2]
+    neg = grid < 0.0
+    hi, hj = np.nonzero(neg[:-1, :] != neg[1:, :])
+    vi, vj = np.nonzero(neg[:, :-1] != neg[:, 1:])
+    g0 = grid[hi, hj]
+    hx = xs[hi] + g0 / (g0 - grid[hi + 1, hj]) * w.dx
+    g0 = grid[vi, vj]
+    vy = ys[vj] + g0 / (g0 - grid[vi, vj + 1]) * w.dy
+    first_v = w.nx * (w.ny + 1)
+    ids = np.concatenate((hi * (w.ny + 1) + hj, first_v + vi * w.ny + vj))
+    coords = np.concatenate((np.stack((hx, ys[hj]), axis=-1), np.stack((xs[vi], vy), axis=-1)))
+
+    n = neg.astype(int)
+    case = n[:-1, :-1] + 2 * n[1:, :-1] + 4 * n[1:, 1:] + 8 * n[:-1, 1:]
+    adjacency = {}
+    for i, j in np.argwhere((case > 0) & (case < 15)).tolist():
+        code = int(case[i, j])
+        if code in _SADDLE_CENTER_IN:
+            centre = Point(xs[i] + 0.5 * w.dx, ys[j] + 0.5 * w.dy)
+            table = _SADDLE_CENTER_IN if lemniscate_field(L, centre) < 0.0 else _SADDLE_CENTER_OUT
+            segments = table[code]
+        else:
+            segments = _CASE_SEGMENTS[code]
+        edges = {
+            "bottom": i * (w.ny + 1) + j,
+            "top": i * (w.ny + 1) + j + 1,
+            "left": first_v + i * w.ny + j,
+            "right": first_v + (i + 1) * w.ny + j,
+        }
+        for e1, e2 in segments:
+            adjacency.setdefault(edges[e1], []).append(edges[e2])
+            adjacency.setdefault(edges[e2], []).append(edges[e1])
+    return ids, coords, adjacency
+
+
+def band_crossings(L, w):
+    """The band's crossings in the form of dense_crossings."""
+    xs = np.linspace(w.xmin, w.xmax, w.nx + 1)
+    ys = np.linspace(w.ymin, w.ymax, w.ny + 1)
+    ci, cj, vals = _band(L, w, xs, ys)
+    neg, ids, coords = _edge_points(w, xs, ys, ci, cj, vals)
+    adjacency = _build_adjacency(L, w, xs, ys, ci, cj, neg, ids)
+    ids = ids.tolist()
+    return ids, coords, {ids[r]: [ids[k] for k in nbs] for r, nbs in enumerate(adjacency)}
+
+
+def raw_crossings(L, w):
+    return dense_crossings(L, w)[1]
+
+
+def scaled(L, s):
+    return PolynomialLemniscate(tuple(Point(f.x * s, f.y * s) for f in L.foci), L.radius * s)
 
 
 class TestRefine:
@@ -169,6 +232,67 @@ class TestTraceMemory:
         assert peak < 100e6
 
 
+    def test_peak_below_16_mb_at_grid_2048(self):
+        # only the blocks of cells that may hold the curve are evaluated,
+        # so no array spans the 2049 x 2049 nodes
+        w = TraceWindow(-1.6, 1.6, -0.8, 0.8, 2048, 2048)
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            trace(L, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
+
+class TestBand:
+    @pytest.mark.parametrize(
+        "lem, window",
+        [
+            (L, TraceWindow(-1.6, 1.6, -0.8, 0.8, 512, 512)),
+            (L, TraceWindow(-1.63, 1.57, -0.81, 0.79, 511, 509)),
+            (L, TraceWindow(-1.6, 1.6, -0.8, 0.8, 9, 13)),
+            (L, TraceWindow(-1.6, 1.6, -0.8, 0.8, 1031, 17)),
+            (L, TraceWindow(-0.5, 2.0, -0.9, 0.9, 128, 128)),
+            # cut by the window's right and top edges, in short blocks
+            (L, TraceWindow(-1.0, 1.3, -0.45, 0.4, 131, 77)),
+            # two saddle cells each, centre inside and centre outside
+            (PolynomialLemniscate(equilateral_foci(), 1.00001 / math.sqrt(3.0)),
+             TraceWindow(-1.2, 1.2, -1.17, 1.23, 64, 67)),
+            (PolynomialLemniscate(equilateral_foci(), 0.99999 / math.sqrt(3.0)),
+             TraceWindow(-1.2, 1.2, -1.17, 1.23, 100, 103)),
+        ]
+        + [(lem, TraceWindow(-2.0, 2.0, -2.0, 2.0, 256, 256)) for lem in SEEDED]
+        + [
+            (scaled(lem, s), TraceWindow(-2.0 * s, 2.0 * s, -2.0 * s, 2.0 * s, 300, 301))
+            for lem in (L, SEEDED[1])
+            for s in (1e-6, 1e6)
+        ],
+    )
+    def test_matches_dense_grid(self, lem, window):
+        ids, coords, adjacency = band_crossings(lem, window)
+        dense_ids, dense_coords, dense_adjacency = dense_crossings(lem, window)
+        assert len(ids) > 0
+        assert ids == dense_ids.tolist()
+        assert coords.tolist() == dense_coords.tolist()
+        assert adjacency == dense_adjacency
+
+    def test_block_test_leaves_out_most_of_the_window(self):
+        w = TraceWindow(-1.6, 1.6, -0.8, 0.8, 512, 512)
+        xs = np.linspace(w.xmin, w.xmax, w.nx + 1)
+        ys = np.linspace(w.ymin, w.ymax, w.ny + 1)
+        ci, _, _ = _band(L, w, xs, ys)
+        assert 0 < len(ci) < (512 // 16) ** 2 // 2
+
+    def test_small_circle_inside_one_block(self):
+        # a curve smaller than a block, away from every node, is still found
+        small = PolynomialLemniscate((Point(0.0123, -0.0371),), 0.02)
+        contours = trace(small, TraceWindow(-2.0, 2.0, -2.0, 2.0, 1024, 1024))
+        assert len(contours) == 1
+        assert contours[0].closed
+
+
 class TestTraceCircle:
     def test_single_closed_contour(self):
         contours = trace(CIRCLE, TraceWindow(-2, 2, -2, 2, 128, 128))
@@ -254,6 +378,10 @@ class TestTraceErrors:
     def test_empty_window(self):
         with pytest.raises(EmptyTrace):
             trace(L, TraceWindow(5, 6, 5, 6, 16, 16))
+        # around a focus inside a lobe: the block holding the focus is
+        # evaluated, and has no sign change
+        with pytest.raises(EmptyTrace):
+            trace(L, TraceWindow(0.9, 1.1, -0.05, 0.05, 40, 40))
 
     def test_window_validation(self):
         with pytest.raises(ValueError):
