@@ -29,9 +29,9 @@ from .constructions import (
     three_bar_solve,
 )
 from .errors import GeometryError
-from .figures import FIGURE_PRESETS, emit_svg, figure_scene
+from .figures import FIGURE_PRESETS, curve_scene, emit_svg, figure_scene
 from .geometry import SQRT2, Point
-from .tracer import TraceWindow, contours_to_csv, trace
+from .tracer import TraceWindow, bernoulli_window, contours_to_csv, trace
 
 
 def _parse_floats(text: str, count: int | None = None):
@@ -77,10 +77,8 @@ def _window(args, L: PolynomialLemniscate) -> TraceWindow:
         return TraceWindow(xmin, xmax, ymin, ymax, args.grid, args.grid)
     if L.n == 2 and abs(L.radius - 0.5 * L.foci[0].distance_to(L.foci[1])) <= 1e-12:
         B = BernoulliConfig(L.foci[0], L.foci[1])
-        o = B.center
-        hx = 1.6 * B.half_distance * SQRT2
-        hy = 0.8 * B.half_distance * SQRT2
-        return TraceWindow(o.x - hx, o.x + hx, o.y - hy, o.y + hy, args.grid, args.grid)
+        c = B.half_distance
+        return bernoulli_window(B, args.grid, 1.6 * c * SQRT2, 0.8 * c * SQRT2)
     cx = sum(f.x for f in L.foci) / L.n
     cy = sum(f.y for f in L.foci) / L.n
     spread = max((f.distance_to(Point(cx, cy)) for f in L.foci), default=0.0)
@@ -110,70 +108,71 @@ def _json_doc(config: dict, contours=None, checks=None, **extra) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--foci", default="-1,0,1,0", help="comma list x1,y1,x2,y2,... (default -1,0,1,0)")
-    parser.add_argument("--radius", type=float, default=None, help="lemniscate radius (default: Bernoulli)")
-    parser.add_argument("--window", default=None, help="xmin,xmax,ymin,ymax")
-    parser.add_argument("--grid", type=int, default=512, help="cells per axis (default 512)")
-    parser.add_argument("--out", default=None, help="output path (default stdout)")
-    parser.add_argument("--format", choices=("svg", "csv", "json"), default=None)
+# shared flags; a subcommand declares only those it reads
+_FLAGS = {
+    "radius": dict(type=float, default=None, help="lemniscate radius (default: Bernoulli)"),
+    "window": dict(default=None, help="xmin,xmax,ymin,ymax"),
+    "grid": dict(type=int, default=512, help="cells per axis (default 512)"),
+}
+
+
+def _subcommand(sub, name: str, summary: str, *flags: str, formats: tuple[str, ...] = ()):
+    p = sub.add_parser(name, help=summary)
+    p.add_argument("--foci", default="-1,0,1,0", help="comma list x1,y1,x2,y2,... (default -1,0,1,0)")
+    for flag in flags:
+        p.add_argument(f"--{flag}", **_FLAGS[flag])
+    if formats:
+        p.add_argument("--format", choices=formats, default=formats[0])
+    p.add_argument("--out", default=None, help="output path (default stdout)")
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="lemniscate", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("trace", help="trace the implicit curve")
-    _add_common(p)
+    _subcommand(sub, "trace", "trace the implicit curve", "radius", "window", "grid", formats=("csv", "json", "svg"))
 
-    p = sub.add_parser("linkage", help="solve the three-stick linkage")
-    _add_common(p)
+    p = _subcommand(sub, "linkage", "solve the three-stick linkage", "grid", formats=("json", "svg"))
     p.add_argument("--theta", type=float, default=90.0, help="crank angle in degrees")
-    p.add_argument("--side", choices=("opposite", "same"), default="opposite")
+    p.add_argument("--side", choices=("opposite", "same"), default="opposite", help="same: JSON form only")
 
-    p = sub.add_parser("maclaurin", help="secant-chord construction sample")
-    _add_common(p)
+    p = _subcommand(sub, "maclaurin", "secant-chord construction sample", "grid", formats=("json", "svg"))
     p.add_argument("--phi", type=float, default=30.0, help="secant angle in degrees")
 
-    p = sub.add_parser("rightangle", help="solve the right-angle linkage")
-    _add_common(p)
+    p = _subcommand(sub, "rightangle", "solve the right-angle linkage", "grid", formats=("json", "svg"))
     p.add_argument("--alpha", type=float, default=60.0, help="crank angle in degrees")
 
-    p = sub.add_parser("invert", help="invert a point in the circle about the double point")
-    _add_common(p)
+    p = _subcommand(sub, "invert", "invert a point in the circle about the double point")
     p.add_argument("--point", required=True, help="x,y")
 
-    p = sub.add_parser("normal", help="normal line by angle doubling")
-    _add_common(p)
+    p = _subcommand(sub, "normal", "normal line by angle doubling", "grid", formats=("json", "svg"))
     p.add_argument("--theta", type=float, default=30.0, help="polar angle of the curve point, degrees")
-    p.add_argument("--point", default=None, help="explicit on-curve point x,y")
+    p.add_argument("--point", default=None, help="explicit on-curve point x,y (JSON form only)")
 
-    p = sub.add_parser("area", help="exact enclosed area")
-    _add_common(p)
+    _subcommand(sub, "area", "exact enclosed area")
+    _subcommand(sub, "expand", "polynomial coefficient table", "radius")
 
-    p = sub.add_parser("expand", help="polynomial coefficient table")
-    _add_common(p)
-
-    p = sub.add_parser("figure", help="render a figure preset to SVG")
-    _add_common(p)
-    p.add_argument("--preset", choices=FIGURE_PRESETS, required=True)
+    p = _subcommand(sub, "figure", "render a figure preset to SVG", "grid")
+    p.add_argument("--preset", choices=FIGURE_PRESETS, required=True, help="family3 has its own foci")
     p.add_argument("--theta", type=float, default=None, help="degrees; preset default when omitted")
     p.add_argument("--phi", type=float, default=None, help="degrees; preset default when omitted")
     p.add_argument("--alpha", type=float, default=None, help="degrees; preset default when omitted")
 
-    p = sub.add_parser("verify", help="run the full invariant sweep")
-    _add_common(p)
+    _subcommand(sub, "verify", "run the full invariant sweep", "grid", formats=("text", "json"))
     return parser
 
 
 def _cmd_trace(args) -> int:
     L = _lemniscate(args)
     w = _window(args, L)
+    if args.format == "svg":
+        _write(args, emit_svg(curve_scene(L, w)))
+        return 0
     contours = trace(L, w)
-    fmt = args.format or "csv"
-    if fmt == "csv":
+    if args.format == "csv":
         _write(args, contours_to_csv(contours))
-    elif fmt == "json":
+    else:
         config = {
             "foci": [_pt(f) for f in L.foci],
             "radius": L.radius,
@@ -182,24 +181,12 @@ def _cmd_trace(args) -> int:
         }
         checks = {"max_contour_residual": max(c.max_residual for c in contours)}
         _write(args, _json_doc(config, [c.points for c in contours], checks))
-    else:
-        from .figures import PolylineElement, Scene, Style
-
-        scene = Scene(w)
-        for c in contours:
-            scene.add(PolylineElement(c.points, c.closed, Style(stroke_width=0.006 * (w.xmax - w.xmin))))
-        _write(args, emit_svg(scene))
     return 0
 
 
 def _cmd_linkage(args) -> int:
     B = _bernoulli(args)
-    theta = math.radians(args.theta)
-    if (args.format or "json") == "svg":
-        scene = figure_scene("threebar", B, theta=theta, grid=args.grid)
-        _write(args, emit_svg(scene))
-        return 0
-    st = three_bar_solve(B, theta, args.side)
+    st = three_bar_solve(B, math.radians(args.theta), args.side)
     config = {"foci": [_pt(B.f1), _pt(B.f2)], "theta_deg": args.theta, "side": args.side}
     _write(args, _json_doc(config, points={"a": _pt(st.a), "b": _pt(st.b), "x": _pt(st.x), "p": _pt(st.p), "q": _pt(st.q)}))
     return 0
@@ -207,12 +194,7 @@ def _cmd_linkage(args) -> int:
 
 def _cmd_maclaurin(args) -> int:
     B = _bernoulli(args)
-    phi = math.radians(args.phi)
-    if (args.format or "json") == "svg":
-        scene = figure_scene("maclaurin", B, phi=phi, grid=args.grid)
-        _write(args, emit_svg(scene))
-        return 0
-    s = maclaurin_sample(B, phi)
+    s = maclaurin_sample(B, math.radians(args.phi))
     config = {"foci": [_pt(B.f1), _pt(B.f2)], "phi_deg": args.phi}
     _write(args, _json_doc(config, points={"a": _pt(s.a), "b": _pt(s.b), "x": _pt(s.x), "x_prime": _pt(s.x_prime)}))
     return 0
@@ -220,12 +202,7 @@ def _cmd_maclaurin(args) -> int:
 
 def _cmd_rightangle(args) -> int:
     B = _bernoulli(args)
-    alpha = math.radians(args.alpha)
-    if (args.format or "json") == "svg":
-        scene = figure_scene("rightangle", B, alpha=alpha, grid=args.grid)
-        _write(args, emit_svg(scene))
-        return 0
-    st = right_angle_solve(B, alpha)
+    st = right_angle_solve(B, math.radians(args.alpha))
     config = {"foci": [_pt(B.f1), _pt(B.f2)], "alpha_deg": args.alpha}
     _write(args, _json_doc(config, points={"a": _pt(st.a), "x": _pt(st.x), "y": _pt(st.y)}))
     return 0
@@ -246,10 +223,6 @@ def _cmd_invert(args) -> int:
 def _cmd_normal(args) -> int:
     B = _bernoulli(args)
     x = _parse_point(args.point) if args.point else bernoulli_polar_point(B, math.radians(args.theta))
-    if (args.format or "json") == "svg":
-        scene = figure_scene("normal", B, theta=math.radians(args.theta), grid=args.grid)
-        _write(args, emit_svg(scene))
-        return 0
     line = normal_by_angle(B, x)
     config = {"foci": [_pt(B.f1), _pt(B.f2)], "theta_deg": args.theta}
     _write(args, _json_doc(config, point=_pt(x), anchor=_pt(line.anchor), direction=_pt(line.direction)))
@@ -274,25 +247,40 @@ def _cmd_expand(args) -> int:
     return 0
 
 
-def _cmd_figure(args) -> int:
+def _figure(args, preset: str, **degrees) -> int:
     B = _bernoulli(args)
-    to_rad = lambda deg: None if deg is None else math.radians(deg)
-    scene = figure_scene(
-        args.preset,
-        B,
-        theta=to_rad(args.theta),
-        phi=to_rad(args.phi),
-        alpha=to_rad(args.alpha),
-        grid=args.grid,
-    )
-    _write(args, emit_svg(scene))
+    radians = {k: math.radians(v) for k, v in degrees.items() if v is not None}
+    _write(args, emit_svg(figure_scene(preset, B, grid=args.grid, **radians)))
     return 0
+
+
+def _cmd_figure(args) -> int:
+    return _figure(args, args.preset, theta=args.theta, phi=args.phi, alpha=args.alpha)
+
+
+# the SVG form of a construction command is its figure preset, drawn at
+# the command's angle flag
+_SVG_PRESETS = {
+    "linkage": ("threebar", "theta"),
+    "maclaurin": ("maclaurin", "phi"),
+    "rightangle": ("rightangle", "alpha"),
+    "normal": ("normal", "theta"),
+}
+
+
+def _cmd_svg(args) -> int:
+    if getattr(args, "point", None) is not None:
+        raise ValueError("--point has no SVG form; the normal figure is drawn at --theta")
+    if getattr(args, "side", None) == "same":
+        raise ValueError("--side same has no SVG form; the linkage figure draws the opposite-side state")
+    preset, angle = _SVG_PRESETS[args.command]
+    return _figure(args, preset, **{angle: getattr(args, angle)})
 
 
 def _cmd_verify(args) -> int:
     B = _bernoulli(args)
     checks = verification.run_verification(B, grid=args.grid)
-    if (args.format or "text") == "json":
+    if args.format == "json":
         config = {"foci": [_pt(B.f1), _pt(B.f2)]}
         _write(args, _json_doc(config, checks={c.name: c.max_residual for c in checks}))
     else:
@@ -315,10 +303,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    svg_form = args.command in _SVG_PRESETS and args.format == "svg"
     try:
-        return _COMMANDS[args.command](args)
+        return (_cmd_svg if svg_form else _COMMANDS[args.command])(args)
     except (GeometryError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

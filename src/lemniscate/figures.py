@@ -31,7 +31,7 @@ from .curves import (
 )
 from .errors import UnknownPreset
 from .geometry import SQRT2, Point, midpoint, row_point
-from .tracer import TraceWindow, trace
+from .tracer import TraceWindow, bernoulli_window, trace
 
 
 FIGURE_PRESETS = (
@@ -129,24 +129,21 @@ class Scene:
         self.elements.append(element)
 
 
-def _default_window(B: BernoulliConfig, grid: int, tall: float = 0.8) -> TraceWindow:
-    # 1.6x the outer vertex distance c*sqrt(2) horizontally; the vertical
-    # factor grows for presets whose construction elements reach above
-    # the curve (stick tips go up to c*sqrt(2) from the double point)
-    o = B.center
-    hx = 1.6 * B.half_distance * SQRT2
-    hy = tall * B.half_distance * SQRT2
-    return TraceWindow(o.x - hx, o.x + hx, o.y - hy, o.y + hy, grid, grid)
-
-
 def _stroke(w: TraceWindow) -> float:
     return 0.006 * (w.xmax - w.xmin)
 
 
-def _add_lemniscate(scene: Scene, B: BernoulliConfig, w: TraceWindow) -> None:
-    sw = _stroke(w)
-    for contour in trace(B.lemniscate, w):
+def _add_lemniscate(scene: Scene, L: PolynomialLemniscate, width: float = 1.0) -> None:
+    sw = width * _stroke(scene.viewbox)
+    for contour in trace(L, scene.viewbox):
         scene.add(PolylineElement(contour.points, contour.closed, Style(stroke_width=sw)))
+
+
+def curve_scene(L: PolynomialLemniscate, w: TraceWindow) -> Scene:
+    """The traced curve alone, over the view window w."""
+    scene = Scene(w)
+    _add_lemniscate(scene, L)
+    return scene
 
 
 def _marker(scene, p, label=""):
@@ -169,9 +166,9 @@ def _clip_runs(points, scene: Scene):
     return [r for r in runs if len(r) >= 2]
 
 
-def _add_hyperbola(scene: Scene, B: BernoulliConfig, w: TraceWindow) -> None:
+def _add_hyperbola(scene: Scene, B: BernoulliConfig) -> None:
     H = hyperbola_of(B)
-    sw = _stroke(w)
+    sw = _stroke(scene.viewbox)
     ts = -3.0 + 6.0 * np.arange(241) / 240
     for branch in (1, -1):
         pts = [row_point(row) for row in hyperbola_point_array(H, ts, branch)]
@@ -179,20 +176,15 @@ def _add_hyperbola(scene: Scene, B: BernoulliConfig, w: TraceWindow) -> None:
             scene.add(PolylineElement(tuple(run), False, Style(stroke_width=sw)))
 
 
-def _scene_lemniscate(B, grid, **_):
-    w = _default_window(B, grid)
-    scene = Scene(w)
-    _add_lemniscate(scene, B, w)
+def _draw_lemniscate(scene, B, **_):
     _marker(scene, B.f1, "F1")
     _marker(scene, B.f2, "F2")
     _marker(scene, B.center, "O")
-    return scene
 
 
-def _scene_family3(B, grid, **_):
+def _scene_family3(grid):
     # invented preset: unit equilateral triangle of foci, nine radius
     # levels geometrically spaced across the critical radius
-    del B
     circumradius = 1.0 / math.sqrt(3.0)
     foci = tuple(
         Point(circumradius * math.cos(a), circumradius * math.sin(a))
@@ -201,21 +193,16 @@ def _scene_family3(B, grid, **_):
     half = 1.15
     w = TraceWindow(-half, half, -half, half, grid, grid)
     scene = Scene(w)
-    sw = 0.7 * _stroke(w)
     ratio = (1.4 / 0.7) ** (1.0 / 8.0)
     for k in range(9):
-        radius = circumradius * 0.7 * ratio**k
-        for contour in trace(PolynomialLemniscate(foci, radius), w):
-            scene.add(PolylineElement(contour.points, contour.closed, Style(stroke_width=sw)))
+        _add_lemniscate(scene, PolynomialLemniscate(foci, circumradius * 0.7 * ratio**k), 0.7)
     for i, f in enumerate(foci, start=1):
         _marker(scene, f, f"F{i}")
     return scene
 
 
-def _scene_threebar(B, grid, theta=math.pi / 2, **_):
-    w = _default_window(B, grid, tall=1.15)
-    scene = Scene(w)
-    _add_lemniscate(scene, B, w)
+def _draw_threebar(scene, B, theta=math.pi / 2, **_):
+    w = scene.viewbox
     state = three_bar_solve(B, theta)
     sw = 1.4 * _stroke(w)
     scene.add(SegmentElement(B.f1, state.a, Style(stroke_width=sw)))
@@ -227,13 +214,10 @@ def _scene_threebar(B, grid, theta=math.pi / 2, **_):
     _marker(scene, state.b, "B")
     _marker(scene, state.x, "X")
     _marker(scene, B.center, "O")
-    return scene
 
 
-def _scene_maclaurin(B, grid, phi=math.pi / 6, **_):
-    w = _default_window(B, grid, tall=1.15)
-    scene = Scene(w)
-    _add_lemniscate(scene, B, w)
+def _draw_maclaurin(scene, B, phi=math.pi / 6, **_):
+    w = scene.viewbox
     sample = maclaurin_sample(B, phi)
     c = B.half_distance
     scene.add(CircleElement(B.f1, c / SQRT2, Style(stroke_width=_stroke(w), dashed=True)))
@@ -244,13 +228,10 @@ def _scene_maclaurin(B, grid, phi=math.pi / 6, **_):
     _marker(scene, sample.b, "B")
     _marker(scene, sample.x, "X")
     _marker(scene, sample.x_prime, "X'")
-    return scene
 
 
-def _scene_rightangle(B, grid, alpha=math.pi / 3, **_):
-    w = _default_window(B, grid, tall=1.15)
-    scene = Scene(w)
-    _add_lemniscate(scene, B, w)
+def _draw_rightangle(scene, B, alpha=math.pi / 3, **_):
+    w = scene.viewbox
     state = right_angle_solve(B, alpha)
     sw = 1.4 * _stroke(w)
     o = B.center
@@ -269,14 +250,11 @@ def _scene_rightangle(B, grid, alpha=math.pi / 3, **_):
     _marker(scene, mid_y, "C")
     _marker(scene, state.x, "X")
     _marker(scene, state.y, "Y")
-    return scene
 
 
-def _scene_inversion(B, grid, theta=math.pi / 2, **_):
-    w = _default_window(B, grid, tall=1.15)
-    scene = Scene(w)
-    _add_lemniscate(scene, B, w)
-    _add_hyperbola(scene, B, w)
+def _draw_inversion(scene, B, theta=math.pi / 2, **_):
+    w = scene.viewbox
+    _add_hyperbola(scene, B)
     state = three_bar_solve(B, theta)
     o = B.center
     scene.add(CircleElement(o, B.half_distance, Style(stroke_width=_stroke(w), dashed=True)))
@@ -291,13 +269,10 @@ def _scene_inversion(B, grid, theta=math.pi / 2, **_):
     product = state.x.distance_to(o) * state.q.distance_to(o)
     label_at = Point(w.xmin + 0.05 * (w.xmax - w.xmin), w.ymax - 0.08 * (w.ymax - w.ymin))
     scene.add(TextElement(label_at, Style(label=f"|OX|*|OQ| = {product:.3f}")))
-    return scene
 
 
-def _scene_tangentcircle(B, grid, theta=math.pi / 2, **_):
-    w = _default_window(B, grid, tall=1.45)
-    scene = Scene(w)
-    _add_lemniscate(scene, B, w)
+def _draw_tangentcircle(scene, B, theta=math.pi / 2, **_):
+    w = scene.viewbox
     state = three_bar_solve(B, theta)
     circle = tangent_circle_at(state)
     scene.add(CircleElement(circle.center, circle.radius, Style(stroke_width=_stroke(w))))
@@ -314,13 +289,10 @@ def _scene_tangentcircle(B, grid, theta=math.pi / 2, **_):
     _marker(scene, state.x, "X")
     _marker(scene, state.q, "Q")
     _marker(scene, state.p, "P")
-    return scene
 
 
-def _scene_normal(B, grid, theta=math.pi / 6, **_):
-    w = _default_window(B, grid)
-    scene = Scene(w)
-    _add_lemniscate(scene, B, w)
+def _draw_normal(scene, B, theta=math.pi / 6, **_):
+    w = scene.viewbox
     x = bernoulli_polar_point(B, theta)
     normal = normal_by_angle(B, x)
     o = B.center
@@ -336,18 +308,21 @@ def _scene_normal(B, grid, theta=math.pi / 6, **_):
     _marker(scene, o, "O")
     _marker(scene, B.f1, "F1")
     _marker(scene, x, "X")
-    return scene
 
 
-_PRESET_BUILDERS = {
-    "family3": _scene_family3,
-    "lemniscate": _scene_lemniscate,
-    "threebar": _scene_threebar,
-    "maclaurin": _scene_maclaurin,
-    "rightangle": _scene_rightangle,
-    "inversion": _scene_inversion,
-    "tangentcircle": _scene_tangentcircle,
-    "normal": _scene_normal,
+# Bernoulli presets: the half-height of the view window in units of
+# c*sqrt(2), the outer vertex distance, and the drawing added over the
+# traced curve. The half-width is 1.6 c*sqrt(2); the height grows for
+# presets whose construction elements reach above the curve (stick tips
+# go up to c*sqrt(2) from the double point).
+_BERNOULLI_PRESETS = {
+    "lemniscate": (0.8, _draw_lemniscate),
+    "threebar": (1.15, _draw_threebar),
+    "maclaurin": (1.15, _draw_maclaurin),
+    "rightangle": (1.15, _draw_rightangle),
+    "inversion": (1.15, _draw_inversion),
+    "tangentcircle": (1.45, _draw_tangentcircle),
+    "normal": (0.8, _draw_normal),
 }
 
 
@@ -364,16 +339,18 @@ def figure_scene(
 
     Parameters left as None fall back to each preset's representative
     value (crank theta = pi/2, secant phi = pi/6, crank alpha = pi/3,
-    and polar angle pi/6 for the normal figure).
+    and polar angle pi/6 for the normal figure). The `family3` preset
+    has its own fixed foci and ignores B.
     """
-    builder = _PRESET_BUILDERS.get(preset)
-    if builder is None:
+    if preset == "family3":
+        return _scene_family3(grid)
+    if preset not in _BERNOULLI_PRESETS:
         raise UnknownPreset(f"unknown preset {preset!r}; choose from {FIGURE_PRESETS}")
-    kwargs = {"grid": grid}
-    for key, value in (("theta", theta), ("phi", phi), ("alpha", alpha)):
-        if value is not None:
-            kwargs[key] = value
-    return builder(B, **kwargs)
+    tall, draw = _BERNOULLI_PRESETS[preset]
+    c = B.half_distance
+    scene = curve_scene(B.lemniscate, bernoulli_window(B, grid, 1.6 * c * SQRT2, tall * c * SQRT2))
+    draw(scene, B, **{k: v for k, v in (("theta", theta), ("phi", phi), ("alpha", alpha)) if v is not None})
+    return scene
 
 
 def _fmt(v: float) -> str:
@@ -393,21 +370,19 @@ _TEXT_COLOR = "#333333"
 _SVG_WIDTH = 800.0
 
 
-def emit_svg(scene: Scene, flip_y: bool = True) -> str:
+def emit_svg(scene: Scene) -> str:
     """Serialize a scene to SVG 1.1 text.
 
-    The view window maps to a fixed 800-unit-wide pixel space; with
-    flip_y the y axis points up, preserving mathematical orientation.
-    Output is deterministic: the same scene yields byte-identical text.
+    The view window maps to a fixed 800-unit-wide pixel space with the
+    y axis pointing up, preserving mathematical orientation. Output is
+    deterministic: the same scene yields byte-identical text.
     """
     w = scene.viewbox
     scale = _SVG_WIDTH / (w.xmax - w.xmin)
     height = (w.ymax - w.ymin) * scale
 
     def to_px(p: Point) -> tuple[float, float]:
-        px = (p.x - w.xmin) * scale
-        py = (w.ymax - p.y) * scale if flip_y else (p.y - w.ymin) * scale
-        return px, py
+        return (p.x - w.xmin) * scale, (w.ymax - p.y) * scale
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',

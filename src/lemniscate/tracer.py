@@ -36,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import (
+    BernoulliConfig,
     PolynomialLemniscate,
     field_scale,
     lemniscate_field,
@@ -124,6 +125,17 @@ class TraceWindow:
     @property
     def cell_diagonal(self) -> float:
         return math.hypot(self.dx, self.dy)
+
+
+def bernoulli_window(B: BernoulliConfig, grid: int, along: float, across: float) -> TraceWindow:
+    """Axis-aligned window around the box about B's double point that
+    reaches `along` each way on the focal axis and `across` each way
+    perpendicular to it."""
+    o = B.center
+    u = B.axis_unit
+    hx = along * abs(u.x) + across * abs(u.y)
+    hy = along * abs(u.y) + across * abs(u.x)
+    return TraceWindow(o.x - hx, o.x + hx, o.y - hy, o.y + hy, grid, grid)
 
 
 @dataclass(frozen=True)

@@ -55,7 +55,7 @@ from .geometry import (
     row_unit,
     xy,
 )
-from .tracer import TraceWindow, contour_area, trace
+from .tracer import bernoulli_window, contour_area, trace
 
 TAU = math.tau
 
@@ -331,14 +331,8 @@ def check_unit_hyperbola(count: int = 100) -> list[Check]:
 
 
 def check_area(B: BernoulliConfig, grid: int = 512) -> Check:
-    # the +-1.6c x +-0.8c box about o, turned onto the focal axis, and the
-    # axis-aligned window around it
-    o = B.center
     c = B.half_distance
-    u = B.axis_unit
-    hx = 1.6 * c * abs(u.x) + 0.8 * c * abs(u.y)
-    hy = 1.6 * c * abs(u.y) + 0.8 * c * abs(u.x)
-    w = TraceWindow(o.x - hx, o.x + hx, o.y - hy, o.y + hy, grid, grid)
+    w = bernoulli_window(B, grid, 1.6 * c, 0.8 * c)
     contours = trace(B.lemniscate, w)
     total = sum(contour_area(c) for c in contours if c.closed)
     exact = bernoulli_area(B)

@@ -9,7 +9,9 @@ import sys
 import pytest
 
 import lemniscate
+from lemniscate import BernoulliConfig, Point, PolynomialLemniscate, Scene, TraceWindow, emit_svg, figure_scene
 from lemniscate.cli import main
+from lemniscate.figures import PolylineElement, curve_scene
 from lemniscate.tracer import contours_from_csv
 
 
@@ -106,6 +108,34 @@ class TestTraceCommand:
         )
         assert len(json.loads(out)["contours"]) == 1
 
+    def test_rotated_bernoulli_window_holds_both_lobes(self, capsys):
+        code, out, _ = run_cli(capsys, "trace", "--foci=0,-1,0,1", "--grid", "128", "--format", "svg")
+        assert code == 0
+        assert out.count("<polygon") == 2
+        assert "<polyline" not in out
+
+    @pytest.mark.parametrize(
+        "foci, extra",
+        [
+            ("--foci=-2,-1,4,7", []),
+            ("--foci=0,0,1,1,0.5,1.5", ["--radius", "0.9", "--window=-1,2,-1,2.5"]),
+        ],
+    )
+    def test_svg_is_the_figure_curve_scene(self, capsys, foci, extra):
+        code, out, _ = run_cli(capsys, "trace", foci, *extra, "--grid", "96", "--format", "svg")
+        assert code == 0
+        if extra:
+            L = PolynomialLemniscate((Point(0, 0), Point(1, 1), Point(0.5, 1.5)), 0.9)
+            expected = curve_scene(L, TraceWindow(-1, 2, -1, 2.5, 96, 96))
+        else:
+            # the Bernoulli window is the lemniscate preset's, markers aside
+            preset = figure_scene("lemniscate", BernoulliConfig(Point(-2, -1), Point(4, 7)), grid=96)
+            expected = Scene(preset.viewbox)
+            for el in preset.elements:
+                if isinstance(el, PolylineElement):
+                    expected.add(el)
+        assert out == emit_svg(expected)
+
     def test_empty_trace_reports_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "trace", "--window", "5,6,5,6", "--grid", "16")
         assert code == 2
@@ -120,6 +150,34 @@ class TestFigureCommand:
     def test_normal_preset_default_parameter(self, capsys):
         code, out, _ = run_cli(capsys, "figure", "--preset", "normal", "--grid", "64")
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "command, preset, angle, value",
+        [
+            ("linkage", "threebar", "--theta", "123"),
+            ("maclaurin", "maclaurin", "--phi", "-17.5"),
+            ("rightangle", "rightangle", "--alpha", "40"),
+            ("normal", "normal", "--theta", "12"),
+        ],
+    )
+    def test_command_svg_is_its_preset(self, capsys, command, preset, angle, value):
+        code, out, _ = run_cli(capsys, command, "--format", "svg", f"{angle}={value}", "--grid", "64")
+        assert code == 0
+        _, figure, _ = run_cli(capsys, "figure", "--preset", preset, f"{angle}={value}", "--grid", "64")
+        assert out == figure
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["normal", "--format", "svg", "--point", "3,3"], "--point"),
+            (["linkage", "--format", "svg", "--side", "same"], "--side"),
+        ],
+    )
+    def test_svg_form_refuses_flags_it_cannot_draw(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert flag in err
 
     def test_unknown_preset_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -144,6 +202,24 @@ class TestErrorPaths:
         with pytest.raises(SystemExit) as excinfo:
             main([])
         assert excinfo.value.code == 2
+
+
+class TestFlags:
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["area", "--radius", "3"], "--radius"),
+            (["figure", "--preset", "lemniscate", "--format", "csv"], "--format"),
+            (["invert", "--point", "1,1", "--format", "svg"], "--format"),
+            (["verify", "--format", "csv"], "--format"),
+            (["expand", "--grid", "8"], "--grid"),
+        ],
+    )
+    def test_flag_a_command_does_not_read_is_usage_error(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
 
 
 class TestVerifyCommand:

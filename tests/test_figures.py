@@ -17,7 +17,7 @@ from lemniscate import (
     figure_scene,
 )
 from lemniscate.errors import UnknownPreset
-from lemniscate.figures import CircleElement, MarkerElement, SegmentElement
+from lemniscate.figures import CircleElement, MarkerElement, PolylineElement, SegmentElement
 
 B = BernoulliConfig(Point(-1.0, 0.0), Point(1.0, 0.0))
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -78,14 +78,24 @@ class TestFigureScene:
                 assert scene.elements
 
     def test_parameterless_presets_across_configs(self):
+        # every Bernoulli preset shows both lobes whole, as two closed
+        # contours, at any similarity placement of the foci
         rng = random.Random(5)
         for _ in range(10):
             ang = rng.uniform(0, math.tau)
             c = rng.uniform(0.5, 1.5)
-            f2 = Point(c * math.cos(ang), c * math.sin(ang))
-            scene = figure_scene("lemniscate", BernoulliConfig(-1.0 * f2, f2), grid=32)
-            assert scene.elements
-        assert figure_scene("family3", B, grid=32).elements
+            o = Point(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
+            f = Point(c * math.cos(ang), c * math.sin(ang))
+            config = BernoulliConfig(o - f, o + f)
+            for preset in FIGURE_PRESETS:
+                if preset == "family3":
+                    continue
+                scene = figure_scene(preset, config, grid=64)
+                closed = [el for el in scene.elements if isinstance(el, PolylineElement) and el.closed]
+                assert len(closed) == 2, (preset, config)
+        # family3 has its own fixed foci and ignores the config
+        far = BernoulliConfig(Point(5.0, 7.0), Point(-3.0, 9.0))
+        assert emit_svg(figure_scene("family3", far, grid=32)) == emit_svg(figure_scene("family3", B, grid=32))
 
 
 class TestSceneGuard:
@@ -123,10 +133,7 @@ class TestEmitSvg:
     def test_flip_y(self):
         scene = Scene(TraceWindow(-2, 2, -2, 2, 16, 16))
         scene.add(MarkerElement(Point(0.0, 1.0), Style()))
-        up = emit_svg(scene, flip_y=True)
-        down = emit_svg(scene, flip_y=False)
-        assert 'cy="200"' in up  # above center in math orientation
-        assert 'cy="600"' in down
+        assert 'cy="200"' in emit_svg(scene)  # above center in math orientation
 
     def test_determinism(self):
         first = emit_svg(figure_scene("inversion", B, grid=64))
