@@ -29,7 +29,7 @@ from .constructions import (
     three_bar_solve,
 )
 from .errors import GeometryError
-from .figures import FIGURE_PRESETS, curve_scene, emit_svg, figure_scene
+from .figures import _BERNOULLI_PRESETS, FIGURE_PRESETS, curve_scene, emit_svg, figure_scene
 from .geometry import SQRT2, Point
 from .tracer import TraceWindow, bernoulli_window, contours_to_csv, trace
 
@@ -101,7 +101,7 @@ def _pt(p: Point | None):
 def _json_doc(config: dict, contours=None, checks=None, **extra) -> str:
     doc = {
         "config": config,
-        "contours": [[[p.x, p.y] for p in c] for c in (contours or [])],
+        "contours": [c.points.tolist() for c in (contours or [])],
         "checks": checks or {},
     }
     doc.update(extra)
@@ -160,6 +160,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=None, help="degrees; preset default when omitted")
 
     _subcommand(sub, "verify", "run the full invariant sweep", "grid", formats=("text", "json"))
+    # the JSON form of a construction command traces nothing: no --grid default
+    for command in _SVG_PRESETS:
+        sub.choices[command].set_defaults(grid=None)
     return parser
 
 
@@ -180,7 +183,7 @@ def _cmd_trace(args) -> int:
             "grid": [w.nx, w.ny],
         }
         checks = {"max_contour_residual": max(c.max_residual for c in contours)}
-        _write(args, _json_doc(config, [c.points for c in contours], checks))
+        _write(args, _json_doc(config, contours, checks))
     return 0
 
 
@@ -249,8 +252,10 @@ def _cmd_expand(args) -> int:
 
 def _figure(args, preset: str, **degrees) -> int:
     B = _bernoulli(args)
-    radians = {k: math.radians(v) for k, v in degrees.items() if v is not None}
-    _write(args, emit_svg(figure_scene(preset, B, grid=args.grid, **radians)))
+    params = {k: math.radians(v) for k, v in degrees.items() if v is not None}
+    if args.grid is not None:  # else the preset's default grid
+        params["grid"] = args.grid
+    _write(args, emit_svg(figure_scene(preset, B, **params)))
     return 0
 
 
@@ -259,21 +264,21 @@ def _cmd_figure(args) -> int:
 
 
 # the SVG form of a construction command is its figure preset, drawn at
-# the command's angle flag
-_SVG_PRESETS = {
-    "linkage": ("threebar", "theta"),
-    "maclaurin": ("maclaurin", "phi"),
-    "rightangle": ("rightangle", "alpha"),
-    "normal": ("normal", "theta"),
-}
+# the command's flag for the angle that the preset draws
+_SVG_PRESETS = {"linkage": "threebar", "maclaurin": "maclaurin", "rightangle": "rightangle", "normal": "normal"}
 
 
-def _cmd_svg(args) -> int:
+def _cmd_construction(args) -> int:
+    if args.format == "json":
+        if args.grid is not None:
+            raise ValueError("--grid has no JSON form; it sets the trace resolution of the SVG figure")
+        return _COMMANDS[args.command](args)
     if getattr(args, "point", None) is not None:
         raise ValueError("--point has no SVG form; the normal figure is drawn at --theta")
     if getattr(args, "side", None) == "same":
         raise ValueError("--side same has no SVG form; the linkage figure draws the opposite-side state")
-    preset, angle = _SVG_PRESETS[args.command]
+    preset = _SVG_PRESETS[args.command]
+    angle = _BERNOULLI_PRESETS[preset][1]
     return _figure(args, preset, **{angle: getattr(args, angle)})
 
 
@@ -304,9 +309,8 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    svg_form = args.command in _SVG_PRESETS and args.format == "svg"
     try:
-        return (_cmd_svg if svg_form else _COMMANDS[args.command])(args)
+        return (_cmd_construction if args.command in _SVG_PRESETS else _COMMANDS[args.command])(args)
     except (GeometryError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -30,7 +30,7 @@ from .curves import (
     hyperbola_tangent_at,
 )
 from .errors import UnknownPreset
-from .geometry import SQRT2, Point, midpoint, row_point
+from .geometry import SQRT2, Point, midpoint, xy
 from .tracer import TraceWindow, bernoulli_window, trace
 
 
@@ -55,9 +55,11 @@ class Style:
     label: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolylineElement:
-    points: tuple[Point, ...]
+    """A polyline through the rows of the (N, 2) float array points."""
+
+    points: np.ndarray
     closed: bool
     style: Style
 
@@ -100,30 +102,30 @@ class Scene:
     viewbox: TraceWindow
     elements: list = field(default_factory=list)
 
-    def _bounds(self):
+    def _inside(self, pts: np.ndarray) -> np.ndarray:
+        """Which rows of pts lie within twice the view window."""
         w = self.viewbox
-        cx = 0.5 * (w.xmin + w.xmax)
-        cy = 0.5 * (w.ymin + w.ymax)
-        hx = w.xmax - w.xmin
-        hy = w.ymax - w.ymin
-        return cx - hx, cx + hx, cy - hy, cy + hy
+        cx, hx = 0.5 * (w.xmin + w.xmax), w.xmax - w.xmin
+        cy, hy = 0.5 * (w.ymin + w.ymax), w.ymax - w.ymin
+        x, y = pts[:, 0], pts[:, 1]
+        return (cx - hx <= x) & (x <= cx + hx) & (cy - hy <= y) & (y <= cy + hy)
 
-    def _check(self, pts):
-        x0, x1, y0, y1 = self._bounds()
-        for p in pts:
-            if not (x0 <= p.x <= x1 and y0 <= p.y <= y1):
-                raise ValueError(f"element reaches {p}, outside 2x the view window")
+    def _check(self, rows):
+        pts = np.asarray(rows, dtype=float).reshape(-1, 2)
+        outside = np.flatnonzero(~self._inside(pts))
+        if outside.size:
+            raise ValueError(f"element reaches {Point(*pts[outside[0]].tolist())}, outside 2x the view window")
 
     def add(self, element) -> None:
         if isinstance(element, PolylineElement):
             self._check(element.points)
         elif isinstance(element, CircleElement):
             c, r = element.center, element.radius
-            self._check([Point(c.x - r, c.y - r), Point(c.x + r, c.y + r)])
+            self._check([(c.x - r, c.y - r), (c.x + r, c.y + r)])
         elif isinstance(element, SegmentElement):
-            self._check([element.a, element.b])
+            self._check([xy(element.a), xy(element.b)])
         elif isinstance(element, (MarkerElement, TextElement)):
-            self._check([element.at])
+            self._check([xy(element.at)])
         else:
             raise TypeError(f"not a scene element: {element!r}")
         self.elements.append(element)
@@ -150,20 +152,11 @@ def _marker(scene, p, label=""):
     scene.add(MarkerElement(p, Style(label=label)))
 
 
-def _clip_runs(points, scene: Scene):
+def _clip_runs(pts: np.ndarray, scene: Scene):
     """Split a polyline into maximal runs inside the scene's 2x bounds."""
-    x0, x1, y0, y1 = scene._bounds()
-    runs = []
-    cur = []
-    for p in points:
-        if x0 <= p.x <= x1 and y0 <= p.y <= y1:
-            cur.append(p)
-        elif cur:
-            runs.append(cur)
-            cur = []
-    if cur:
-        runs.append(cur)
-    return [r for r in runs if len(r) >= 2]
+    inside = scene._inside(pts)
+    cuts = np.flatnonzero(inside[1:] != inside[:-1]) + 1
+    return [run for run, keep in zip(np.split(pts, cuts), inside[np.r_[0, cuts]]) if keep and len(run) >= 2]
 
 
 def _add_hyperbola(scene: Scene, B: BernoulliConfig) -> None:
@@ -171,12 +164,11 @@ def _add_hyperbola(scene: Scene, B: BernoulliConfig) -> None:
     sw = _stroke(scene.viewbox)
     ts = -3.0 + 6.0 * np.arange(241) / 240
     for branch in (1, -1):
-        pts = [row_point(row) for row in hyperbola_point_array(H, ts, branch)]
-        for run in _clip_runs(pts, scene):
-            scene.add(PolylineElement(tuple(run), False, Style(stroke_width=sw)))
+        for run in _clip_runs(hyperbola_point_array(H, ts, branch), scene):
+            scene.add(PolylineElement(run, False, Style(stroke_width=sw)))
 
 
-def _draw_lemniscate(scene, B, **_):
+def _draw_lemniscate(scene, B):
     _marker(scene, B.f1, "F1")
     _marker(scene, B.f2, "F2")
     _marker(scene, B.center, "O")
@@ -201,7 +193,7 @@ def _scene_family3(grid):
     return scene
 
 
-def _draw_threebar(scene, B, theta=math.pi / 2, **_):
+def _draw_threebar(scene, B, theta=math.pi / 2):
     w = scene.viewbox
     state = three_bar_solve(B, theta)
     sw = 1.4 * _stroke(w)
@@ -216,7 +208,7 @@ def _draw_threebar(scene, B, theta=math.pi / 2, **_):
     _marker(scene, B.center, "O")
 
 
-def _draw_maclaurin(scene, B, phi=math.pi / 6, **_):
+def _draw_maclaurin(scene, B, phi=math.pi / 6):
     w = scene.viewbox
     sample = maclaurin_sample(B, phi)
     c = B.half_distance
@@ -230,7 +222,7 @@ def _draw_maclaurin(scene, B, phi=math.pi / 6, **_):
     _marker(scene, sample.x_prime, "X'")
 
 
-def _draw_rightangle(scene, B, alpha=math.pi / 3, **_):
+def _draw_rightangle(scene, B, alpha=math.pi / 3):
     w = scene.viewbox
     state = right_angle_solve(B, alpha)
     sw = 1.4 * _stroke(w)
@@ -252,7 +244,7 @@ def _draw_rightangle(scene, B, alpha=math.pi / 3, **_):
     _marker(scene, state.y, "Y")
 
 
-def _draw_inversion(scene, B, theta=math.pi / 2, **_):
+def _draw_inversion(scene, B, theta=math.pi / 2):
     w = scene.viewbox
     _add_hyperbola(scene, B)
     state = three_bar_solve(B, theta)
@@ -271,7 +263,7 @@ def _draw_inversion(scene, B, theta=math.pi / 2, **_):
     scene.add(TextElement(label_at, Style(label=f"|OX|*|OQ| = {product:.3f}")))
 
 
-def _draw_tangentcircle(scene, B, theta=math.pi / 2, **_):
+def _draw_tangentcircle(scene, B, theta=math.pi / 2):
     w = scene.viewbox
     state = three_bar_solve(B, theta)
     circle = tangent_circle_at(state)
@@ -291,7 +283,7 @@ def _draw_tangentcircle(scene, B, theta=math.pi / 2, **_):
     _marker(scene, state.p, "P")
 
 
-def _draw_normal(scene, B, theta=math.pi / 6, **_):
+def _draw_normal(scene, B, theta=math.pi / 6):
     w = scene.viewbox
     x = bernoulli_polar_point(B, theta)
     normal = normal_by_angle(B, x)
@@ -311,18 +303,18 @@ def _draw_normal(scene, B, theta=math.pi / 6, **_):
 
 
 # Bernoulli presets: the half-height of the view window in units of
-# c*sqrt(2), the outer vertex distance, and the drawing added over the
-# traced curve. The half-width is 1.6 c*sqrt(2); the height grows for
-# presets whose construction elements reach above the curve (stick tips
-# go up to c*sqrt(2) from the double point).
+# c*sqrt(2), the outer vertex distance, the one angle drawn (or None), and
+# the drawing added over the traced curve. The half-width is 1.6 c*sqrt(2);
+# the height grows for presets whose construction elements reach above the
+# curve (stick tips go up to c*sqrt(2) from the double point).
 _BERNOULLI_PRESETS = {
-    "lemniscate": (0.8, _draw_lemniscate),
-    "threebar": (1.15, _draw_threebar),
-    "maclaurin": (1.15, _draw_maclaurin),
-    "rightangle": (1.15, _draw_rightangle),
-    "inversion": (1.15, _draw_inversion),
-    "tangentcircle": (1.45, _draw_tangentcircle),
-    "normal": (0.8, _draw_normal),
+    "lemniscate": (0.8, None, _draw_lemniscate),
+    "threebar": (1.15, "theta", _draw_threebar),
+    "maclaurin": (1.15, "phi", _draw_maclaurin),
+    "rightangle": (1.15, "alpha", _draw_rightangle),
+    "inversion": (1.15, "theta", _draw_inversion),
+    "tangentcircle": (1.45, "theta", _draw_tangentcircle),
+    "normal": (0.8, "theta", _draw_normal),
 }
 
 
@@ -337,19 +329,26 @@ def figure_scene(
 ) -> Scene:
     """Compose the named figure.
 
-    Parameters left as None fall back to each preset's representative
-    value (crank theta = pi/2, secant phi = pi/6, crank alpha = pi/3,
-    and polar angle pi/6 for the normal figure). The `family3` preset
-    has its own fixed foci and ignores B.
+    Each preset draws at most one angle, which falls back to a
+    representative value when None: crank theta = pi/2 (threebar,
+    inversion, tangentcircle), secant phi = pi/6 (maclaurin), crank alpha
+    = pi/3 (rightangle), polar angle theta = pi/6 (normal). Any other
+    angle raises ValueError. The `family3` preset has its own fixed foci,
+    draws no angle, and ignores B.
     """
+    if preset != "family3" and preset not in _BERNOULLI_PRESETS:
+        raise UnknownPreset(f"unknown preset {preset!r}; choose from {FIGURE_PRESETS}")
+    tall, angle, draw = _BERNOULLI_PRESETS.get(preset, (None, None, None))
+    given = {k: v for k, v in (("theta", theta), ("phi", phi), ("alpha", alpha)) if v is not None}
+    stray = [k for k in given if k != angle]
+    if stray:
+        draws = f"draws {angle}" if angle else "draws no angle"
+        raise ValueError(f"the {preset} figure {draws}; --{stray[0]} does not apply")
     if preset == "family3":
         return _scene_family3(grid)
-    if preset not in _BERNOULLI_PRESETS:
-        raise UnknownPreset(f"unknown preset {preset!r}; choose from {FIGURE_PRESETS}")
-    tall, draw = _BERNOULLI_PRESETS[preset]
     c = B.half_distance
     scene = curve_scene(B.lemniscate, bernoulli_window(B, grid, 1.6 * c * SQRT2, tall * c * SQRT2))
-    draw(scene, B, **{k: v for k, v in (("theta", theta), ("phi", phi), ("alpha", alpha)) if v is not None})
+    draw(scene, B, **given)
     return scene
 
 
@@ -381,8 +380,9 @@ def emit_svg(scene: Scene) -> str:
     scale = _SVG_WIDTH / (w.xmax - w.xmin)
     height = (w.ymax - w.ymin) * scale
 
-    def to_px(p: Point) -> tuple[float, float]:
-        return (p.x - w.xmin) * scale, (w.ymax - p.y) * scale
+    def to_px(rows) -> list:  # of a point (x, y) or of (N, 2) rows
+        rows = np.asarray(rows)
+        return np.stack(((rows[..., 0] - w.xmin) * scale, (w.ymax - rows[..., 1]) * scale), axis=-1).tolist()
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -399,29 +399,29 @@ def emit_svg(scene: Scene) -> str:
 
     for el in scene.elements:
         if isinstance(el, PolylineElement):
-            coords = " ".join("%s,%s" % tuple(map(_fmt, to_px(p))) for p in el.points)
+            coords = " ".join([f"{_fmt(x)},{_fmt(y)}" for x, y in to_px(el.points)])
             tag = "polygon" if el.closed else "polyline"
             lines.append(
                 f'  <{tag} points="{coords}" fill="none" stroke="{_CURVE_COLOR}" '
                 f'stroke-width="{_fmt(width_px(el.style))}"{dash(el.style)}/>'
             )
         elif isinstance(el, CircleElement):
-            cx, cy = to_px(el.center)
+            cx, cy = to_px(xy(el.center))
             lines.append(
                 f'  <circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(el.radius * scale)}" '
                 f'fill="none" stroke="{_AUX_COLOR}" '
                 f'stroke-width="{_fmt(width_px(el.style))}"{dash(el.style)}/>'
             )
         elif isinstance(el, SegmentElement):
-            x1, y1 = to_px(el.a)
-            x2, y2 = to_px(el.b)
+            x1, y1 = to_px(xy(el.a))
+            x2, y2 = to_px(xy(el.b))
             lines.append(
                 f'  <line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
                 f'stroke="{_STICK_COLOR}" '
                 f'stroke-width="{_fmt(width_px(el.style))}"{dash(el.style)}/>'
             )
         elif isinstance(el, MarkerElement):
-            cx, cy = to_px(el.at)
+            cx, cy = to_px(xy(el.at))
             lines.append(f'  <circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="3.5" fill="{_CURVE_COLOR}"/>')
             if el.style.label:
                 lines.append(
@@ -430,7 +430,7 @@ def emit_svg(scene: Scene) -> str:
                     f'fill="{_TEXT_COLOR}">{_escape(el.style.label)}</text>'
                 )
         elif isinstance(el, TextElement):
-            cx, cy = to_px(el.at)
+            cx, cy = to_px(xy(el.at))
             lines.append(
                 f'  <text x="{_fmt(cx)}" y="{_fmt(cy)}" font-family="sans-serif" '
                 f'font-size="16" fill="{_TEXT_COLOR}">{_escape(el.style.label)}</text>'

@@ -22,10 +22,12 @@ evaluated in one call with the full grid's element-wise arithmetic, so
 every value, crossing and contour is what the full grid would give.
 
 Crossed edges carry integer ids in the full grid's order, and the
-marching-squares links between them are found with array operations;
-only the chain walk, snapping and output assembly stay sequential, and
-they are deterministic, so output is independent of how the array work
-is scheduled. Refinement is one batched numpy pass.
+marching-squares links between them are found with array operations.
+Only the chain walk, the loop over chains and their pieces, and the
+walk past a dropped near-duplicate vertex stay sequential; they are
+deterministic, so output is independent of how the array work is
+scheduled. Snapping, refinement (one batched Newton pass), orientation
+and output work on each contour as one (N, 2) array.
 """
 
 from __future__ import annotations
@@ -138,27 +140,30 @@ def bernoulli_window(B: BernoulliConfig, grid: int, along: float, across: float)
     return TraceWindow(o.x - hx, o.x + hx, o.y - hy, o.y + hy, grid, grid)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Contour:
     """Ordered polyline extracted from the zero set.
 
+    points is a read-only float array of shape (N, 2), one vertex per row.
     Closed contours do not repeat the first point; max_residual is the
     largest |field| over the refined points.
     """
 
-    points: tuple[Point, ...]
+    points: np.ndarray
     closed: bool
     max_residual: float
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
-        if self.closed and len(self.points) < 3:
-            raise ValueError("a closed contour needs at least 3 points")
-        if len(self.points) < 2:
-            raise ValueError("a contour needs at least 2 points")
-        for a, b in zip(self.points, self.points[1:]):
-            if a.x == b.x and a.y == b.y:
-                raise ValueError("repeated consecutive contour point")
+        points = np.array(self.points, dtype=float)
+        points.flags.writeable = False
+        object.__setattr__(self, "points", points)
+        if points.ndim != 2 or points.shape[1] != 2 or not np.isfinite(points).all():
+            raise ValueError("contour points must be finite (x, y) rows")
+        least = 3 if self.closed else 2
+        if len(points) < least:
+            raise ValueError(f"a {'closed' if self.closed else 'open'} contour needs at least {least} points")
+        if (points[1:] == points[:-1]).all(axis=1).any():
+            raise ValueError("repeated consecutive contour point")
 
 
 def refine(L: PolynomialLemniscate, p: Point) -> Point:
@@ -230,25 +235,20 @@ def contour_area(c: Contour) -> float:
     return abs(_signed_area(c.points))
 
 
-def _signed_area(points) -> float:
-    acc = 0.0
-    n = len(points)
-    for i in range(n):
-        a = points[i]
-        b = points[(i + 1) % n]
-        acc += a.x * b.y - b.x * a.y
-    return 0.5 * acc
+def _signed_area(points: np.ndarray) -> float:
+    x, y = points[:, 0], points[:, 1]
+    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    # cumsum adds the terms in order; np.sum would pair them and round differently
+    return 0.5 * float(np.cumsum(x * yn - xn * y)[-1])
 
 
-def _singular_points(L: PolynomialLemniscate) -> list[Point]:
-    # the only singularity handled: the Bernoulli double point, present
-    # exactly when a 2-focus lemniscate's radius equals the half distance
-    if L.n != 2:
-        return []
-    mid = midpoint(L.foci[0], L.foci[1])
-    if abs(lemniscate_field(L, mid)) <= 1e-9 * field_scale(L):
-        return [mid]
-    return []
+def _singular_points(L: PolynomialLemniscate) -> np.ndarray:
+    # the only singularity handled, as a row: the Bernoulli double point,
+    # present exactly when a 2-focus lemniscate's radius equals the half distance
+    mid = midpoint(L.foci[0], L.foci[1]) if L.n == 2 else None
+    if mid is not None and abs(lemniscate_field(L, mid)) <= 1e-9 * field_scale(L):
+        return xy(mid)[None]
+    return np.empty((0, 2))
 
 
 def _band(L, w, xs, ys):
@@ -386,67 +386,68 @@ def _extract_chains(adjacency):
     return chains
 
 
-def _snap_and_split(rows, closed, xs, ys, singular_rows, snap_radius):
+def _snap_and_split(rows, closed, coords, singular_rows, snap_radius):
     """Snap vertices near a singular point onto it and split the chain
     there, so a figure-eight separates into one loop per lobe.
 
-    Vertices are rows of the coordinate lists xs, ys; singular_rows are
-    the rows that hold the singular points."""
+    Vertices are rows of coords; singular_rows are the last rows, which
+    hold the singular points."""
     if not singular_rows:
         return [(rows, closed)]
-    snapped = []
-    for r in rows:
-        for s in singular_rows:
-            if math.hypot(xs[r] - xs[s], ys[r] - ys[s]) <= snap_radius:
-                r = s
-                break
-        snapped.append(r)
-    deduped = [snapped[0]]
-    for r in snapped[1:]:
-        if xs[r] != xs[deduped[-1]] or ys[r] != ys[deduped[-1]]:
-            deduped.append(r)
-    if closed and len(deduped) > 1 and deduped[0] == deduped[-1]:
-        deduped.pop()
+    rows = np.asarray(rows)
+    pts, singular = coords[rows], coords[singular_rows]
+    near = np.hypot(pts[:, None, 0] - singular[:, 0], pts[:, None, 1] - singular[:, 1]) <= snap_radius
+    # each vertex snaps to the first singular point within reach
+    rows = np.where(near.any(axis=1), singular_rows.start + near.argmax(axis=1), rows)
+    pts = coords[rows]
+    # exact repeats: equal to the last kept row exactly when equal to the previous one
+    keep = np.ones(len(rows), dtype=bool)
+    keep[1:] = (pts[1:] != pts[:-1]).any(axis=1)
+    rows = rows[keep]
+    if closed and len(rows) > 1 and rows[0] == rows[-1]:
+        rows = rows[:-1]
 
-    hits = [k for k, r in enumerate(deduped) if r in singular_rows]
+    hits = np.flatnonzero(rows >= singular_rows.start).tolist()
     if closed and len(hits) >= 2:
-        loops = []
-        for m, start in enumerate(hits):
-            stop = hits[(m + 1) % len(hits)]
-            if stop > start:
-                piece = deduped[start:stop]
-            else:
-                piece = deduped[start:] + deduped[:stop]
-            loops.append((piece, True))
-        return loops
-    return [(deduped, closed)]
+        # one loop from each hit to the next, around the cycle
+        return [(np.roll(rows, -a)[: (b - a) % len(rows)], True) for a, b in zip(hits, hits[1:] + hits[:1])]
+    return [(rows, closed)]
 
 
-def _dedupe(rows, xs, ys):
-    """Drop each vertex within 1e-12 of the last one kept."""
-    kept = [rows[0]]
-    for r in rows[1:]:
-        if math.hypot(xs[r] - xs[kept[-1]], ys[r] - ys[kept[-1]]) > 1e-12:
-            kept.append(r)
-    return kept
+def _dedupe(pts: np.ndarray) -> np.ndarray:
+    """Drop each vertex within 1e-12 of the last one kept.
+
+    Where the previous row is kept it is the last kept one, so the test
+    against it decides; only the rows after a drop are walked."""
+    gap = np.hypot(pts[1:, 0] - pts[:-1, 0], pts[1:, 1] - pts[:-1, 1])
+    keep = np.ones(len(pts), dtype=bool)
+    k = 0  # rows before k are decided
+    for first in (np.flatnonzero(gap <= 1e-12) + 1).tolist():
+        if first < k:
+            continue
+        last, k = first - 1, first
+        while k < len(pts) and math.hypot(*(pts[k] - pts[last]).tolist()) <= 1e-12:
+            keep[k] = False
+            k += 1
+        k += 1  # row k, if there is one, is kept
+    return pts[keep]
 
 
-def _orient(L, w, points, closed):
+def _orient(L, w, pts: np.ndarray, closed: bool) -> np.ndarray:
     if closed:
-        if _signed_area(points) < 0.0:
-            return [points[0]] + points[:0:-1]
-        return points
+        if _signed_area(pts) < 0.0:
+            return np.concatenate((pts[:1], pts[:0:-1]))
+        return pts
     # open chain: keep the interior (negative field) on the left
-    a, b = points[0], points[1]
-    mid = midpoint(a, b)
-    direction = b - a
-    n = direction.norm()
+    a, b = pts[0], pts[1]
+    d = b - a
+    n = math.hypot(*d.tolist())
     if n > 0.0:
-        left = direction.perp() * (1.0 / n)
-        probe = mid + left * (0.25 * min(w.dx, w.dy))
-        if lemniscate_field(L, probe) > 0.0:
-            return points[::-1]
-    return points
+        left = np.array((-d[1], d[0])) * (1.0 / n)
+        probe = 0.5 * (a + b) + left * (0.25 * min(w.dx, w.dy))
+        if lemniscate_field_array(L, probe[:1], probe[1:])[0] > 0.0:
+            return pts[::-1]
+    return pts
 
 
 def trace(L: PolynomialLemniscate, w: TraceWindow) -> list[Contour]:
@@ -465,30 +466,29 @@ def trace(L: PolynomialLemniscate, w: TraceWindow) -> list[Contour]:
 
     adjacency = _build_adjacency(L, w, xs, ys, ci, cj, neg, ids)
     # the singular points follow the crossings as extra rows, which stay fixed
-    singulars = _singular_points(L)
-    singular_rows = range(len(coords), len(coords) + len(singulars))
-    coords = np.concatenate((coords, np.array([(s.x, s.y) for s in singulars]).reshape(-1, 2)))
-    cx, cy = coords[:, 0].tolist(), coords[:, 1].tolist()
+    singular = _singular_points(L)
+    singular_rows = range(len(coords), len(coords) + len(singular))
+    coords = np.concatenate((coords, singular))
 
     pieces = []
     for rows, closed in _extract_chains(adjacency):
-        pieces += _snap_and_split(rows, closed, cx, cy, singular_rows, w.cell_diagonal)
+        pieces += _snap_and_split(rows, closed, coords, singular_rows, w.cell_diagonal)
 
     # one Newton pass over every vertex of every piece, in piece order
-    moving = [r for rows, _ in pieces for r in rows if r not in singular_rows]
+    moving = np.concatenate([rows for rows, _ in pieces])
+    moving = moving[moving < singular_rows.start]
     coords[moving] = refine_array(L, coords[moving])
-    cx, cy = coords[:, 0].tolist(), coords[:, 1].tolist()
 
     contours = []
     for rows, closed in pieces:
-        kept = _dedupe(rows, cx, cy)
-        if len(kept) < (3 if closed else 2):
+        pts = _dedupe(coords[rows])
+        if len(pts) < (3 if closed else 2):
             continue
-        residual = float(np.abs(lemniscate_field_array(L, coords[kept, 0], coords[kept, 1])).max())
-        oriented = _orient(L, w, [Point(cx[r], cy[r]) for r in kept], closed)
-        contours.append(Contour(tuple(oriented), closed, residual))
+        residual = float(np.abs(lemniscate_field_array(L, pts[:, 0], pts[:, 1])).max())
+        contours.append(Contour(_orient(L, w, pts, closed), closed, residual))
 
-    contours.sort(key=lambda c: min((p.x, p.y) for p in c.points))
+    # by each contour's leftmost-lowest point
+    contours.sort(key=lambda c: tuple(c.points[np.lexsort(c.points.T[::-1])[0]].tolist()))
     return contours
 
 
@@ -498,25 +498,19 @@ def contours_to_csv(contours) -> str:
     Coordinates use shortest round-trip float formatting so re-importing
     reproduces them exactly.
     """
-    blocks = []
-    for c in contours:
-        blocks.append("\n".join(f"{p.x!r},{p.y!r}" for p in c.points))
-    return "\n\n".join(blocks) + "\n"
+    return "\n\n".join("\n".join(f"{x!r},{y!r}" for x, y in c.points.tolist()) for c in contours) + "\n"
 
 
-def contours_from_csv(text: str) -> list[list[Point]]:
-    """Parse the CSV contour format back into point lists."""
-    groups = []
-    current: list[Point] = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            if current:
-                groups.append(current)
-                current = []
-            continue
-        sx, sy = line.split(",")
-        current.append(Point(float(sx), float(sy)))
-    if current:
-        groups.append(current)
+def contours_from_csv(text: str) -> list[np.ndarray]:
+    """Parse the CSV contour format back into (N, 2) arrays."""
+    groups, rows = [], []
+    for line in text.splitlines() + [""]:
+        if line.strip():
+            x, y = map(float, line.split(","))
+            rows.append((x, y))
+        elif rows:
+            groups.append(np.array(rows))
+            rows = []
+    if not all(np.isfinite(g).all() for g in groups):
+        raise ValueError("contour coordinates must be finite")
     return groups

@@ -179,6 +179,32 @@ class TestFigureCommand:
         assert out == ""
         assert flag in err
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--preset", "lemniscate", "--theta", "10"], "--theta"),
+            (["--preset", "threebar", "--phi", "10"], "--phi"),
+            (["--preset", "family3", "--theta", "5"], "--theta"),
+            (["--preset", "normal", "--alpha", "5"], "--alpha"),
+            (["--preset", "maclaurin", "--theta", "5"], "--theta"),
+        ],
+    )
+    def test_figure_refuses_angle_its_preset_does_not_draw(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, "figure", *argv, "--grid", "32")
+        assert code == 2
+        assert out == ""
+        assert flag in err
+
+    @pytest.mark.parametrize("command", ["linkage", "maclaurin", "rightangle", "normal"])
+    @pytest.mark.parametrize("grid", ["8", "512"])
+    def test_json_form_refuses_grid(self, capsys, command, grid):
+        code, out, err = run_cli(capsys, command, "--grid", grid)
+        assert code == 2
+        assert out == ""
+        assert "--grid" in err
+        code, out, _ = run_cli(capsys, command)
+        assert code == 0 and json.loads(out)
+
     def test_unknown_preset_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["figure", "--preset", "spiral"])

@@ -4,6 +4,7 @@ import math
 import pathlib
 import random
 
+import numpy as np
 import pytest
 
 from lemniscate import (
@@ -55,6 +56,24 @@ class TestFigureScene:
         text = emit_svg(scene)
         assert "|OX|*|OQ| = 1.000" in text
 
+    @pytest.mark.parametrize(
+        "preset, angle",
+        [
+            ("family3", "theta"),
+            ("lemniscate", "theta"),
+            ("lemniscate", "alpha"),
+            ("threebar", "phi"),
+            ("maclaurin", "theta"),
+            ("rightangle", "theta"),
+            ("inversion", "alpha"),
+            ("tangentcircle", "phi"),
+            ("normal", "alpha"),
+        ],
+    )
+    def test_angle_the_preset_does_not_draw(self, preset, angle):
+        with pytest.raises(ValueError, match=f"--{angle} does not apply"):
+            figure_scene(preset, B, grid=32, **{angle: 0.3})
+
     def test_parameter_changes_scene(self):
         a = emit_svg(figure_scene("threebar", B, theta=1.0, grid=64))
         b = emit_svg(figure_scene("threebar", B, theta=1.2, grid=64))
@@ -105,6 +124,13 @@ class TestSceneGuard:
             scene.add(MarkerElement(Point(10.0, 0.0), Style()))
         with pytest.raises(ValueError):
             scene.add(CircleElement(Point(0.0, 0.0), 5.0, Style()))
+
+    def test_polyline_error_names_first_vertex_outside(self):
+        scene = Scene(TraceWindow(-1, 1, -1, 1, 16, 16))
+        rows = np.array([(0.0, 0.0), (1.5, 0.5), (2.5, 0.0), (0.0, -3.0), (9.0, 9.0)])
+        with pytest.raises(ValueError, match=r"element reaches Point\(x=2\.5, y=0\.0\)"):
+            scene.add(PolylineElement(rows, False, Style()))
+        assert not scene.elements
 
     def test_accepts_within_double_window(self):
         scene = Scene(TraceWindow(-1, 1, -1, 1, 16, 16))

@@ -33,6 +33,7 @@ from lemniscate.tracer import (
     _SADDLE_CENTER_OUT,
     _band,
     _build_adjacency,
+    _dedupe,
     _edge_points,
     _signed_area,
 )
@@ -314,7 +315,7 @@ class TestTraceBernoulli:
         assert len(contours) == 2
         assert all(c.closed for c in contours)
         for c in contours:
-            assert min(p.distance_to(Point(0.0, 0.0)) for p in c.points) <= 1e-12
+            assert np.hypot(c.points[:, 0], c.points[:, 1]).min() <= 1e-12
             assert c.max_residual <= 1e-10
 
     def test_total_area(self):
@@ -325,11 +326,11 @@ class TestTraceBernoulli:
     def test_orientation_positive(self):
         contours = trace(L, TraceWindow(-1.6, 1.6, -0.8, 0.8, 256, 256))
         for c in contours:
-            assert _signed_area(list(c.points)) > 0.0
+            assert _signed_area(c.points) > 0.0
 
     def test_sorted_by_leftmost_point(self):
         contours = trace(L, TraceWindow(-1.6, 1.6, -0.8, 0.8, 256, 256))
-        keys = [min((p.x, p.y) for p in c.points) for c in contours]
+        keys = [min(map(tuple, c.points.tolist())) for c in contours]
         assert keys == sorted(keys)
 
     def test_split_survives_misaligned_grids(self):
@@ -392,28 +393,98 @@ class TestTraceErrors:
 
 class TestContourArea:
     def test_unit_square(self):
-        square = Contour(
-            (Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)), True, 0.0
-        )
+        square = Contour([(0, 0), (1, 0), (1, 1), (0, 1)], True, 0.0)
         assert contour_area(square) == 1.0
 
     def test_polygon_limit_of_circle(self):
         n = 4096
-        pts = tuple(
-            Point(math.cos(k * math.tau / n), math.sin(k * math.tau / n)) for k in range(n)
-        )
+        pts = [(math.cos(k * math.tau / n), math.sin(k * math.tau / n)) for k in range(n)]
         assert contour_area(Contour(pts, True, 0.0)) == pytest.approx(math.pi, abs=1e-5)
 
     def test_open_contour_rejected(self):
-        chain = Contour((Point(0, 0), Point(1, 0)), False, 0.0)
+        chain = Contour([(0, 0), (1, 0)], False, 0.0)
         with pytest.raises(OpenContour):
             contour_area(chain)
 
     def test_contour_invariants(self):
         with pytest.raises(ValueError):
-            Contour((Point(0, 0), Point(1, 0)), True, 0.0)
+            Contour([(0, 0), (1, 0)], True, 0.0)
         with pytest.raises(ValueError):
-            Contour((Point(0, 0), Point(0, 0), Point(1, 1)), False, 0.0)
+            Contour([(0, 0), (0, 0), (1, 1)], False, 0.0)
+
+    @pytest.mark.parametrize(
+        "rows, closed",
+        [
+            ([(0, 0), (1, 0)], True),
+            ([(0, 0)], False),
+            ([(0, 0), (1, 0), (1, 0), (0, 1)], True),
+            ([(0, 0), (1, 0), (1, 1), (1, 1)], False),
+            ([(0, 0), (1, float("nan"))], False),
+            ([0.0, 1.0, 2.0], False),
+        ],
+    )
+    def test_contour_rejects(self, rows, closed):
+        with pytest.raises(ValueError):
+            Contour(rows, closed, 0.0)
+
+    def test_contour_points_are_a_read_only_copy(self):
+        rows = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)])
+        c = Contour(rows, True, 0.0)
+        assert c.points.shape == (3, 2) and c.points.dtype == float
+        assert not c.points.flags.writeable
+        with pytest.raises(ValueError):
+            c.points[0, 0] = 5.0
+        rows[0, 0] = 5.0
+        assert c.points[0, 0] == 0.0
+
+
+class TestDedupe:
+    def test_tests_against_the_last_kept_vertex(self):
+        # vertex 1 is within 1e-12 of vertex 0 and dropped; vertex 2 is
+        # within 1e-12 of vertex 1 but not of vertex 0, the last kept one
+        pts = np.array([(0.0, 0.0), (0.8e-12, 0.0), (1.6e-12, 0.0), (1.0, 0.0)])
+        assert _dedupe(pts).tolist() == [[0.0, 0.0], [1.6e-12, 0.0], [1.0, 0.0]]
+        # a previous-row mask would drop vertex 2 as well
+        gap = np.hypot(*np.diff(pts, axis=0).T)
+        assert len(pts[np.r_[True, gap > 1e-12]]) == 2
+
+    def test_run_of_near_duplicates(self):
+        pts = np.array([(0.0, 0.0), (0.3e-12, 0.0), (0.6e-12, 0.0), (0.9e-12, 0.0), (1.2e-12, 0.0), (2.0, 0.0)])
+        assert _dedupe(pts).tolist() == [[0.0, 0.0], [1.2e-12, 0.0], [2.0, 0.0]]
+
+    def test_far_vertices_are_kept(self):
+        pts = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)])
+        assert _dedupe(pts).tolist() == pts.tolist()
+
+    def test_matches_the_loop_on_random_chains(self):
+        def reference(rows):
+            kept = [rows[0]]
+            for x, y in rows[1:]:
+                if math.hypot(x - kept[-1][0], y - kept[-1][1]) > 1e-12:
+                    kept.append((x, y))
+            return [list(p) for p in kept]
+
+        rng = np.random.default_rng(11)
+        for _ in range(2000):
+            n = int(rng.integers(2, 12))
+            steps = rng.choice([0.0, 0.3e-12, 0.7e-12, 1.5e-12, 1.0], size=(n, 1)) * rng.standard_normal((n, 2))
+            pts = np.cumsum(steps, axis=0)
+            assert _dedupe(pts).tolist() == reference(pts.tolist())
+
+
+class TestSignedArea:
+    def test_equals_the_sequential_shoelace_loop(self):
+        # the same terms added in the same order, so the same float
+        def reference(rows):
+            acc = 0.0
+            for (ax, ay), (bx, by) in zip(rows, rows[1:] + rows[:1]):
+                acc += ax * by - bx * ay
+            return 0.5 * acc
+
+        rng = np.random.default_rng(3)
+        for n in (3, 4, 17, 1000):
+            pts = rng.standard_normal((n, 2)) * 10.0 ** rng.integers(-3, 4)
+            assert _signed_area(pts) == reference(pts.tolist())
 
 
 class TestCsv:
@@ -422,13 +493,14 @@ class TestCsv:
         text = contours_to_csv(contours)
         groups = contours_from_csv(text)
         assert len(groups) == len(contours)
+        assert all(g.shape == c.points.shape for g, c in zip(groups, contours))
         for contour, group in zip(contours, groups):
             assert len(contour.points) == len(group)
             for p, q in zip(contour.points, group):
-                assert p.x == q.x and p.y == q.y
+                assert p[0] == q[0] and p[1] == q[1]
 
     def test_format_shape(self):
         text = contours_to_csv(
-            [Contour((Point(0, 0), Point(1, 0), Point(1, 1)), True, 0.0)]
+            [Contour([(0, 0), (1, 0), (1, 1)], True, 0.0)]
         )
         assert text == "0.0,0.0\n1.0,0.0\n1.0,1.0\n"
