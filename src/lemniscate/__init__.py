@@ -27,7 +27,6 @@ from .curves import (
     bernoulli_area,
     bernoulli_polar_point,
     expand_coefficients,
-    field_scale,
     hyperbola_point,
     hyperbola_residual,
     hyperbola_tangent_at,
@@ -54,7 +53,6 @@ from .tracer import (
     contours_from_csv,
     contours_to_csv,
     refine,
-    refine_array,
     trace,
 )
 from .figures import FIGURE_PRESETS, Scene, Style, emit_svg, figure_scene

@@ -75,7 +75,7 @@ def _window(args, L: PolynomialLemniscate) -> TraceWindow:
     if args.window:
         xmin, xmax, ymin, ymax = _parse_floats(args.window, 4)
         return TraceWindow(xmin, xmax, ymin, ymax, args.grid, args.grid)
-    if L.n == 2 and abs(L.radius - 0.5 * L.foci[0].distance_to(L.foci[1])) <= 1e-12:
+    if L.n == 2 and abs(L.radius - 0.5 * L.foci[0].distance_to(L.foci[1])) <= 1e-12 * L.radius:
         B = BernoulliConfig(L.foci[0], L.foci[1])
         c = B.half_distance
         return bernoulli_window(B, args.grid, 1.6 * c * SQRT2, 0.8 * c * SQRT2)

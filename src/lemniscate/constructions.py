@@ -24,7 +24,7 @@ import numpy as np
 from .curves import (
     BernoulliConfig,
     EquilateralHyperbola,
-    field_scale,
+    field_residual,
     lemniscate_field_array,
 )
 from .errors import (
@@ -39,10 +39,10 @@ from .geometry import (
     Circle,
     Line,
     Point,
-    angle_at_array,
     invert_point_array,
     line_line_intersection_array,
     reflect_across_line_array,
+    row_cross,
     row_dot,
     row_norm,
     row_perp,
@@ -302,17 +302,19 @@ def normal_by_angle_array(B: BernoulliConfig, x) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     L = B.lemniscate
-    off = np.abs(lemniscate_field_array(L, x[..., 0], x[..., 1])) > 1e-9 * field_scale(L)
+    off = ~(field_residual(L, lemniscate_field_array(L, x[..., 0], x[..., 1])) <= 5e-10)
     if off.any():
         raise NotOnCurve(f"point {row_point(x[off][0])} is not on the lemniscate")
     o, f1 = xy(B.center), xy(B.f1)
     to_o = o - x
-    at_o = row_norm(to_o) <= 1e-12
+    at_o = row_norm(to_o) <= 1e-12 * B.half_distance
     if at_o.any():
         raise DoublePoint(
             f"two branches cross at the double point {row_point(x[at_o][0])}; no single normal"
         )
-    delta = angle_at_array(o, x, f1)
+    # angle_at_array(o, x, f1) without its absolute 1e-12 ray test: o->x is
+    # longer than 1e-12 c here, and o->f1 is c long
+    delta = np.arctan2(np.abs(row_cross(-to_o, f1 - o)), row_dot(-to_o, f1 - o))
     phi0 = np.arctan2(to_o[..., 1], to_o[..., 0])
     turn = np.arctan2(f1[1] - x[..., 1], f1[0] - x[..., 0]) - phi0
     swing = turn - math.tau * np.round(turn / math.tau)  # math.remainder(turn, tau)

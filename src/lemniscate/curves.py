@@ -65,18 +65,6 @@ class PolynomialLemniscate:
         return self.radius ** (2 * self.n)
 
 
-def field_scale(L: PolynomialLemniscate) -> float:
-    """Magnitude of the field on unit-distance configurations of L.
-
-    Used to turn absolute residual thresholds into scale-free ones:
-    max(1, radius, focus magnitudes) raised to the field's degree.
-    """
-    s = max(1.0, L.radius)
-    for f in L.foci:
-        s = max(s, f.norm())
-    return s ** (2 * L.n)
-
-
 def lemniscate_field(L: PolynomialLemniscate, p: Point) -> float:
     """Product of squared focal distances minus radius**(2n).
 
@@ -101,6 +89,13 @@ def lemniscate_field_array(L: PolynomialLemniscate, x, y) -> np.ndarray:
         acc *= (x - f.x) ** 2 + (y - f.y) ** 2
     acc -= L.level
     return acc
+
+
+def field_residual(L: PolynomialLemniscate, f):
+    """Scale-free size of the field values f: |f| / (prod + radius**(2n)),
+    that is |f| / (f + 2 level), which any similarity of the plane leaves
+    unchanged."""
+    return np.abs(f) / (f + 2.0 * L.level)
 
 
 def lemniscate_gradient_array(L: PolynomialLemniscate, x, y) -> np.ndarray:
@@ -318,7 +313,7 @@ def hyperbola_tangent_at(H: EquilateralHyperbola, q: Point) -> Line:
     The direction is perpendicular to the gradient of the quadratic form,
     so the returned line has second-order contact with the branch.
     """
-    if abs(hyperbola_residual(H, q)) > 1e-8:
+    if abs(hyperbola_residual(H, q)) > 1e-8 * 0.5 * H.f1.distance_to(H.f2):
         raise NotOnCurve(f"point {q} is not on the hyperbola")
     return Line(q, row_point(hyperbola_gradient_array(H, xy(q))).perp())
 

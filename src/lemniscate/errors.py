@@ -53,14 +53,6 @@ class DoublePoint(GeometryError):
     """No single normal exists at the double point of the curve."""
 
 
-class SingularPoint(GeometryError):
-    """Gradient vanishes; Newton refinement has no direction."""
-
-
-class NoConvergence(GeometryError):
-    """Newton refinement failed to reach the residual target."""
-
-
 class EmptyTrace(GeometryError):
     """No sign change in the trace window (a signal, not a failure)."""
 

@@ -1,10 +1,11 @@
 """Grid-based implicit curve extraction for polynomial lemniscates.
 
 Marching squares over a rectangular window with sign-change edge
-interpolation, Newton refinement of every vertex onto the curve, and
-deliberate splitting of contours at the Bernoulli double point where the
-two lobes cross. Closed contours are oriented with the interior (field
-negative) on the left, so their signed shoelace area is positive.
+interpolation, refinement of every vertex onto the curve along its
+crossed edge, and deliberate splitting of contours at the Bernoulli
+double point where the two lobes cross. Closed contours are oriented
+with the interior (field negative) on the left, so their signed shoelace
+area is positive.
 
 The field is evaluated only in a band of blocks that may hold the curve.
 The window's cells are split into blocks of 16 x 16, and each block is
@@ -26,8 +27,14 @@ marching-squares links between them are found with array operations.
 Only the chain walk, the loop over chains and their pieces, and the
 walk past a dropped near-duplicate vertex stay sequential; they are
 deterministic, so output is independent of how the array work is
-scheduled. Snapping, refinement (one batched Newton pass), orientation
-and output work on each contour as one (N, 2) array.
+scheduled. Snapping, orientation and output work on each contour as one
+(N, 2) array.
+
+Refinement is one vectorised bracket over every crossed edge (refine):
+regula falsi with the Illinois modification, started from the edge's
+end values, so a vertex never leaves its edge and no point, singular
+ones included, can make it fail. It stops at a scale-free residual, so
+the curve is traced alike at any similarity placement of the foci.
 """
 
 from __future__ import annotations
@@ -40,21 +47,15 @@ import numpy as np
 from .curves import (
     BernoulliConfig,
     PolynomialLemniscate,
-    field_scale,
+    field_residual,
     lemniscate_field,
     lemniscate_field_array,
-    lemniscate_gradient_array,
 )
-from .errors import EmptyTrace, NoConvergence, OpenContour, SingularPoint
-from .geometry import Point, midpoint, row_point, xy
+from .errors import EmptyTrace, OpenContour
+from .geometry import midpoint, xy
 
-_GRAD_EPS = 1e-12
-_REFINE_TOL = 1e-12
-_MAX_NEWTON = 20
-_FAILURE_TEXT = {
-    SingularPoint: "gradient vanishes near",
-    NoConvergence: "Newton refinement stalled near",
-}
+_REFINE_TOL = 5e-13
+_MAX_STEPS = 64
 
 # segments per marching-squares case, by cell edge name; cases 5 and 10
 # are saddles resolved by the field sign at the cell center
@@ -166,66 +167,48 @@ class Contour:
             raise ValueError("repeated consecutive contour point")
 
 
-def refine(L: PolynomialLemniscate, p: Point) -> Point:
-    """Newton-polish p onto the curve along the field gradient.
+def refine(L: PolynomialLemniscate, a, b) -> np.ndarray:
+    """The roots of the field on the segments a -> b, as rows (M, 2).
 
-    A one-row call of refine_array, with the same targets and errors.
+    a and b are rows (M, 2) whose field values straddle the curve: one end
+    negative, the other not (ValueError otherwise). Each row runs regula
+    falsi with the Illinois modification (Dowell & Jarratt, 1971) on its
+    segment: a step takes the secant root of the bracket, the first being
+    the linear interpolant of the end values, and an end that stays twice
+    running has its value halved, so the bracket closes from both sides.
+    A row stops once its scale-free residual |f| / (f + 2 level) is at
+    most 5e-13, or after 64 steps. Every iterate lies on its segment, so
+    nothing can fail.
     """
-    return row_point(refine_array(L, xy(p)[None])[0])
-
-
-def refine_array(L: PolynomialLemniscate, pts) -> np.ndarray:
-    """Newton-polish each row of the (M, 2) array pts onto the curve.
-
-    Every row steps x -> x - grad * f / |grad|^2 until |field| <= 1e-12 *
-    scale**(2n) or 20 iterations, and leaves the batch once it converges.
-    After the whole batch has run, the first failing row raises:
-    SingularPoint when the gradient vanishes (such as at the Bernoulli
-    double point), NoConvergence when iteration stalls, ValueError when a
-    gradient or a step is not finite.
-    """
-    cur = np.array(pts, dtype=float).reshape(-1, 2)
-    target = _REFINE_TOL * field_scale(L)
-    first = None  # (row, error, x, y) of the first failing row
-    rows = np.arange(len(cur))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(_MAX_NEWTON):
-            x, y = cur[rows, 0], cur[rows, 1]
-            g = lemniscate_gradient_array(L, x, y)
-            gx, gy = g[:, 0], g[:, 1]
-            g2 = gx * gx + gy * gy
-            bad = ~(np.isfinite(gx) & np.isfinite(gy))
-            first = _first_failure(first, ValueError, rows[bad], gx[bad], gy[bad])
-            singular = ~bad & (g2 <= _GRAD_EPS * _GRAD_EPS)
-            first = _first_failure(first, SingularPoint, rows[singular], x[singular], y[singular])
-            f = lemniscate_field_array(L, x, y)
-            step = ~bad & ~singular & ~(np.abs(f) <= target)
-            rows, gx, gy = rows[step], gx[step], gy[step]
-            k = f[step] / g2[step]
-            x = x[step] - gx * k
-            y = y[step] - gy * k
-            cur[rows, 0], cur[rows, 1] = x, y
-            bad = ~(np.isfinite(x) & np.isfinite(y))
-            first = _first_failure(first, ValueError, rows[bad], x[bad], y[bad])
-            rows = rows[~bad]
-            if not rows.size:
-                break
-        else:
-            stalled = rows[~(np.abs(lemniscate_field_array(L, cur[rows, 0], cur[rows, 1])) <= target)]
-            first = _first_failure(first, NoConvergence, stalled, cur[stalled, 0], cur[stalled, 1])
-    if first is not None:
-        _, error, x, y = first
-        p = Point(x, y)  # raises Point's own ValueError for a non-finite gradient or step
-        raise error(f"{_FAILURE_TEXT[error]} {p}")
-    return cur
-
-
-def _first_failure(first, error, rows, x, y):
-    """Keep whichever fails first in input order: the recorded failure or
-    the first of rows (ascending), which failed with error at (x, y)."""
-    if rows.size and (first is None or rows[0] < first[0]):
-        return (int(rows[0]), error, float(x[0]), float(y[0]))
-    return first
+    a = np.asarray(a, dtype=float).reshape(-1, 2)
+    b = np.asarray(b, dtype=float).reshape(-1, 2)
+    flo = lemniscate_field_array(L, a[:, 0], a[:, 1])
+    fhi = lemniscate_field_array(L, b[:, 0], b[:, 1])
+    same = np.flatnonzero((flo < 0.0) == (fhi < 0.0))
+    if same.size:
+        raise ValueError(f"the ends of segment {same[0]} do not straddle the curve")
+    d = b - a
+    out = np.empty_like(a)
+    rows = np.arange(len(a))
+    lo, hi = np.zeros(len(a)), np.ones(len(a))
+    moved = np.zeros(len(a))  # the end the last step replaced: -1 lo, 1 hi, 0 none
+    for _ in range(_MAX_STEPS):
+        t = np.minimum(np.maximum(lo + (hi - lo) * (flo / (flo - fhi)), lo), hi)
+        p = a[rows] + t[:, None] * d[rows]
+        f = lemniscate_field_array(L, p[:, 0], p[:, 1])
+        out[rows] = p
+        go = ~(field_residual(L, f) <= _REFINE_TOL)
+        rows, t, f, lo, hi, flo, fhi, moved = (v[go] for v in (rows, t, f, lo, hi, flo, fhi, moved))
+        if not rows.size:
+            break
+        low = (f < 0.0) == (flo < 0.0)  # the step replaces the lo end
+        # Illinois: an end that stays a second time running has its value halved
+        fhi = np.where(low & (moved < 0.0), 0.5 * fhi, fhi)
+        flo = np.where(~low & (moved > 0.0), 0.5 * flo, flo)
+        lo, flo = np.where(low, t, lo), np.where(low, f, flo)
+        hi, fhi = np.where(low, hi, t), np.where(low, fhi, f)
+        moved = np.where(low, -1.0, 1.0)
+    return out
 
 
 def contour_area(c: Contour) -> float:
@@ -246,7 +229,7 @@ def _singular_points(L: PolynomialLemniscate) -> np.ndarray:
     # the only singularity handled, as a row: the Bernoulli double point,
     # present exactly when a 2-focus lemniscate's radius equals the half distance
     mid = midpoint(L.foci[0], L.foci[1]) if L.n == 2 else None
-    if mid is not None and abs(lemniscate_field(L, mid)) <= 1e-9 * field_scale(L):
+    if mid is not None and field_residual(L, lemniscate_field(L, mid)) <= 5e-10:
         return xy(mid)[None]
     return np.empty((0, 2))
 
@@ -315,6 +298,18 @@ def _edge_points(w, xs, ys, ci, cj, vals):
         (np.stack((hx, ys[hj[fh]]), axis=-1), np.stack((xs[vi[fv]], vy), axis=-1))
     )
     return neg, ids, coords
+
+
+def _edge_ends(w, xs, ys, ids):
+    """The end nodes of the edges with linear ids ids (see _edge_points),
+    as two arrays of rows (M, 2)."""
+    along_y = ids >= w.nx * (w.ny + 1)
+    k = ids - along_y * (w.nx * (w.ny + 1))
+    i = np.where(along_y, k // w.ny, k // (w.ny + 1))
+    j = np.where(along_y, k % w.ny, k % (w.ny + 1))
+    a = np.stack((xs[i], ys[j]), axis=-1)
+    b = np.stack((xs[i + ~along_y], ys[j + along_y]), axis=-1)
+    return a, b
 
 
 def _build_adjacency(L, w, xs, ys, ci, cj, neg, ids):
@@ -414,19 +409,19 @@ def _snap_and_split(rows, closed, coords, singular_rows, snap_radius):
     return [(rows, closed)]
 
 
-def _dedupe(pts: np.ndarray) -> np.ndarray:
-    """Drop each vertex within 1e-12 of the last one kept.
+def _dedupe(pts: np.ndarray, tol: float) -> np.ndarray:
+    """Drop each vertex within tol of the last one kept.
 
     Where the previous row is kept it is the last kept one, so the test
     against it decides; only the rows after a drop are walked."""
     gap = np.hypot(pts[1:, 0] - pts[:-1, 0], pts[1:, 1] - pts[:-1, 1])
     keep = np.ones(len(pts), dtype=bool)
     k = 0  # rows before k are decided
-    for first in (np.flatnonzero(gap <= 1e-12) + 1).tolist():
+    for first in (np.flatnonzero(gap <= tol) + 1).tolist():
         if first < k:
             continue
         last, k = first - 1, first
-        while k < len(pts) and math.hypot(*(pts[k] - pts[last]).tolist()) <= 1e-12:
+        while k < len(pts) and math.hypot(*(pts[k] - pts[last]).tolist()) <= tol:
             keep[k] = False
             k += 1
         k += 1  # row k, if there is one, is kept
@@ -474,14 +469,14 @@ def trace(L: PolynomialLemniscate, w: TraceWindow) -> list[Contour]:
     for rows, closed in _extract_chains(adjacency):
         pieces += _snap_and_split(rows, closed, coords, singular_rows, w.cell_diagonal)
 
-    # one Newton pass over every vertex of every piece, in piece order
+    # one bracket over the crossed edge of every vertex of every piece
     moving = np.concatenate([rows for rows, _ in pieces])
     moving = moving[moving < singular_rows.start]
-    coords[moving] = refine_array(L, coords[moving])
+    coords[moving] = refine(L, *_edge_ends(w, xs, ys, ids[moving]))
 
     contours = []
     for rows, closed in pieces:
-        pts = _dedupe(coords[rows])
+        pts = _dedupe(coords[rows], 1e-12 * w.cell_diagonal)
         if len(pts) < (3 if closed else 2):
             continue
         residual = float(np.abs(lemniscate_field_array(L, pts[:, 0], pts[:, 1])).max())

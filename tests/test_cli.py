@@ -114,6 +114,14 @@ class TestTraceCommand:
         assert out.count("<polygon") == 2
         assert "<polyline" not in out
 
+    def test_oval_at_a_tiny_scale_gets_its_own_window(self, capsys):
+        # radius 5c is no Bernoulli radius, however small c is
+        code, out, err = run_cli(
+            capsys, "trace", "--foci=-1e-13,0,1e-13,0", "--radius", "5e-13", "--grid", "64", "--format", "svg"
+        )
+        assert code == 0, err
+        assert out.count("<polygon") == 1
+
     @pytest.mark.parametrize(
         "foci, extra",
         [

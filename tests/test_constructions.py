@@ -29,7 +29,7 @@ from lemniscate.constructions import (
     tangent_circle_array,
     three_bar_array,
 )
-from lemniscate.curves import bernoulli_polar_array, lemniscate_field_array
+from lemniscate.curves import bernoulli_polar_array, bernoulli_polar_point, lemniscate_field_array
 from lemniscate.errors import (
     CenterSingular,
     DoublePoint,
@@ -287,6 +287,30 @@ class TestNormal:
     def test_not_on_curve(self):
         with pytest.raises(NotOnCurve):
             normal_by_angle(B, Point(0.9, 0.9))
+
+    @pytest.mark.parametrize(
+        "foci, point",
+        [((-1e-3, 0.0, 1e-3, 0.0), (3e-3, 3e-3)), ((999.0, 0.0, 1001.0, 0.0), (1000.5, 0.9))],
+    )
+    def test_on_curve_test_is_scale_free(self, foci, point):
+        # (3, 3) and (0.5, 0.9) are off the canonical curve; so are their
+        # images under a scaling or a shift
+        with pytest.raises(NotOnCurve):
+            normal_by_angle(BernoulliConfig(Point(*foci[:2]), Point(*foci[2:])), Point(*point))
+
+    def test_tiny_curve_point_is_not_the_double_point(self):
+        c = 1e-13
+        config = BernoulliConfig(Point(-c, 0.0), Point(c, 0.0))
+        line = normal_by_angle(config, bernoulli_polar_point(config, math.pi / 6))
+        expected = normal_by_angle(B, bernoulli_polar_point(B, math.pi / 6))
+        assert line.direction.distance_to(expected.direction) <= 1e-12
+
+    def test_tangent_accepted_at_a_large_scale(self):
+        # the linkage's q is about 3e-8 off the hyperbola at c = 1e8
+        config = BernoulliConfig(Point(-1e8, 0.0), Point(1e8, 0.0))
+        tangent = hyperbola_tangent_at(hyperbola_of(config), three_bar_solve(config, 2.0).q)
+        expected = hyperbola_tangent_at(hyperbola_of(B), three_bar_solve(B, 2.0).q)
+        assert tangent.direction.distance_to(expected.direction) <= 1e-12
 
 
 class TestThreeBarClosedForm:

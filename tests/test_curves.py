@@ -241,6 +241,14 @@ class TestHyperbola:
         with pytest.raises(NotOnCurve):
             hyperbola_tangent_at(H, Point(0.0, 0.0))
 
+    def test_tangent_bound_follows_the_scale(self):
+        # 1e-6 c off the curve at c = 1e-3 is 1e-9 absolute, far off at that scale
+        H = EquilateralHyperbola(Point(-1e-3, 0.0), Point(1e-3, 0.0))
+        q = hyperbola_point(H, 0.3)
+        hyperbola_tangent_at(H, q)
+        with pytest.raises(NotOnCurve):
+            hyperbola_tangent_at(H, Point(q.x + 1e-9, q.y))
+
     def test_point_sampler_on_curve(self):
         H = EquilateralHyperbola(Point(-1, 0), Point(1, 0))
         for branch in (1, -1):

@@ -1,6 +1,5 @@
 """Tracer tests: extraction topology, refinement, area, CSV round trip."""
 
-import itertools
 import math
 import random
 import tracemalloc
@@ -18,15 +17,12 @@ from lemniscate import (
     contour_area,
     contours_from_csv,
     contours_to_csv,
-    field_scale,
     lemniscate_field,
-    lemniscate_gradient,
     refine,
-    refine_array,
     trace,
 )
-from lemniscate.curves import lemniscate_field_array
-from lemniscate.errors import EmptyTrace, NoConvergence, OpenContour, SingularPoint
+from lemniscate.curves import field_residual, lemniscate_field_array
+from lemniscate.errors import EmptyTrace, OpenContour
 from lemniscate.tracer import (
     _CASE_SEGMENTS,
     _SADDLE_CENTER_IN,
@@ -36,6 +32,7 @@ from lemniscate.tracer import (
     _dedupe,
     _edge_points,
     _signed_area,
+    bernoulli_window,
 )
 
 B = BernoulliConfig(Point(-1.0, 0.0), Point(1.0, 0.0))
@@ -60,29 +57,30 @@ def equilateral_foci():
     )
 
 
-def newton_iterates(L, p):
-    """Scalar Newton along the field gradient: yields each iterate with its
-    field value and gradient."""
-    cur = p
-    while True:
-        f = lemniscate_field(L, cur)
-        g = lemniscate_gradient(L, cur)
-        yield cur, f, g
-        k = f / g.norm_sq()
-        cur = Point(cur.x - g.x * k, cur.y - g.y * k)
-
-
-def reference_refine(L, p):
-    """The refinement contract, one point at a time: at most 20 steps to
-    |field| <= 1e-12 * field_scale, refusing a vanishing gradient."""
-    target = 1e-12 * field_scale(L)
-    for step, (cur, f, g) in enumerate(newton_iterates(L, p)):
-        if step < 20 and g.norm_sq() <= 1e-24:
-            raise SingularPoint(f"gradient vanishes near {cur}")
-        if abs(f) <= target:
-            return cur
-        if step == 20:
-            raise NoConvergence(f"Newton refinement stalled near {cur}")
+def reference_bracket(L, a, b):
+    """Regula falsi with the Illinois modification on the segment a -> b,
+    one point at a time: at most 64 steps, stopping at a scale-free
+    residual |f| / (f + 2 level) <= 5e-13."""
+    (ax, ay), (bx, by) = a, b
+    dx, dy = bx - ax, by - ay
+    lo, hi = 0.0, 1.0
+    flo, fhi = lemniscate_field(L, Point(ax, ay)), lemniscate_field(L, Point(bx, by))
+    moved = 0  # the end the last step replaced: -1 lo, 1 hi
+    for _ in range(64):
+        t = min(max(lo + (hi - lo) * (flo / (flo - fhi)), lo), hi)
+        p = (ax + t * dx, ay + t * dy)
+        f = lemniscate_field(L, Point(*p))
+        if abs(f) / (f + 2.0 * L.level) <= 5e-13:
+            break
+        if (f < 0.0) == (flo < 0.0):
+            if moved < 0:
+                fhi = 0.5 * fhi
+            lo, flo, moved = t, f, -1
+        else:
+            if moved > 0:
+                flo = 0.5 * flo
+            hi, fhi, moved = t, f, 1
+    return p
 
 
 def dense_crossings(L, w):
@@ -139,8 +137,27 @@ def band_crossings(L, w):
     return ids, coords, {ids[r]: [ids[k] for k in nbs] for r, nbs in enumerate(adjacency)}
 
 
-def raw_crossings(L, w):
-    return dense_crossings(L, w)[1]
+def raw_edges(L, w):
+    """The end nodes a and b, as rows (M, 2), of the dense reference's
+    crossed edges."""
+    xs = np.linspace(w.xmin, w.xmax, w.nx + 1)
+    ys = np.linspace(w.ymin, w.ymax, w.ny + 1)
+    first_v = w.nx * (w.ny + 1)
+    a, b = [], []
+    for e in dense_crossings(L, w)[0].tolist():
+        if e < first_v:
+            i, j = divmod(e, w.ny + 1)
+            a.append((xs[i], ys[j]))
+            b.append((xs[i + 1], ys[j]))
+        else:
+            i, j = divmod(e - first_v, w.ny)
+            a.append((xs[i], ys[j]))
+            b.append((xs[i], ys[j + 1]))
+    return np.array(a), np.array(b)
+
+
+def scale_free_residual(L, contours):
+    return max(float(field_residual(L, lemniscate_field_array(L, *c.points.T)).max()) for c in contours)
 
 
 def scaled(L, s):
@@ -149,73 +166,40 @@ def scaled(L, s):
 
 class TestRefine:
     def test_polishes_near_seed(self):
-        p = refine(L, Point(1.42, 0.01))
-        assert abs(lemniscate_field(L, p)) <= 1e-12
+        p = refine(L, [(1.40, 0.01)], [(1.44, 0.01)])[0]
+        assert abs(lemniscate_field(L, Point(*p))) <= 1e-12
+        assert 1.40 <= p[0] <= 1.44 and p[1] == 0.01
 
     def test_on_curve_fixed_point(self):
-        start = Point(math.sqrt(2.0), 0.0)
-        assert refine(L, start).distance_to(start) <= 1e-12
+        start = (math.sqrt(2.0), 0.0)
+        other = (1.3, 0.0) if lemniscate_field(L, Point(*start)) >= 0.0 else (1.5, 0.0)
+        p = refine(L, [start], [other])[0]
+        assert math.dist(p, start) <= 1e-12
 
-    def test_singular_at_double_point(self):
-        with pytest.raises(SingularPoint):
-            refine(L, Point(0.0, 0.0))
-
-    def test_quadratic_convergence(self):
-        # manual Newton steps from seeds near the curve: log-log slope of
-        # successive residuals should reach 2 (residual_{k+1} ~ C residual_k^2)
-        for seed in (Point(1.45, 0.03), Point(0.9, 0.44), Point(-1.38, 0.12)):
-            residuals = []
-            for _, f, _ in itertools.islice(newton_iterates(L, seed), 6):
-                if abs(f) < 1e-14:
-                    break
-                residuals.append(abs(f))
-            ratios = [
-                math.log(residuals[i + 1]) / math.log(residuals[i])
-                for i in range(len(residuals) - 1)
-                if residuals[i] < 0.05
-            ]
-            assert ratios, f"no contraction observed from {seed}"
-            assert ratios[-1] >= 1.9
-
-
-class TestRefineArray:
     @pytest.mark.parametrize(
         "lem, window",
         [(L, TraceWindow(-1.6, 1.6, -0.8, 0.8, 256, 256))]
         + [(lem, TraceWindow(-2.0, 2.0, -2.0, 2.0, 256, 256)) for lem in SEEDED],
     )
-    def test_matches_scalar_newton_on_raw_crossings(self, lem, window):
-        pts = raw_crossings(lem, window)
-        assert len(pts) > 100
-        expected, refused = {}, {}
-        for r, (x, y) in enumerate(pts.tolist()):
-            try:
-                expected[r] = reference_refine(lem, Point(x, y))
-            except (SingularPoint, NoConvergence) as exc:
-                refused[r] = exc
-        got = refine_array(lem, pts[list(expected)])
-        assert got.tolist() == [[p.x, p.y] for p in expected.values()]
-        for r, exc in refused.items():
-            with pytest.raises(type(exc)) as info:
-                refine_array(lem, pts[r : r + 1])
-            assert str(info.value) == str(exc)
-
-    def test_first_failing_row_raises(self):
-        stalled, singular = Point(1e3, 1e3), Point(0.0, 0.0)
-        with pytest.raises(NoConvergence) as info:
-            reference_refine(L, stalled)
-        message = str(info.value)
-        batch = np.array([(1.42, 0.01), (stalled.x, stalled.y), (0.0, 0.0), (0.9, 0.44)])
-        with pytest.raises(NoConvergence) as info:
-            refine_array(L, batch)
-        assert str(info.value) == message
-        with pytest.raises(SingularPoint) as info:
-            refine_array(L, batch[[0, 2, 1]])
-        assert str(info.value) == f"gradient vanishes near {singular}"
+    def test_matches_scalar_illinois_on_raw_crossings(self, lem, window):
+        a, b = raw_edges(lem, window)
+        assert len(a) > 100
+        got = refine(lem, a, b)
+        expected = [reference_bracket(lem, p, q) for p, q in zip(a.tolist(), b.tolist())]
+        assert got.tolist() == [list(p) for p in expected]
+        # every root lies on its edge and on the curve, the two crossings
+        # beside the Bernoulli double point included
+        assert ((np.minimum(a, b) <= got) & (got <= np.maximum(a, b))).all()
+        assert field_residual(lem, lemniscate_field_array(lem, *got.T)).max() <= 5e-13
 
     def test_empty_batch(self):
-        out = refine_array(L, np.empty((0, 2)))
+        out = refine(L, np.empty((0, 2)), np.empty((0, 2)))
         assert out.shape == (0, 2)
+
+    def test_ends_must_straddle_the_curve(self):
+        # both ends outside: the second segment holds no sign change
+        with pytest.raises(ValueError, match="segment 1 "):
+            refine(L, [(1.40, 0.01), (2.0, 0.0)], [(1.44, 0.01), (3.0, 0.0)])
 
 
 class TestTraceMemory:
@@ -375,6 +359,40 @@ class TestTraceThreeFoci:
         assert len(trace(above, w)) == 1
 
 
+    @pytest.mark.parametrize("factor", [1.0, 1.0 + 1e-9, 1.0 - 1e-9])
+    @pytest.mark.parametrize("grid", [64, 128, 256, 512])
+    def test_critical_radius(self, factor, grid):
+        # the three lobes touch at the centroid, where the gradient vanishes
+        lem = PolynomialLemniscate(equilateral_foci(), factor / math.sqrt(3.0))
+        contours = trace(lem, TraceWindow(-1.2, 1.2, -1.2, 1.2, grid, grid))
+        assert contours and all(c.closed for c in contours)
+        assert scale_free_residual(lem, contours) <= 5e-13
+
+
+class TestTraceScale:
+    @pytest.mark.parametrize(
+        "c, offset",
+        [(c, 0.0) for c in (1e-6, 1e-4, 1e-3, 1.0, 1e3)] + [(1.0, 1e2), (1.0, 1e3)],
+    )
+    def test_residual_is_scale_free(self, c, offset):
+        config = BernoulliConfig(Point(offset - c, 0.0), Point(offset + c, 0.0))
+        w = bernoulli_window(config, 256, 1.6 * c * math.sqrt(2.0), 0.8 * c * math.sqrt(2.0))
+        contours = trace(config.lemniscate, w)
+        assert len(contours) == 2 and all(c.closed for c in contours)
+        assert scale_free_residual(config.lemniscate, contours) <= 5e-13
+        total = sum(contour_area(k) for k in contours)
+        assert total == pytest.approx(bernoulli_area(config), rel=1e-3)
+
+    def test_tiny_curve_keeps_its_vertices(self):
+        # every vertex lies within 1e-12 of its neighbours; the dedupe
+        # distance follows the cell size, so none is dropped for that
+        config = BernoulliConfig(Point(-1e-13, 0.0), Point(1e-13, 0.0))
+        w = bernoulli_window(config, 64, 1.6e-13 * math.sqrt(2.0), 0.8e-13 * math.sqrt(2.0))
+        contours = trace(config.lemniscate, w)
+        assert len(contours) == 2 and all(c.closed for c in contours)
+        assert sum(len(c.points) for c in contours) > 100
+
+
 class TestTraceErrors:
     def test_empty_window(self):
         with pytest.raises(EmptyTrace):
@@ -443,18 +461,18 @@ class TestDedupe:
         # vertex 1 is within 1e-12 of vertex 0 and dropped; vertex 2 is
         # within 1e-12 of vertex 1 but not of vertex 0, the last kept one
         pts = np.array([(0.0, 0.0), (0.8e-12, 0.0), (1.6e-12, 0.0), (1.0, 0.0)])
-        assert _dedupe(pts).tolist() == [[0.0, 0.0], [1.6e-12, 0.0], [1.0, 0.0]]
+        assert _dedupe(pts, 1e-12).tolist() == [[0.0, 0.0], [1.6e-12, 0.0], [1.0, 0.0]]
         # a previous-row mask would drop vertex 2 as well
         gap = np.hypot(*np.diff(pts, axis=0).T)
         assert len(pts[np.r_[True, gap > 1e-12]]) == 2
 
     def test_run_of_near_duplicates(self):
         pts = np.array([(0.0, 0.0), (0.3e-12, 0.0), (0.6e-12, 0.0), (0.9e-12, 0.0), (1.2e-12, 0.0), (2.0, 0.0)])
-        assert _dedupe(pts).tolist() == [[0.0, 0.0], [1.2e-12, 0.0], [2.0, 0.0]]
+        assert _dedupe(pts, 1e-12).tolist() == [[0.0, 0.0], [1.2e-12, 0.0], [2.0, 0.0]]
 
     def test_far_vertices_are_kept(self):
         pts = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)])
-        assert _dedupe(pts).tolist() == pts.tolist()
+        assert _dedupe(pts, 1e-12).tolist() == pts.tolist()
 
     def test_matches_the_loop_on_random_chains(self):
         def reference(rows):
@@ -469,7 +487,7 @@ class TestDedupe:
             n = int(rng.integers(2, 12))
             steps = rng.choice([0.0, 0.3e-12, 0.7e-12, 1.5e-12, 1.0], size=(n, 1)) * rng.standard_normal((n, 2))
             pts = np.cumsum(steps, axis=0)
-            assert _dedupe(pts).tolist() == reference(pts.tolist())
+            assert _dedupe(pts, 1e-12).tolist() == reference(pts.tolist())
 
 
 class TestSignedArea:
