@@ -48,8 +48,13 @@ class PolynomialLemniscate:
         object.__setattr__(self, "foci", foci)
         if len(foci) < 1:
             raise ValueError("a lemniscate needs at least one focus")
-        if not (self.radius > 0.0 and math.isfinite(self.radius)):
-            raise ValueError(f"lemniscate radius must be positive, got {self.radius}")
+        with np.errstate(over="ignore", under="ignore"):
+            level = float(np.float64(self.radius) ** (2 * len(foci)))
+        if not (self.radius > 0.0 and np.finfo(float).tiny <= level < math.inf):
+            raise ValueError(
+                f"lemniscate radius must be positive with radius**(2n) a normal float, "
+                f"got radius {self.radius} at n = {len(foci)}"
+            )
         for i in range(len(foci)):
             for j in range(i + 1, len(foci)):
                 if foci[i].distance_to(foci[j]) == 0.0:
@@ -196,6 +201,7 @@ class BernoulliConfig:
     def __post_init__(self):
         if self.f1.distance_to(self.f2) == 0.0:
             raise ValueError("Bernoulli foci must be distinct")
+        self.lemniscate  # refuses a c**4 that is not a normal float
 
     @property
     def center(self) -> Point:

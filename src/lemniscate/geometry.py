@@ -281,11 +281,11 @@ def invert_point_array(center, radius, p):
     """Images of the points p under inversion in the circles (center, radius).
 
     Raises CenterSingular, naming the first offending point, when a point
-    lies within 1e-12 of its center.
+    lies within 1e-12 radius of its center.
     """
     v = p - center
     d2 = v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1]
-    at_center = d2 <= _EPS * _EPS
+    at_center = d2 <= (_EPS * radius) ** 2
     if at_center.any():
         bad = np.broadcast_to(p, v.shape)[at_center][0]
         raise CenterSingular(f"cannot invert the center of inversion (point {row_point(bad)})")
@@ -296,10 +296,11 @@ def invert_point_array(center, radius, p):
 def invert_line_array(center, radius, anchor, direction):
     """Images of the lines through anchor along the unit direction under
     inversion in the circles (center, radius): circle centers (..., 2)
-    and radii (...). Raises LineThroughCenter for a line through its center.
+    and radii (...). Raises LineThroughCenter for a line within 1e-12
+    radius of its center.
     """
     foot = anchor + direction * row_dot(center - anchor, direction)[..., None]
-    through = row_norm(foot - center) <= _EPS
+    through = row_norm(foot - center) <= _EPS * radius
     if through.any():
         bad = np.broadcast_to(anchor, foot.shape)[through][0]
         raise LineThroughCenter(

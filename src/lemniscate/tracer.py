@@ -3,9 +3,10 @@
 Marching squares over a rectangular window with sign-change edge
 interpolation, refinement of every vertex onto the curve along its
 crossed edge, and deliberate splitting of contours at the Bernoulli
-double point where the two lobes cross. Closed contours are oriented
-with the interior (field negative) on the left, so their signed shoelace
-area is positive.
+double point where the two lobes cross. The case table's segments are
+directed with the interior (field negative) on their left, so each
+crossing has at most one successor and every contour comes out oriented
+by construction: a closed contour's signed shoelace area is positive.
 
 The field is evaluated only in a band of blocks that may hold the curve.
 The window's cells are split into blocks of 16 x 16, and each block is
@@ -24,11 +25,10 @@ every value, crossing and contour is what the full grid would give.
 
 Crossed edges carry integer ids in the full grid's order, and the
 marching-squares links between them are found with array operations.
-Only the chain walk, the loop over chains and their pieces, and the
-walk past a dropped near-duplicate vertex stay sequential; they are
-deterministic, so output is independent of how the array work is
-scheduled. Snapping, orientation and output work on each contour as one
-(N, 2) array.
+Only the walk along successors, the loop over chains and their pieces,
+and the walk past a dropped near-duplicate vertex stay sequential; they
+are deterministic, so output is independent of how the array work is
+scheduled. Snapping and output work on each contour as one (N, 2) array.
 
 Refinement is one vectorised bracket over every crossed edge (refine):
 regula falsi with the Illinois modification, started from the edge's
@@ -57,41 +57,33 @@ from .geometry import midpoint, xy
 _REFINE_TOL = 5e-13
 _MAX_STEPS = 64
 
-# segments per marching-squares case, by cell edge name; cases 5 and 10
-# are saddles resolved by the field sign at the cell center
+# directed segments per marching-squares case, by cell edge name, with the
+# field negative on the left of each; case 15 - k is case k reversed
 _CASE_SEGMENTS = {
-    1: [("left", "bottom")],
-    2: [("bottom", "right")],
-    3: [("left", "right")],
-    4: [("right", "top")],
-    6: [("bottom", "top")],
-    7: [("left", "top")],
-    8: [("left", "top")],
-    9: [("bottom", "top")],
-    11: [("right", "top")],
-    12: [("left", "right")],
-    13: [("bottom", "right")],
-    14: [("left", "bottom")],
+    1: [("bottom", "left")],
+    2: [("right", "bottom")],
+    3: [("right", "left")],
+    4: [("top", "right")],
+    6: [("top", "bottom")],
+    7: [("top", "left")],
 }
-_SADDLE_CENTER_IN = {
-    5: [("bottom", "right"), ("top", "left")],
-    10: [("left", "bottom"), ("right", "top")],
-}
-_SADDLE_CENTER_OUT = {
-    5: [("left", "bottom"), ("right", "top")],
-    10: [("bottom", "right"), ("top", "left")],
-}
+# the saddle case 5 with the field at the cell centre positive, and negative
+_SADDLE = ([("bottom", "left"), ("top", "right")], [("bottom", "right"), ("top", "left")])
 
 
 def _segment_table() -> np.ndarray:
-    """_SEGMENTS[case, centre inside, segment] is the pair of cell edges a
-    segment joins, as 0 bottom, 1 top, 2 left, 3 right; -1 for none."""
+    """_SEGMENTS[case, centre inside, segment] is the (start, end) pair of
+    cell edges a segment joins, as 0 bottom, 1 top, 2 left, 3 right; -1
+    for none."""
     names = ("bottom", "top", "left", "right")
     table = np.full((16, 2, 2, 2), -1, dtype=np.intp)
-    for inside, saddles in enumerate((_SADDLE_CENTER_OUT, _SADDLE_CENTER_IN)):
-        for code, segments in (_CASE_SEGMENTS | saddles).items():
+    for inside in (0, 1):
+        for code, segments in (_CASE_SEGMENTS | {5: _SADDLE[inside]}).items():
             for s, pair in enumerate(segments):
-                table[code, inside, s] = [names.index(e) for e in pair]
+                ends = [names.index(e) for e in pair]
+                table[code, inside, s] = ends
+                # every sign flips in the complement, the centre's too
+                table[15 - code, 1 - inside, s] = ends[::-1]
     return table
 
 
@@ -312,20 +304,18 @@ def _edge_ends(w, xs, ys, ids):
     return a, b
 
 
-def _build_adjacency(L, w, xs, ys, ci, cj, neg, ids):
-    """Neighbour lists of the crossings, as rows into ids.
+def _successors(L, w, xs, ys, ci, cj, neg, ids):
+    """The successor of each crossing, as rows into ids: nxt[start] = end
+    for every directed marching-squares segment, -1 where none starts.
 
-    Each crossed cell links its crossed edges by its marching-squares
-    segments; cells are taken in (i, j) order and each link is appended
-    to both of its ends, so every list holds one or two rows."""
+    Every segment has the field negative on its left, so each crossed edge
+    starts at most one segment and ends at most one."""
     neg = neg.astype(np.int8)
     case = neg[:, :-1, :-1] + 2 * neg[:, 1:, :-1] + 4 * neg[:, 1:, 1:] + 8 * neg[:, :-1, 1:]
     # clamping repeats the last node of a short block: those cells are not cells
     real = (ci[:, :-1, None] < w.nx) & (cj[:, None, :-1] < w.ny)
     k, a, b = np.nonzero((case > 0) & (case < 15) & real)
-    i, j = ci[k, a], cj[k, b]
-    order = np.argsort(i * w.ny + j)
-    i, j, case = i[order], j[order], case[k, a, b][order]
+    i, j, case = ci[k, a], cj[k, b], case[k, a, b]
 
     inside = np.zeros(len(case), dtype=np.intp)
     saddle = np.nonzero((case == 5) | (case == 10))[0]
@@ -339,45 +329,29 @@ def _build_adjacency(L, w, xs, ys, ci, cj, neg, ids):
     ends = np.take_along_axis(edges, seg.reshape(len(case), 4), axis=1).reshape(-1, 2, 2)
     ends = np.searchsorted(ids, ends[seg[:, :, 0] >= 0])
 
-    node = ends.ravel()
-    neighbour = ends[:, ::-1].ravel()
-    order = np.argsort(node, kind="stable")
-    neighbour = neighbour[order].tolist()
-    stops = np.cumsum(np.bincount(node, minlength=len(ids))).tolist()
-    return [neighbour[start:stop] for start, stop in zip([0] + stops, stops)]
+    nxt = np.full(len(ids), -1, dtype=np.intp)
+    nxt[ends[:, 0]] = ends[:, 1]
+    return nxt
 
 
-def _walk(adjacency, start, visited):
-    seq = [start]
-    visited[start] = True
-    prev = None
-    cur = start
-    while True:
-        nxt = None
-        for nb in adjacency[cur]:
-            if nb != prev:
-                nxt = nb
-                break
-        if nxt is None:
-            return seq, False
-        if nxt == start:
-            return seq, True
-        if visited[nxt]:
-            return seq, False
-        seq.append(nxt)
-        visited[nxt] = True
-        prev, cur = cur, nxt
-
-
-def _extract_chains(adjacency):
+def _extract_chains(nxt):
+    """The chains of successors, as (rows, closed): open chains from each
+    crossing that no segment ends at, in id order, then each cycle from
+    its lowest id."""
+    heads = np.ones(len(nxt), dtype=bool)
+    heads[nxt[nxt >= 0]] = False
+    nxt = nxt.tolist()
+    visited = [False] * len(nxt)
     chains = []
-    visited = [False] * len(adjacency)
-    for node, nbs in enumerate(adjacency):
-        if not visited[node] and len(nbs) == 1:
-            chains.append(_walk(adjacency, node, visited))
-    for node in range(len(adjacency)):
-        if not visited[node]:
-            chains.append(_walk(adjacency, node, visited))
+    for start in np.flatnonzero(heads).tolist() + list(range(len(nxt))):
+        if visited[start]:
+            continue
+        seq, cur = [], start
+        while cur >= 0 and not visited[cur]:
+            seq.append(cur)
+            visited[cur] = True
+            cur = nxt[cur]
+        chains.append((seq, cur == start))
     return chains
 
 
@@ -428,23 +402,6 @@ def _dedupe(pts: np.ndarray, tol: float) -> np.ndarray:
     return pts[keep]
 
 
-def _orient(L, w, pts: np.ndarray, closed: bool) -> np.ndarray:
-    if closed:
-        if _signed_area(pts) < 0.0:
-            return np.concatenate((pts[:1], pts[:0:-1]))
-        return pts
-    # open chain: keep the interior (negative field) on the left
-    a, b = pts[0], pts[1]
-    d = b - a
-    n = math.hypot(*d.tolist())
-    if n > 0.0:
-        left = np.array((-d[1], d[0])) * (1.0 / n)
-        probe = 0.5 * (a + b) + left * (0.25 * min(w.dx, w.dy))
-        if lemniscate_field_array(L, probe[:1], probe[1:])[0] > 0.0:
-            return pts[::-1]
-    return pts
-
-
 def trace(L: PolynomialLemniscate, w: TraceWindow) -> list[Contour]:
     """Extract the zero set of the lemniscate field inside the window.
 
@@ -459,14 +416,14 @@ def trace(L: PolynomialLemniscate, w: TraceWindow) -> list[Contour]:
     if not ids.size:
         raise EmptyTrace("no sign change in the window")
 
-    adjacency = _build_adjacency(L, w, xs, ys, ci, cj, neg, ids)
+    nxt = _successors(L, w, xs, ys, ci, cj, neg, ids)
     # the singular points follow the crossings as extra rows, which stay fixed
     singular = _singular_points(L)
     singular_rows = range(len(coords), len(coords) + len(singular))
     coords = np.concatenate((coords, singular))
 
     pieces = []
-    for rows, closed in _extract_chains(adjacency):
+    for rows, closed in _extract_chains(nxt):
         pieces += _snap_and_split(rows, closed, coords, singular_rows, w.cell_diagonal)
 
     # one bracket over the crossed edge of every vertex of every piece
@@ -480,7 +437,7 @@ def trace(L: PolynomialLemniscate, w: TraceWindow) -> list[Contour]:
         if len(pts) < (3 if closed else 2):
             continue
         residual = float(np.abs(lemniscate_field_array(L, pts[:, 0], pts[:, 1])).max())
-        contours.append(Contour(_orient(L, w, pts, closed), closed, residual))
+        contours.append(Contour(pts, closed, residual))
 
     # by each contour's leftmost-lowest point
     contours.sort(key=lambda c: tuple(c.points[np.lexsort(c.points.T[::-1])[0]].tolist()))

@@ -232,6 +232,21 @@ class TestErrorPaths:
         code, _, err = run_cli(capsys, "rightangle", "--alpha", "150")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv, radius",
+        [
+            (("trace", "--foci=-1e150,0,1e150,0"), "1e+150"),
+            (("figure", "--preset", "lemniscate", "--foci=-1e150,0,1e150,0"), "1e+150"),
+            (("verify", "--foci=-1e-300,0,1e-300,0"), "1e-300"),
+            (("area", "--foci=-1e200,0,1e200,0"), "1e+200"),
+        ],
+    )
+    def test_extreme_scale_is_a_usage_error(self, capsys, argv, radius):
+        # c**4 overflows or underflows: refused before any arithmetic on it
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and f"radius {radius} at n = 2" in err
+
     def test_no_command_usage(self):
         with pytest.raises(SystemExit) as excinfo:
             main([])

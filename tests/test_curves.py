@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -316,6 +317,20 @@ class TestTypeInvariants:
     def test_distinct_foci(self):
         with pytest.raises(ValueError):
             PolynomialLemniscate((Point(0, 0), Point(0, 0)), 1.0)
+
+    def test_level_must_be_a_normal_float(self):
+        four = tuple(Point(k, 0.0) for k in range(4))
+        # 1e-50**4 and 1e50**4 are normal, 1e-50**8 underflows and 1e50**8 overflows
+        for radius in (1e-50, 1e50):
+            assert PolynomialLemniscate(four[:2], radius).level > 0.0
+            with pytest.raises(ValueError, match=re.escape(f"radius {radius} at n = 4")):
+                PolynomialLemniscate(four, radius)
+        for radius in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                PolynomialLemniscate(four[:2], radius)
+        # c**4 for c = 1e-100 underflows
+        with pytest.raises(ValueError, match="at n = 2"):
+            BernoulliConfig(Point(-1e-100, 0.0), Point(1e-100, 0.0))
 
     def test_bernoulli_radius_is_half_distance(self):
         B = BernoulliConfig(Point(0.0, 0.0), Point(3.0, 4.0))

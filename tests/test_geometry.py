@@ -50,6 +50,14 @@ class TestInvertPoint:
         with pytest.raises(CenterSingular):
             invert_point(UNIT_INV, Point(0.0, 0.0))
 
+    def test_center_guard_is_relative_to_the_radius(self):
+        tiny = InversionMap(Point(0.0, 0.0), 1e-13)
+        assert_close(invert_point(tiny, Point(1e-14, 0.0)), Point(1e-12, 0.0), tol=1e-24)
+        with pytest.raises(CenterSingular):
+            invert_point(tiny, Point(1e-26, 0.0))
+        with pytest.raises(CenterSingular):
+            invert_point(InversionMap(Point(0.0, 0.0), 1e13), Point(1e-2, 0.0))
+
     @given(
         cx=coords,
         cy=coords,
@@ -119,6 +127,13 @@ class TestInvertLine:
     def test_through_center_rejected(self):
         with pytest.raises(LineThroughCenter):
             invert_line(UNIT_INV, Line(Point(0.0, 0.0), Point(1.0, 2.0)))
+
+    def test_through_center_guard_is_relative_to_the_radius(self):
+        tiny = InversionMap(Point(0.0, 0.0), 1e-13)
+        circle = invert_line(tiny, Line(Point(0.0, 1e-14), Point(1.0, 0.0)))
+        assert circle.radius == pytest.approx(0.5e-12, rel=1e-12)
+        with pytest.raises(LineThroughCenter):
+            invert_line(tiny, Line(Point(0.0, 1e-26), Point(1.0, 0.0)))
 
     def test_sample_and_check(self):
         # oracle: invert many points of the line, all must land on the circle

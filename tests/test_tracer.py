@@ -24,14 +24,12 @@ from lemniscate import (
 from lemniscate.curves import field_residual, lemniscate_field_array
 from lemniscate.errors import EmptyTrace, OpenContour
 from lemniscate.tracer import (
-    _CASE_SEGMENTS,
-    _SADDLE_CENTER_IN,
-    _SADDLE_CENTER_OUT,
+    _SEGMENTS,
     _band,
-    _build_adjacency,
     _dedupe,
     _edge_points,
     _signed_area,
+    _successors,
     bernoulli_window,
 )
 
@@ -87,8 +85,8 @@ def dense_crossings(L, w):
     """Reference marching squares over every node of the window: the
     linear ids of the crossed edges (edges along x in (i, j) order, then
     edges along y), the interpolated crossings as rows (M, 2) in that
-    order, and each crossed edge's neighbour edge ids, linked cell by cell
-    in (i, j) order."""
+    order, and the successor map of the directed marching-squares segments
+    from edge id to edge id, built cell by cell."""
     xs = np.linspace(w.xmin, w.xmax, w.nx + 1)
     ys = np.linspace(w.ymin, w.ymax, w.ny + 1)
     grid = lemniscate_field_array(L, xs[:, None], ys[None, :])
@@ -105,25 +103,18 @@ def dense_crossings(L, w):
 
     n = neg.astype(int)
     case = n[:-1, :-1] + 2 * n[1:, :-1] + 4 * n[1:, 1:] + 8 * n[:-1, 1:]
-    adjacency = {}
+    successor = {}
     for i, j in np.argwhere((case > 0) & (case < 15)).tolist():
         code = int(case[i, j])
-        if code in _SADDLE_CENTER_IN:
-            centre = Point(xs[i] + 0.5 * w.dx, ys[j] + 0.5 * w.dy)
-            table = _SADDLE_CENTER_IN if lemniscate_field(L, centre) < 0.0 else _SADDLE_CENTER_OUT
-            segments = table[code]
-        else:
-            segments = _CASE_SEGMENTS[code]
-        edges = {
-            "bottom": i * (w.ny + 1) + j,
-            "top": i * (w.ny + 1) + j + 1,
-            "left": first_v + i * w.ny + j,
-            "right": first_v + (i + 1) * w.ny + j,
-        }
-        for e1, e2 in segments:
-            adjacency.setdefault(edges[e1], []).append(edges[e2])
-            adjacency.setdefault(edges[e2], []).append(edges[e1])
-    return ids, coords, adjacency
+        centre = Point(xs[i] + 0.5 * w.dx, ys[j] + 0.5 * w.dy)
+        inside = code in (5, 10) and lemniscate_field(L, centre) < 0.0
+        bottom, left = i * (w.ny + 1) + j, first_v + i * w.ny + j
+        edges = (bottom, bottom + 1, left, left + w.ny)  # bottom, top, left, right
+        for start, end in _SEGMENTS[code, int(inside)].tolist():
+            if start >= 0:
+                assert edges[start] not in successor
+                successor[edges[start]] = edges[end]
+    return ids, coords, successor
 
 
 def band_crossings(L, w):
@@ -132,9 +123,9 @@ def band_crossings(L, w):
     ys = np.linspace(w.ymin, w.ymax, w.ny + 1)
     ci, cj, vals = _band(L, w, xs, ys)
     neg, ids, coords = _edge_points(w, xs, ys, ci, cj, vals)
-    adjacency = _build_adjacency(L, w, xs, ys, ci, cj, neg, ids)
+    nxt = _successors(L, w, xs, ys, ci, cj, neg, ids)
     ids = ids.tolist()
-    return ids, coords, {ids[r]: [ids[k] for k in nbs] for r, nbs in enumerate(adjacency)}
+    return ids, coords, {ids[r]: ids[k] for r, k in enumerate(nxt.tolist()) if k >= 0}
 
 
 def raw_edges(L, w):
@@ -256,12 +247,12 @@ class TestBand:
         ],
     )
     def test_matches_dense_grid(self, lem, window):
-        ids, coords, adjacency = band_crossings(lem, window)
-        dense_ids, dense_coords, dense_adjacency = dense_crossings(lem, window)
+        ids, coords, successor = band_crossings(lem, window)
+        dense_ids, dense_coords, dense_successor = dense_crossings(lem, window)
         assert len(ids) > 0
         assert ids == dense_ids.tolist()
         assert coords.tolist() == dense_coords.tolist()
-        assert adjacency == dense_adjacency
+        assert successor == dense_successor
 
     def test_block_test_leaves_out_most_of_the_window(self):
         w = TraceWindow(-1.6, 1.6, -0.8, 0.8, 512, 512)
@@ -276,6 +267,63 @@ class TestBand:
         contours = trace(small, TraceWindow(-2.0, 2.0, -2.0, 2.0, 1024, 1024))
         assert len(contours) == 1
         assert contours[0].closed
+
+
+class TestOrientation:
+    # corners (0, 0), (1, 0), (1, 1), (0, 1) are case bits 0-3; the cell
+    # edges as corner pairs, in the table's order bottom, top, left, right
+    CORNERS = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+    EDGES = ((0, 1), (3, 2), (0, 3), (1, 2))
+
+    @pytest.mark.parametrize("code", range(1, 15))
+    @pytest.mark.parametrize("centre_inside", [False, True])
+    def test_case_table_puts_the_negative_side_on_the_left(self, code, centre_inside):
+        # -1 at the negative corners and +1 at the others, shifted by a
+        # quarter so that a saddle's bilinear centre value has the given sign
+        v = np.array([-1.0 if code >> bit & 1 else 1.0 for bit in range(4)]) + (-0.25 if centre_inside else 0.25)
+
+        def bilinear(p):
+            x, y = p
+            return v[0] * (1 - x) * (1 - y) + v[1] * x * (1 - y) + v[2] * x * y + v[3] * (1 - x) * y
+
+        def crossing(edge):
+            p, q = self.EDGES[edge]
+            return self.CORNERS[p] + v[p] / (v[p] - v[q]) * (self.CORNERS[q] - self.CORNERS[p])
+
+        segments = [(s, e) for s, e in _SEGMENTS[code, int(centre_inside)].tolist() if s >= 0]
+        assert len(segments) == (2 if code in (5, 10) else 1)
+        for start, end in segments:
+            a, b = crossing(start), crossing(end)
+            left = np.array((a[1] - b[1], b[0] - a[0])) / math.dist(a, b)
+            mid = 0.5 * (a + b)
+            assert bilinear(mid + 0.25 * left) < 0.0
+            assert bilinear(mid - 0.25 * left) > 0.0
+
+    def test_random_lemniscates_come_out_oriented(self):
+        rng = random.Random(9)
+        closed = opened = 0
+        for _ in range(60):
+            foci = tuple(Point(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(rng.randint(1, 6)))
+            lem = PolynomialLemniscate(foci, rng.uniform(0.3, 1.3))
+            x0, y0 = rng.uniform(-2.0, 0.0), rng.uniform(-2.0, 0.0)
+            w = TraceWindow(x0, x0 + rng.uniform(0.5, 3.0), y0, y0 + rng.uniform(0.5, 3.0),
+                            rng.randrange(33, 257, 2), rng.randrange(33, 257, 2))
+            try:
+                contours = trace(lem, w)
+            except EmptyTrace:
+                continue
+            for c in contours:
+                if c.closed:
+                    closed += 1
+                    assert _signed_area(c.points) > 0.0
+                else:
+                    # a quarter cell left of the first segment's midpoint is inside
+                    opened += 1
+                    a, b = c.points[0], c.points[1]
+                    left = np.array((a[1] - b[1], b[0] - a[0])) / math.dist(a, b)
+                    probe = 0.5 * (a + b) + 0.25 * min(w.dx, w.dy) * left
+                    assert lemniscate_field(lem, Point(*probe)) < 0.0
+        assert closed >= 10 and opened >= 10
 
 
 class TestTraceCircle:

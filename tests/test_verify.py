@@ -35,8 +35,9 @@ def failures(checks):
         (-3e-6, 1e-6, 5e-6, 2e-6),
         (999.0, 0.0, 1001.0, 0.0),
         (-3e6, 1e6, 5e6, 2e6),
+        (-1e-13, 0.0, 1e-13, 0.0),
     ],
-    ids=["c=100", "c=0.1", "tilted", "rotated-53deg", "c=1e-4", "tilted-1e-6", "offset-1000", "tilted-1e6"],
+    ids=["c=100", "c=0.1", "tilted", "rotated-53deg", "c=1e-4", "tilted-1e-6", "offset-1000", "tilted-1e6", "c=1e-13"],
 )
 def test_full_report_passes(foci):
     B = BernoulliConfig(Point(*foci[:2]), Point(*foci[2:]))
