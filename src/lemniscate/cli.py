@@ -9,6 +9,7 @@ verification failure, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -98,14 +99,19 @@ def _pt(p: Point | None):
     return None if p is None else [p.x, p.y]
 
 
-def _json_doc(config: dict, contours=None, checks=None, **extra) -> str:
-    doc = {
-        "config": config,
-        "contours": [c.points.tolist() for c in (contours or [])],
-        "checks": checks or {},
-    }
-    doc.update(extra)
-    return json.dumps(doc, indent=2) + "\n"
+# a contour vertex as json.dumps(doc, indent=2) writes it: float.__repr__ (rows are finite)
+_JSON_VERTEX = "      [\n        %r,\n        %r\n      ]"
+
+
+def _json_doc(config: dict, contours=(), checks=None, **extra) -> str:
+    text = json.dumps({"config": config, "contours": [], "checks": checks or {}} | extra, indent=2) + "\n"
+    if not contours:
+        return text
+    lists = "\n    ],\n    [\n".join(
+        ",\n".join([_JSON_VERTEX] * len(c.points)) % tuple(c.points.ravel().tolist()) for c in contours
+    )
+    # config's lines are indented deeper, so the first match is the top-level key
+    return text.replace('\n  "contours": [],', f'\n  "contours": [\n    [\n{lists}\n    ]\n  ],', 1)
 
 
 # shared flags; a subcommand declares only those it reads
@@ -307,8 +313,12 @@ _COMMANDS = {
 }
 
 
+# the parser is built on main's first call, not at import, and then reused
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return (_cmd_construction if args.command in _SVG_PRESETS else _COMMANDS[args.command])(args)
     except (GeometryError, ValueError) as exc:

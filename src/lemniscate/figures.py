@@ -380,9 +380,9 @@ def emit_svg(scene: Scene) -> str:
     scale = _SVG_WIDTH / (w.xmax - w.xmin)
     height = (w.ymax - w.ymin) * scale
 
-    def to_px(rows) -> list:  # of a point (x, y) or of (N, 2) rows
+    def to_px(rows) -> np.ndarray:  # of a point (x, y) or of (N, 2) rows
         rows = np.asarray(rows)
-        return np.stack(((rows[..., 0] - w.xmin) * scale, (w.ymax - rows[..., 1]) * scale), axis=-1).tolist()
+        return np.stack(((rows[..., 0] - w.xmin) * scale, (w.ymax - rows[..., 1]) * scale), axis=-1)
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -399,7 +399,8 @@ def emit_svg(scene: Scene) -> str:
 
     for el in scene.elements:
         if isinstance(el, PolylineElement):
-            coords = " ".join([f"{_fmt(x)},{_fmt(y)}" for x, y in to_px(el.points)])
+            rows = to_px(el.points) + 0.0  # as _fmt: -0.0 + 0.0 is 0.0
+            coords = " ".join(["%.9g,%.9g"] * len(rows)) % tuple(rows.ravel().tolist())
             tag = "polygon" if el.closed else "polyline"
             lines.append(
                 f'  <{tag} points="{coords}" fill="none" stroke="{_CURVE_COLOR}" '

@@ -261,11 +261,12 @@ def row_rotate(v, angle):
 
 
 def angle_at_array(vertex, a, b):
-    """angle_at for each row. Raises DegenerateRay where a ray endpoint
-    lies within 1e-12 of its vertex."""
+    """angle_at for each row. Raises DegenerateRay where a ray is no longer
+    than 1e-12 times the largest coordinate magnitude in its row."""
     va = a - vertex
     vb = b - vertex
-    if ((row_norm(va) <= _EPS) | (row_norm(vb) <= _EPS)).any():
+    least = _EPS * np.abs(np.broadcast_arrays(vertex, a, b)).max(axis=(0, -1))
+    if ((row_norm(va) <= least) | (row_norm(vb) <= least)).any():
         raise DegenerateRay("ray endpoint coincides with the vertex")
     return np.arctan2(np.abs(row_cross(va, vb)), row_dot(va, vb))
 

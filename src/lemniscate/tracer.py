@@ -169,8 +169,9 @@ def refine(L: PolynomialLemniscate, a, b) -> np.ndarray:
     the linear interpolant of the end values, and an end that stays twice
     running has its value halved, so the bracket closes from both sides.
     A row stops once its scale-free residual |f| / (f + 2 level) is at
-    most 5e-13, or after 64 steps. Every iterate lies on its segment, so
-    nothing can fail.
+    most 5e-13, once no float lies strictly between the points of its
+    bracket's ends, or after 64 steps. Every iterate lies on its segment,
+    so nothing can fail.
     """
     a = np.asarray(a, dtype=float).reshape(-1, 2)
     b = np.asarray(b, dtype=float).reshape(-1, 2)
@@ -179,20 +180,16 @@ def refine(L: PolynomialLemniscate, a, b) -> np.ndarray:
     same = np.flatnonzero((flo < 0.0) == (fhi < 0.0))
     if same.size:
         raise ValueError(f"the ends of segment {same[0]} do not straddle the curve")
-    d = b - a
     out = np.empty_like(a)
     rows = np.arange(len(a))
+    ax, ay, dx, dy = a[:, 0], a[:, 1], b[:, 0] - a[:, 0], b[:, 1] - a[:, 1]
     lo, hi = np.zeros(len(a)), np.ones(len(a))
     moved = np.zeros(len(a))  # the end the last step replaced: -1 lo, 1 hi, 0 none
     for _ in range(_MAX_STEPS):
         t = np.minimum(np.maximum(lo + (hi - lo) * (flo / (flo - fhi)), lo), hi)
-        p = a[rows] + t[:, None] * d[rows]
-        f = lemniscate_field_array(L, p[:, 0], p[:, 1])
-        out[rows] = p
-        go = ~(field_residual(L, f) <= _REFINE_TOL)
-        rows, t, f, lo, hi, flo, fhi, moved = (v[go] for v in (rows, t, f, lo, hi, flo, fhi, moved))
-        if not rows.size:
-            break
+        x, y = ax + t * dx, ay + t * dy
+        f = lemniscate_field_array(L, x, y)
+        out[rows, 0], out[rows, 1] = x, y
         low = (f < 0.0) == (flo < 0.0)  # the step replaces the lo end
         # Illinois: an end that stays a second time running has its value halved
         fhi = np.where(low & (moved < 0.0), 0.5 * fhi, fhi)
@@ -200,6 +197,15 @@ def refine(L: PolynomialLemniscate, a, b) -> np.ndarray:
         lo, flo = np.where(low, t, lo), np.where(low, f, flo)
         hi, fhi = np.where(low, hi, t), np.where(low, fhi, f)
         moved = np.where(low, -1.0, 1.0)
+        # (x, y) is now one end of the bracket and (u, v) the kept one; with no
+        # float strictly between them no later step can meet the target
+        kept = np.where(low, hi, lo)
+        u, v = ax + kept * dx, ay + kept * dy
+        go = ~(field_residual(L, f) <= _REFINE_TOL) & ((np.nextafter(x, u) != u) | (np.nextafter(y, v) != v))
+        state = (rows, ax, ay, dx, dy, lo, hi, flo, fhi, moved)
+        rows, ax, ay, dx, dy, lo, hi, flo, fhi, moved = (w[go] for w in state)
+        if not rows.size:
+            break
     return out
 
 
@@ -450,7 +456,8 @@ def contours_to_csv(contours) -> str:
     Coordinates use shortest round-trip float formatting so re-importing
     reproduces them exactly.
     """
-    return "\n\n".join("\n".join(f"{x!r},{y!r}" for x, y in c.points.tolist()) for c in contours) + "\n"
+    text = ("\n".join(["%r,%r"] * len(c.points)) % tuple(c.points.ravel().tolist()) for c in contours)
+    return "\n\n".join(text) + "\n"
 
 
 def contours_from_csv(text: str) -> list[np.ndarray]:

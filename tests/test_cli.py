@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import lemniscate
+import lemniscate.cli as cli
 from lemniscate import BernoulliConfig, Point, PolynomialLemniscate, Scene, TraceWindow, emit_svg, figure_scene
 from lemniscate.cli import main
 from lemniscate.figures import PolylineElement, curve_scene
@@ -148,6 +149,73 @@ class TestTraceCommand:
         code, _, err = run_cli(capsys, "trace", "--window", "5,6,5,6", "--grid", "16")
         assert code == 2
         assert "sign change" in err
+
+
+class TestJsonWriter:
+    @pytest.mark.parametrize(
+        "argv, count",
+        [
+            (["--window=0.1,1.6,-0.8,0.8"], 1),
+            ([], 2),
+            (["--foci=0,0.577,-0.5,-0.289,0.5,-0.289", "--radius", "0.5"], 3),
+            (["--window=-0.7,1.6,-0.6,0.3"], 2),  # cut open by the window
+        ],
+    )
+    def test_trace_json_is_json_dumps_indent_2(self, capsys, argv, count):
+        code, out, _ = run_cli(capsys, "trace", "--grid", "96", "--format", "json", *argv)
+        assert code == 0
+        doc = json.loads(out)
+        assert len(doc["contours"]) == count
+        # json.loads reads each float back exactly and keeps the key order
+        assert out == json.dumps(doc, indent=2) + "\n"
+        code, csv, _ = run_cli(capsys, "trace", "--grid", "96", *argv)
+        assert [g.tolist() for g in contours_from_csv(csv)] == doc["contours"]
+
+    def test_documents_without_contours(self, capsys):
+        for argv in (["area"], ["expand"], ["verify", "--grid", "64", "--format", "json"]):
+            code, out, _ = run_cli(capsys, *argv)
+            doc = json.loads(out)
+            assert doc["contours"] == [] and out == json.dumps(doc, indent=2) + "\n"
+
+
+class TestParserReuse:
+    SEQUENCE = [
+        ["trace", "--grid", "48", "--format", "json"],
+        ["trace", "--grid", "48"],  # --format back at its default
+        ["figure", "--preset", "normal", "--theta", "20", "--grid", "48"],
+        ["figure", "--preset", "normal", "--grid", "48"],  # --theta back at the preset's
+        ["linkage", "--format", "svg", "--grid", "48"],
+        ["linkage"],  # --grid back at None: the JSON form
+        ["area", "--radius", "3"],  # a usage error
+        ["invert", "--point", "0,0"],  # an input error
+        ["area", "--foci=-2,0,2,0"],
+        ["area"],
+    ]
+
+    @staticmethod
+    def outcome(capsys, argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_each_call_as_if_run_alone(self, capsys):
+        alone = []
+        for argv in self.SEQUENCE:
+            cli._parser.cache_clear()
+            alone.append(self.outcome(capsys, argv))
+        cli._parser.cache_clear()
+        in_turn = [self.outcome(capsys, argv) for argv in self.SEQUENCE]
+        assert in_turn == alone
+        assert [code for code, _, _ in alone] == [0, 0, 0, 0, 0, 0, 2, 2, 0, 0]
+        # one parser built for the whole sequence
+        assert cli._parser.cache_info().misses == 1
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+        assert cli.build_parser() is not cli._parser()
 
 
 class TestFigureCommand:

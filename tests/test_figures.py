@@ -3,6 +3,7 @@
 import math
 import pathlib
 import random
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from lemniscate import (
     figure_scene,
 )
 from lemniscate.errors import UnknownPreset
-from lemniscate.figures import CircleElement, MarkerElement, PolylineElement, SegmentElement
+from lemniscate.figures import CircleElement, MarkerElement, PolylineElement, SegmentElement, _fmt
 
 B = BernoulliConfig(Point(-1.0, 0.0), Point(1.0, 0.0))
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -165,6 +166,25 @@ class TestEmitSvg:
         first = emit_svg(figure_scene("inversion", B, grid=64))
         second = emit_svg(figure_scene("inversion", B, grid=64))
         assert first == second
+
+    def test_polyline_points_match_per_coordinate_fmt(self):
+        # the per-coordinate _fmt loop the emitter replaced, as the reference;
+        # this window maps x to x and y to -0.0 - y, so -0.0 reaches the pixels
+        w = TraceWindow(0.0, 800.0, -800.0, -0.0, 16, 16)
+        scale = 800.0 / (w.xmax - w.xmin)
+        rng = np.random.default_rng(5)
+        rows = rng.choice([-1.0, 1.0], (300, 2)) * 10.0 ** rng.uniform(-300, 300, (300, 2))
+        rows[:6] = [(-0.0, 0.0), (1e-300, -1e300), (1e300, -0.0), (5e-324, 1e-300), (0.0, 2.0 / 3.0), (-1e300, 1.0)]
+        scene = Scene(w)
+        scene.add(PolylineElement(np.array([(1.0, -1.0), (-0.0, 0.0), (799.5, -0.0)]), False, Style()))
+        # past the scene guard, to reach the ends of the float range
+        scene.elements.append(PolylineElement(rows, True, Style()))
+        expected = []
+        for el in scene.elements:
+            px = [((x - w.xmin) * scale, (w.ymax - y) * scale) for x, y in el.points.tolist()]
+            assert any(math.copysign(1.0, v) < 0.0 for row in px for v in row if v == 0.0)
+            expected.append(" ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in px))
+        assert re.findall(r' points="([^"]*)"', emit_svg(scene)) == expected
 
     def test_label_escaping(self):
         scene = Scene(TraceWindow(-1, 1, -1, 1, 16, 16))

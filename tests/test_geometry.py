@@ -255,6 +255,16 @@ class TestAngleAt:
         with pytest.raises(DegenerateRay):
             angle_at(Point(1, 1), Point(1, 1), Point(2, 2))
 
+    def test_ray_guard_is_relative_to_the_coordinates(self):
+        # a right angle at the c = 1e-13 scale: rays 1e-13 long are measured
+        v = Point(1e-13, 0.0)
+        assert angle_at(v, Point(2e-13, 0.0), Point(1e-13, 1e-13)) == pytest.approx(math.pi / 2)
+        with pytest.raises(DegenerateRay):  # a zero-length ray, at the origin too
+            angle_at(Point(0.0, 0.0), Point(0.0, 0.0), Point(1e-13, 0.0))
+        # a ray 1e-10 long at coordinates near 1e6 is below 1e-12 of them
+        with pytest.raises(DegenerateRay):
+            angle_at(Point(1e6, 1e6), Point(1e6 + 1e-10, 1e6), Point(1e6, 2e6))
+
 
 class TestLineLine:
     def test_crossing(self):

@@ -21,6 +21,7 @@ from lemniscate import (
     refine,
     trace,
 )
+from lemniscate import tracer
 from lemniscate.curves import field_residual, lemniscate_field_array
 from lemniscate.errors import EmptyTrace, OpenContour
 from lemniscate.tracer import (
@@ -58,7 +59,8 @@ def equilateral_foci():
 def reference_bracket(L, a, b):
     """Regula falsi with the Illinois modification on the segment a -> b,
     one point at a time: at most 64 steps, stopping at a scale-free
-    residual |f| / (f + 2 level) <= 5e-13."""
+    residual |f| / (f + 2 level) <= 5e-13, or once no float lies strictly
+    between the points of the bracket's ends in either coordinate."""
     (ax, ay), (bx, by) = a, b
     dx, dy = bx - ax, by - ay
     lo, hi = 0.0, 1.0
@@ -78,6 +80,9 @@ def reference_bracket(L, a, b):
             if moved > 0:
                 flo = 0.5 * flo
             hi, fhi, moved = t, f, 1
+        (x0, y0), (x1, y1) = [(ax + s * dx, ay + s * dy) for s in (lo, hi)]
+        if math.nextafter(x0, x1) == x1 and math.nextafter(y0, y1) == y1:
+            break
     return p
 
 
@@ -182,6 +187,18 @@ class TestRefine:
         # beside the Bernoulli double point included
         assert ((np.minimum(a, b) <= got) & (got <= np.maximum(a, b))).all()
         assert field_residual(lem, lemniscate_field_array(lem, *got.T)).max() <= 5e-13
+
+    def test_matches_scalar_illinois_where_floats_run_out(self):
+        # c = 1e-6 at offset 100: a coordinate step is 1.4e-8 c, too coarse
+        # for 5e-13, so rows stop where their bracket's ends are adjacent floats
+        config = BernoulliConfig(Point(100.0 - 1e-6, 0.0), Point(100.0 + 1e-6, 0.0))
+        lem = config.lemniscate
+        a, b = raw_edges(lem, bernoulli_window(config, 128, 1.6e-6 * math.sqrt(2.0), 0.8e-6 * math.sqrt(2.0)))
+        got = refine(lem, a, b)
+        expected = [reference_bracket(lem, p, q) for p, q in zip(a.tolist(), b.tolist())]
+        assert got.tolist() == [list(p) for p in expected]
+        assert ((np.minimum(a, b) <= got) & (got <= np.maximum(a, b))).all()
+        assert field_residual(lem, lemniscate_field_array(lem, *got.T)).max() > 5e-13
 
     def test_empty_batch(self):
         out = refine(L, np.empty((0, 2)), np.empty((0, 2)))
@@ -431,6 +448,23 @@ class TestTraceScale:
         total = sum(contour_area(k) for k in contours)
         assert total == pytest.approx(bernoulli_area(config), rel=1e-3)
 
+    @pytest.mark.parametrize("c, offset", [(1e-6, 1e2), (1e-3, 1e3)])
+    def test_bracket_stops_where_floats_run_out(self, c, offset, monkeypatch):
+        # no float lies between a stalled bracket's ends, so no step can meet
+        # 5e-13; without the stop each trace makes 69 field calls, 64 of them steps
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return lemniscate_field_array(*args)
+
+        monkeypatch.setattr(tracer, "lemniscate_field_array", counting)
+        config = BernoulliConfig(Point(offset - c, 0.0), Point(offset + c, 0.0))
+        w = bernoulli_window(config, 512, 1.6 * c * math.sqrt(2.0), 0.8 * c * math.sqrt(2.0))
+        contours = trace(config.lemniscate, w)
+        assert len(contours) == 2 and all(k.closed for k in contours)
+        assert len(calls) < 32
+
     def test_tiny_curve_keeps_its_vertices(self):
         # every vertex lies within 1e-12 of its neighbours; the dedupe
         # distance follows the cell size, so none is dropped for that
@@ -564,6 +598,16 @@ class TestCsv:
             assert len(contour.points) == len(group)
             for p, q in zip(contour.points, group):
                 assert p[0] == q[0] and p[1] == q[1]
+
+    def test_matches_per_vertex_repr(self):
+        # the per-vertex f-string the writer replaced, as the reference
+        rng = np.random.default_rng(17)
+        rows = rng.choice([-1.0, 1.0], (200, 2)) * 10.0 ** rng.uniform(-300, 300, (200, 2))
+        rows[:6] = [(-0.0, 0.0), (1e-300, -1e300), (5e-324, 0.1), (1e300, 2.0 / 3.0), (-1e-300, 1.0), (3.0, -0.0)]
+        contours = [Contour(rows[:120], True, 0.0), Contour(rows[120:], False, 0.0)]
+        contours += trace(L, TraceWindow(-1.6, 1.6, -0.8, 0.8, 64, 64))
+        expected = "\n\n".join("\n".join(f"{x!r},{y!r}" for x, y in c.points.tolist()) for c in contours) + "\n"
+        assert contours_to_csv(contours) == expected
 
     def test_format_shape(self):
         text = contours_to_csv(
