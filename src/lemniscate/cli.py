@@ -193,27 +193,14 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _cmd_linkage(args) -> int:
+def _cmd_mechanism(args) -> int:
     B = _bernoulli(args)
-    st = three_bar_solve(B, math.radians(args.theta), args.side)
-    config = {"foci": [_pt(B.f1), _pt(B.f2)], "theta_deg": args.theta, "side": args.side}
-    _write(args, _json_doc(config, points={"a": _pt(st.a), "b": _pt(st.b), "x": _pt(st.x), "p": _pt(st.p), "q": _pt(st.q)}))
-    return 0
-
-
-def _cmd_maclaurin(args) -> int:
-    B = _bernoulli(args)
-    s = maclaurin_sample(B, math.radians(args.phi))
-    config = {"foci": [_pt(B.f1), _pt(B.f2)], "phi_deg": args.phi}
-    _write(args, _json_doc(config, points={"a": _pt(s.a), "b": _pt(s.b), "x": _pt(s.x), "x_prime": _pt(s.x_prime)}))
-    return 0
-
-
-def _cmd_rightangle(args) -> int:
-    B = _bernoulli(args)
-    st = right_angle_solve(B, math.radians(args.alpha))
-    config = {"foci": [_pt(B.f1), _pt(B.f2)], "alpha_deg": args.alpha}
-    _write(args, _json_doc(config, points={"a": _pt(st.a), "x": _pt(st.x), "y": _pt(st.y)}))
+    angle = _BERNOULLI_PRESETS[_SVG_PRESETS[args.command]][1]
+    side = {"side": args.side} if "side" in args else {}
+    state = _MECHANISMS[args.command](B, math.radians(getattr(args, angle)), **side)
+    config = {"foci": [_pt(B.f1), _pt(B.f2)], f"{angle}_deg": getattr(args, angle), **side}
+    points = {name: _pt(v) for name, v in state._asdict().items() if name not in (angle, "side")}
+    _write(args, _json_doc(config, points=points))
     return 0
 
 
@@ -299,11 +286,13 @@ def _cmd_verify(args) -> int:
     return 0 if all(c.passed for c in checks) else 1
 
 
+_MECHANISMS = {"linkage": three_bar_solve, "maclaurin": maclaurin_sample, "rightangle": right_angle_solve}
+
 _COMMANDS = {
     "trace": _cmd_trace,
-    "linkage": _cmd_linkage,
-    "maclaurin": _cmd_maclaurin,
-    "rightangle": _cmd_rightangle,
+    "linkage": _cmd_mechanism,
+    "maclaurin": _cmd_mechanism,
+    "rightangle": _cmd_mechanism,
     "invert": _cmd_invert,
     "normal": _cmd_normal,
     "area": _cmd_area,

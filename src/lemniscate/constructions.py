@@ -8,15 +8,17 @@ angle-doubling normal construction.
 
 Each construction is one numpy kernel (the `*_array` functions): a
 parameter array, or points as rows of an (N, 2) array, in; (N, 2) arrays
-out. The scalar functions are one-row calls of their kernel and return
-immutable states. A kernel that meets an invalid parameter raises the
-construction's GeometryError naming the first offending parameter.
+out. The scalar functions are one-row calls of their kernel. Each of the
+three mechanisms has one state type, a NamedTuple that serves both: a
+sweep holds arrays of shape (N,) and (N, 2), one solve holds floats and
+Points. A kernel that meets an invalid parameter raises the
+construction's GeometryError naming the first offending parameter, or
+ValueError for an angle that is not finite.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -39,6 +41,7 @@ from .geometry import (
     Circle,
     Line,
     Point,
+    angle_array,
     invert_point_array,
     line_line_intersection_array,
     reflect_across_line_array,
@@ -57,8 +60,8 @@ SIDE_OPPOSITE = "opposite"
 SIDE_SAME = "same"
 
 
-def _state(cls, arrays, k: int = 0):
-    """Row k of a kernel's arrays as the scalar state cls: parameters as
+def _row(states, k: int = 0):
+    """Row k of a sweep's states as the state of one solve: parameters as
     floats, points as Points (None for a NaN row)."""
 
     def value(v):
@@ -68,96 +71,69 @@ def _state(cls, arrays, k: int = 0):
             return float(v[k])
         return None if np.isnan(v[k, 0]) else row_point(v[k])
 
-    return cls(**{name: value(v) for name, v in arrays._asdict().items()})
+    return type(states)(*map(value, states))
 
 
 def _rows(p: Point | None) -> np.ndarray:
     return np.full((1, 2), np.nan) if p is None else xy(p)[None]
 
 
-@dataclass(frozen=True, slots=True)
-class ThreeBarState:
-    """Solved three-stick configuration at one crank angle.
+class ThreeBarState(NamedTuple):
+    """Solved three-stick configuration: theta a float and points Points
+    for one solve, theta (N,) and points (N, 2) for a sweep.
 
     Sticks f1->a and f2->b have length c*sqrt(2), the coupler a->b has
     length 2c, and x is the coupler midpoint. p is the intersection of
-    the stick lines (None when they are parallel) and q its mirror image
-    in the focal axis.
+    the stick lines (None, or a NaN row, where they are parallel) and q
+    its mirror image in the focal axis.
     """
 
-    theta: float
-    a: Point
-    b: Point
-    x: Point
-    p: Point | None
-    q: Point | None
-    side: str
-
-
-class ThreeBarArrays(NamedTuple):
-    """Three-stick states at N crank angles: theta (N,), points (N, 2);
-    p and q are NaN rows where the stick lines are parallel."""
-
-    theta: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    x: np.ndarray
-    p: np.ndarray
-    q: np.ndarray
+    theta: float | np.ndarray
+    a: Point | np.ndarray
+    b: Point | np.ndarray
+    x: Point | np.ndarray
+    p: Point | np.ndarray | None
+    q: Point | np.ndarray | None
     side: str
 
     def state(self, k: int) -> ThreeBarState:
-        return _state(ThreeBarState, self, k)
+        """The solve at row k of a sweep."""
+        return _row(self, k)
 
-    def select(self, rows) -> "ThreeBarArrays":
-        """The states at the given rows (an index or boolean mask)."""
-        return ThreeBarArrays(*(field[rows] for field in self[:-1]), self.side)
+    def select(self, rows) -> ThreeBarState:
+        """The sweep's states at the given rows (an index or boolean mask)."""
+        return ThreeBarState(*(field[rows] for field in self[:-1]), self.side)
 
 
-@dataclass(frozen=True, slots=True)
-class MaclaurinSample:
+class MaclaurinSample(NamedTuple):
     """Chord a->b of the construction circle cut by the secant at angle phi,
-    with the chord length laid off both ways from the center onto x, x_prime."""
+    with the chord length laid off both ways from the center onto x, x_prime.
+    A float and Points for one sample, (N,) and (N, 2) arrays for a sweep."""
 
-    phi: float
-    a: Point
-    b: Point
-    x: Point
-    x_prime: Point
-
-
-class MaclaurinArrays(NamedTuple):
-    phi: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    x: np.ndarray
-    x_prime: np.ndarray
+    phi: float | np.ndarray
+    a: Point | np.ndarray
+    b: Point | np.ndarray
+    x: Point | np.ndarray
+    x_prime: Point | np.ndarray
 
 
-@dataclass(frozen=True, slots=True)
-class RightAngleState:
+class RightAngleState(NamedTuple):
     """Crank point a with |f1 a| = c and the two coupler tips x, y seen
-    from the double point at a right angle to the crank."""
+    from the double point at a right angle to the crank. A float and
+    Points for one solve, (N,) and (N, 2) arrays for a sweep."""
 
-    alpha: float
-    a: Point
-    x: Point
-    y: Point
-
-
-class RightAngleArrays(NamedTuple):
-    alpha: np.ndarray
-    a: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
+    alpha: float | np.ndarray
+    a: Point | np.ndarray
+    x: Point | np.ndarray
+    y: Point | np.ndarray
 
 
 def three_bar_solve(B: BernoulliConfig, theta: float, side: str = SIDE_OPPOSITE) -> ThreeBarState:
     """Solve the three-stick linkage at crank angle theta (see three_bar_array)."""
-    return three_bar_array(B, [theta], side).state(0)
+    return _row(three_bar_array(B, [theta], side))
 
 
-def three_bar_array(B: BernoulliConfig, theta, side: str = SIDE_OPPOSITE) -> ThreeBarArrays:
+def three_bar_array(B: BernoulliConfig, theta, side: str = SIDE_OPPOSITE) -> ThreeBarState:
     """Solve the three-stick linkage at each crank angle, in closed form.
 
     theta is the angle of stick f1->a measured from the f1->f2 direction.
@@ -169,7 +145,7 @@ def three_bar_array(B: BernoulliConfig, theta, side: str = SIDE_OPPOSITE) -> Thr
     """
     if side not in (SIDE_OPPOSITE, SIDE_SAME):
         raise ValueError(f"side must be '{SIDE_OPPOSITE}' or '{SIDE_SAME}', got {side!r}")
-    theta = np.asarray(theta, dtype=float)
+    theta = angle_array("theta", theta)
     c = B.half_distance
     f1, f2, u = xy(B.f1), xy(B.f2), xy(B.axis_unit)
     a = f1 + row_rotate(u, theta) * (c * SQRT2)
@@ -180,15 +156,15 @@ def three_bar_array(B: BernoulliConfig, theta, side: str = SIDE_OPPOSITE) -> Thr
     x = 0.5 * (a + b)
     p = line_line_intersection_array(f1, row_unit(a - f1), f2, row_unit(b - f2))
     q = reflect_across_line_array(f1, u, p)
-    return ThreeBarArrays(theta, a, b, x, p, q, side)
+    return ThreeBarState(theta, a, b, x, p, q, side)
 
 
 def maclaurin_sample(B: BernoulliConfig, phi: float) -> MaclaurinSample:
     """Secant-chord construction at secant angle phi (see maclaurin_array)."""
-    return _state(MaclaurinSample, maclaurin_array(B, [phi]))
+    return _row(maclaurin_array(B, [phi]))
 
 
-def maclaurin_array(B: BernoulliConfig, phi) -> MaclaurinArrays:
+def maclaurin_array(B: BernoulliConfig, phi) -> MaclaurinSample:
     """Secant-chord construction at each secant angle.
 
     The secant through the double point at angle phi (measured from the
@@ -197,7 +173,7 @@ def maclaurin_array(B: BernoulliConfig, phi) -> MaclaurinArrays:
     from the center, one to each side. A tangent secant gives a = b and
     x = x_prime = o; a secant that misses the circle raises NoChord.
     """
-    phi = np.asarray(phi, dtype=float)
+    phi = angle_array("phi", phi)
     o = xy(B.center)
     f1 = xy(B.f1)
     r = B.half_distance / SQRT2
@@ -213,15 +189,15 @@ def maclaurin_array(B: BernoulliConfig, phi) -> MaclaurinArrays:
     a = o + d * (t0[..., None] - h)
     b = o + d * (t0[..., None] + h)
     length = row_norm(a - b)[..., None]
-    return MaclaurinArrays(phi, a, b, o + d * length, o - d * length)
+    return MaclaurinSample(phi, a, b, o + d * length, o - d * length)
 
 
 def right_angle_solve(B: BernoulliConfig, alpha: float) -> RightAngleState:
     """Solve the right-angle linkage at crank angle alpha (see right_angle_array)."""
-    return _state(RightAngleState, right_angle_array(B, [alpha]))
+    return _row(right_angle_array(B, [alpha]))
 
 
-def right_angle_array(B: BernoulliConfig, alpha) -> RightAngleArrays:
+def right_angle_array(B: BernoulliConfig, alpha) -> RightAngleState:
     """Solve the right-angle linkage at each crank angle.
 
     a runs on the circle of radius c about f1 (alpha measured from the
@@ -232,7 +208,7 @@ def right_angle_array(B: BernoulliConfig, alpha) -> RightAngleArrays:
     singularity at alpha = 0 by continuity. cos(alpha) < 0 raises
     OutOfReach.
     """
-    alpha = np.asarray(alpha, dtype=float)
+    alpha = angle_array("alpha", alpha)
     cos_a = np.cos(alpha)
     out = cos_a < 0.0
     if out.any():
@@ -243,7 +219,7 @@ def right_angle_array(B: BernoulliConfig, alpha) -> RightAngleArrays:
     r = (c * np.sqrt(2.0 * cos_a))[..., None]
     w = row_rotate(u, 0.5 * alpha)
     o = xy(B.center)
-    return RightAngleArrays(alpha, a, o + w * r, o - w * r)
+    return RightAngleState(alpha, a, o + w * r, o - w * r)
 
 
 def invert_between(B: BernoulliConfig, p: Point) -> Point:
@@ -266,12 +242,12 @@ def invert_between_array(B: BernoulliConfig, p) -> np.ndarray:
 def tangent_circle_at(state: ThreeBarState) -> Circle:
     """Circle centered at the stick-line intersection p through x and the
     double point; it touches the lemniscate at x (see tangent_circle_array)."""
-    points = (_rows(pt) for pt in (state.a, state.b, state.x, state.p, state.q))
-    center, radius = tangent_circle_array(ThreeBarArrays(np.array([state.theta]), *points, state.side))
+    points = map(_rows, (state.a, state.b, state.x, state.p, state.q))
+    center, radius = tangent_circle_array(ThreeBarState(np.array([state.theta]), *points, state.side))
     return Circle(row_point(center[0]), float(radius[0]))
 
 
-def tangent_circle_array(states: ThreeBarArrays) -> tuple[np.ndarray, np.ndarray]:
+def tangent_circle_array(states: ThreeBarState) -> tuple[np.ndarray, np.ndarray]:
     """Centers (N, 2) and radii (N,) of the tangent circles of the states.
 
     Raises UndefinedCenter, naming the crank angle, where the stick lines

@@ -22,6 +22,7 @@ from .geometry import (
     InversionMap,
     Line,
     Point,
+    angle_array,
     midpoint,
     row_cross,
     row_dot,
@@ -138,8 +139,8 @@ class CoefficientTable:
         return float(self.coeffs[i, j])
 
     def evaluate(self, p: Point) -> float:
-        """The expanded polynomial at p: a one-row call of evaluate_array."""
-        return float(self.evaluate_array(np.array((p.x,)), np.array((p.y,)))[0])
+        """The expanded polynomial at p: evaluate_array on p's coordinates."""
+        return float(self.evaluate_array(p.x, p.y))
 
     def evaluate_array(self, x, y) -> np.ndarray:
         """Horner evaluation at the points (x, y), broadcasting the
@@ -241,7 +242,7 @@ def bernoulli_polar_array(B: BernoulliConfig, theta) -> np.ndarray:
 
     Raises OutsideLobe naming the first angle outside the lobes.
     """
-    theta = np.asarray(theta, dtype=float)
+    theta = angle_array("theta", theta)
     cos2 = np.cos(2.0 * theta)
     outside = cos2 < 0.0
     if outside.any():

@@ -34,18 +34,6 @@ from .geometry import SQRT2, Point, midpoint, xy
 from .tracer import TraceWindow, bernoulli_window, trace
 
 
-FIGURE_PRESETS = (
-    "family3",
-    "lemniscate",
-    "threebar",
-    "maclaurin",
-    "rightangle",
-    "inversion",
-    "tangentcircle",
-    "normal",
-)
-
-
 @dataclass(frozen=True)
 class Style:
     """Stroke width in scene units, dash flag, and an optional label."""
@@ -316,6 +304,7 @@ _BERNOULLI_PRESETS = {
     "tangentcircle": (1.45, "theta", _draw_tangentcircle),
     "normal": (0.8, "theta", _draw_normal),
 }
+FIGURE_PRESETS = ("family3", *_BERNOULLI_PRESETS)
 
 
 def figure_scene(
@@ -336,7 +325,7 @@ def figure_scene(
     angle raises ValueError. The `family3` preset has its own fixed foci,
     draws no angle, and ignores B.
     """
-    if preset != "family3" and preset not in _BERNOULLI_PRESETS:
+    if preset not in FIGURE_PRESETS:
         raise UnknownPreset(f"unknown preset {preset!r}; choose from {FIGURE_PRESETS}")
     tall, angle, draw = _BERNOULLI_PRESETS.get(preset, (None, None, None))
     given = {k: v for k, v in (("theta", theta), ("phi", phi), ("alpha", alpha)) if v is not None}

@@ -4,8 +4,9 @@ Points, lines, circles, reflection, inversion, and intersections. All
 types are immutable values and all operations are pure closed-form
 computations, so everything here is safe to use concurrently.
 
-Conventions: angles are radians, tolerances are absolute on unit-scale
-configurations (callers normalize), intersection results are returned in
+Conventions: angles are radians; every guard is scale-free, relative
+to a radius, to the coordinates or to a unit direction, so it holds
+alike at any similarity placement; intersection results are returned in
 a deterministic order so downstream branch selection is reproducible.
 
 Angles, reflection, inversion of points and lines, and line
@@ -227,6 +228,15 @@ def line_line_intersection(l1: Line, l2: Line) -> Point | None:
 def xy(p: Point) -> np.ndarray:
     """A Point as a one-row coordinate array."""
     return np.array((p.x, p.y))
+
+
+def angle_array(name: str, angles) -> np.ndarray:
+    """angles as a float array; ValueError naming the first non-finite one."""
+    angles = np.asarray(angles, dtype=float)
+    bad = ~np.isfinite(angles)
+    if bad.any():
+        raise ValueError(f"{name} = {float(angles[bad][0])} is not a finite angle")
+    return angles
 
 
 def row_point(row) -> Point:

@@ -1,9 +1,8 @@
 """Grid-based implicit curve extraction for polynomial lemniscates.
 
-Marching squares over a rectangular window with sign-change edge
-interpolation, refinement of every vertex onto the curve along its
-crossed edge, and deliberate splitting of contours at the Bernoulli
-double point where the two lobes cross. The case table's segments are
+Marching squares over a rectangular window, a bracket that places each
+crossing on the curve along its crossed edge, and deliberate splitting
+of contours at the Bernoulli double point where the two lobes cross. The case table's segments are
 directed with the interior (field negative) on their left, so each
 crossing has at most one successor and every contour comes out oriented
 by construction: a closed contour's signed shoelace area is positive.
@@ -30,11 +29,12 @@ and the walk past a dropped near-duplicate vertex stay sequential; they
 are deterministic, so output is independent of how the array work is
 scheduled. Snapping and output work on each contour as one (N, 2) array.
 
-Refinement is one vectorised bracket over every crossed edge (refine):
-regula falsi with the Illinois modification, started from the edge's
-end values, so a vertex never leaves its edge and no point, singular
-ones included, can make it fail. It stops at a scale-free residual, so
-the curve is traced alike at any similarity placement of the foci.
+Every crossing is placed once, by one vectorised bracket over every
+crossed edge (refine) before any snapping: regula falsi with the
+Illinois modification, started from the edge's end values, so a vertex
+never leaves its edge and no point, singular ones included, can make it
+fail. It stops at a scale-free residual, so the curve is traced alike at
+any similarity placement of the foci.
 """
 
 from __future__ import annotations
@@ -266,40 +266,27 @@ def _band(L, w, xs, ys):
     return ci, cj, lemniscate_field_array(L, xs[ci][:, :, None], ys[cj][:, None, :])
 
 
-def _edge_points(w, xs, ys, ci, cj, vals):
-    """Interpolated zero crossings on the grid edges inside the band.
+def _crossed_edges(w, ci, cj, vals):
+    """The sign mask of vals and the sorted ids of the grid edges inside
+    the band whose ends differ in sign.
 
     Edges have linear ids: the edge from node (i, j) to (i + 1, j) is
     i * (ny + 1) + j, and the edge from (i, j) to (i, j + 1) follows all of
-    those, at nx * (ny + 1) + i * ny + j. Returns the sign mask of vals,
-    the sorted ids of the crossed edges and their crossings as rows
-    (M, 2), in id order."""
+    those, at nx * (ny + 1) + i * ny + j. An edge on a block boundary is
+    found in both blocks, with the same values."""
     neg = vals < 0.0
     h = np.nonzero(neg[:, :-1, :] != neg[:, 1:, :])
     v = np.nonzero(neg[:, :, :-1] != neg[:, :, 1:])
-    hi, hj = ci[h[0], h[1]], cj[h[0], h[2]]
-    vi, vj = ci[v[0], v[1]], cj[v[0], v[2]]
-    ids, first = np.unique(
-        np.concatenate((hi * (w.ny + 1) + hj, w.nx * (w.ny + 1) + vi * w.ny + vj)),
-        return_index=True,
+    ids = np.concatenate(
+        (ci[h[0], h[1]] * (w.ny + 1) + cj[h[0], h[2]], w.nx * (w.ny + 1) + ci[v[0], v[1]] * w.ny + cj[v[0], v[2]])
     )
-    # an edge on a block boundary is found in both blocks, with the same values
-    fh = first[first < len(hi)]
-    fv = first[first >= len(hi)] - len(hi)
-    hk, ha, hb = h[0][fh], h[1][fh], h[2][fh]
-    vk, va, vb = v[0][fv], v[1][fv], v[2][fv]
-    g0 = vals[hk, ha, hb]
-    hx = xs[hi[fh]] + g0 / (g0 - vals[hk, ha + 1, hb]) * w.dx
-    g0 = vals[vk, va, vb]
-    vy = ys[vj[fv]] + g0 / (g0 - vals[vk, va, vb + 1]) * w.dy
-    coords = np.concatenate(
-        (np.stack((hx, ys[hj[fh]]), axis=-1), np.stack((xs[vi[fv]], vy), axis=-1))
-    )
-    return neg, ids, coords
+    # return_index keeps np.unique on its sorting path; without it numpy 2.4
+    # takes a hash path that imports numpy.ma, which costs every command memory
+    return neg, np.unique(ids, return_index=True)[0]
 
 
 def _edge_ends(w, xs, ys, ids):
-    """The end nodes of the edges with linear ids ids (see _edge_points),
+    """The end nodes of the edges with linear ids ids (see _crossed_edges),
     as two arrays of rows (M, 2)."""
     along_y = ids >= w.nx * (w.ny + 1)
     k = ids - along_y * (w.nx * (w.ny + 1))
@@ -418,24 +405,20 @@ def trace(L: PolynomialLemniscate, w: TraceWindow) -> list[Contour]:
     xs = np.linspace(w.xmin, w.xmax, w.nx + 1)
     ys = np.linspace(w.ymin, w.ymax, w.ny + 1)
     ci, cj, vals = _band(L, w, xs, ys)
-    neg, ids, coords = _edge_points(w, xs, ys, ci, cj, vals)
+    neg, ids = _crossed_edges(w, ci, cj, vals)
     if not ids.size:
         raise EmptyTrace("no sign change in the window")
 
     nxt = _successors(L, w, xs, ys, ci, cj, neg, ids)
-    # the singular points follow the crossings as extra rows, which stay fixed
+    # one bracket places every crossing; the singular points follow the
+    # crossings as extra rows
     singular = _singular_points(L)
-    singular_rows = range(len(coords), len(coords) + len(singular))
-    coords = np.concatenate((coords, singular))
+    singular_rows = range(len(ids), len(ids) + len(singular))
+    coords = np.concatenate((refine(L, *_edge_ends(w, xs, ys, ids)), singular))
 
     pieces = []
     for rows, closed in _extract_chains(nxt):
         pieces += _snap_and_split(rows, closed, coords, singular_rows, w.cell_diagonal)
-
-    # one bracket over the crossed edge of every vertex of every piece
-    moving = np.concatenate([rows for rows, _ in pieces])
-    moving = moving[moving < singular_rows.start]
-    coords[moving] = refine(L, *_edge_ends(w, xs, ys, ids[moving]))
 
     contours = []
     for rows, closed in pieces:

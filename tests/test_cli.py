@@ -22,6 +22,10 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def key_lists(doc):
+    return list(doc["config"]), list(doc["points"])
+
+
 class TestBasicCommands:
     def test_area(self, capsys):
         code, out, _ = run_cli(capsys, "area")
@@ -39,6 +43,7 @@ class TestBasicCommands:
     def test_linkage_pinned(self, capsys):
         code, out, _ = run_cli(capsys, "linkage", "--theta", "90")
         assert code == 0
+        assert key_lists(json.loads(out)) == (["foci", "theta_deg", "side"], ["a", "b", "x", "p", "q"])
         pts = json.loads(out)["points"]
         assert pts["x"][0] == pytest.approx(-2.0 / 3.0, abs=1e-12)
         assert pts["x"][1] == pytest.approx(math.sqrt(2.0) / 3.0, abs=1e-12)
@@ -46,14 +51,25 @@ class TestBasicCommands:
 
     def test_maclaurin(self, capsys):
         code, out, _ = run_cli(capsys, "maclaurin", "--phi", "0")
+        assert key_lists(json.loads(out)) == (["foci", "phi_deg"], ["a", "b", "x", "x_prime"])
         xs = json.loads(out)["points"]
         assert xs["x"][0] == pytest.approx(-math.sqrt(2.0), abs=1e-12)
 
     def test_rightangle(self, capsys):
         code, out, _ = run_cli(capsys, "rightangle", "--alpha", "60")
+        assert key_lists(json.loads(out)) == (["foci", "alpha_deg"], ["a", "x", "y"])
         pts = json.loads(out)["points"]
         assert pts["x"][0] == pytest.approx(math.sqrt(3) / 2, abs=1e-12)
         assert pts["x"][1] == pytest.approx(0.5, abs=1e-12)
+
+    def test_linkage_same_side(self, capsys):
+        code, out, _ = run_cli(capsys, "linkage", "--side", "same")
+        doc = json.loads(out)
+        assert code == 0
+        assert key_lists(doc) == (["foci", "theta_deg", "side"], ["a", "b", "x", "p", "q"])
+        # the parallelogram's stick lines are parallel: no p, no q
+        assert doc["config"]["side"] == "same"
+        assert doc["points"]["p"] is None and doc["points"]["q"] is None
 
     def test_invert(self, capsys):
         code, out, _ = run_cli(capsys, "invert", "--point", "1.4142135623730951,0")
@@ -300,6 +316,24 @@ class TestErrorPaths:
         code, _, err = run_cli(capsys, "rightangle", "--alpha", "150")
         assert code == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "argv, angle",
+        [
+            (("linkage",), "theta"),
+            (("linkage", "--format", "svg", "--grid", "64"), "theta"),
+            (("maclaurin",), "phi"),
+            (("rightangle",), "alpha"),
+            (("normal",), "theta"),
+            (("figure", "--preset", "threebar", "--grid", "64"), "theta"),
+            (("figure", "--preset", "maclaurin", "--grid", "64"), "phi"),
+        ],
+    )
+    def test_non_finite_angle_is_usage_error(self, capsys, argv, angle, value):
+        code, out, err = run_cli(capsys, *argv, f"--{angle}", value)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {angle} = {value} ")
+
     @pytest.mark.parametrize(
         "argv, radius",
         [
@@ -367,6 +401,25 @@ def _run_subprocess(args, hashseed):
             "PATH": "/usr/bin:/bin",
         },
     )
+
+
+def test_commands_leave_numpy_ma_unimported(tmp_path):
+    # numpy.ma costs each command memory; numpy 2.4's hash path of a plain
+    # np.unique imports it, so a fresh interpreter shows whether any does
+    script = (
+        "import sys\n"
+        "from lemniscate.cli import main\n"
+        "for argv in (['trace'], ['verify'], ['figure', '--preset', 'family3']):\n"
+        "    assert main([*argv, '--out', sys.argv[1]]) == 0, argv\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "out")],
+        capture_output=True,
+        env={"PYTHONPATH": _PACKAGE_PARENT, "PATH": "/usr/bin:/bin"},
+    )
+    assert result.returncode == 0, result.stderr.decode()
+    assert result.stdout == b"False\n"
 
 
 class TestDeterminism:

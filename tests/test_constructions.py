@@ -96,6 +96,10 @@ class TestThreeBar:
         assert st.p is None and st.q is None
         assert st.x.distance_to(O) <= 1e-12
 
+    def test_non_finite_angle(self):
+        with pytest.raises(ValueError, match="theta = nan is not a finite angle"):
+            three_bar_solve(B, float("nan"))
+
     def test_side_validation(self):
         with pytest.raises(ValueError):
             three_bar_solve(B, 1.0, side="sideways")
@@ -428,6 +432,10 @@ class TestKernelErrors:
     def test_center_singular(self):
         with pytest.raises(CenterSingular):
             invert_between_array(B, np.array([[1.0, 0.0], [0.0, 0.0]]))
+
+    def test_non_finite_angle(self):
+        with pytest.raises(ValueError, match="theta = nan is not a finite angle"):
+            three_bar_solve(B, float("nan"))
 
     def test_side_validation(self):
         with pytest.raises(ValueError, match="sideways"):

@@ -28,7 +28,7 @@ from lemniscate.tracer import (
     _SEGMENTS,
     _band,
     _dedupe,
-    _edge_points,
+    _crossed_edges,
     _signed_area,
     _successors,
     bernoulli_window,
@@ -89,22 +89,16 @@ def reference_bracket(L, a, b):
 def dense_crossings(L, w):
     """Reference marching squares over every node of the window: the
     linear ids of the crossed edges (edges along x in (i, j) order, then
-    edges along y), the interpolated crossings as rows (M, 2) in that
-    order, and the successor map of the directed marching-squares segments
-    from edge id to edge id, built cell by cell."""
+    edges along y) and the successor map of the directed marching-squares
+    segments from edge id to edge id, built cell by cell."""
     xs = np.linspace(w.xmin, w.xmax, w.nx + 1)
     ys = np.linspace(w.ymin, w.ymax, w.ny + 1)
     grid = lemniscate_field_array(L, xs[:, None], ys[None, :])
     neg = grid < 0.0
     hi, hj = np.nonzero(neg[:-1, :] != neg[1:, :])
     vi, vj = np.nonzero(neg[:, :-1] != neg[:, 1:])
-    g0 = grid[hi, hj]
-    hx = xs[hi] + g0 / (g0 - grid[hi + 1, hj]) * w.dx
-    g0 = grid[vi, vj]
-    vy = ys[vj] + g0 / (g0 - grid[vi, vj + 1]) * w.dy
     first_v = w.nx * (w.ny + 1)
     ids = np.concatenate((hi * (w.ny + 1) + hj, first_v + vi * w.ny + vj))
-    coords = np.concatenate((np.stack((hx, ys[hj]), axis=-1), np.stack((xs[vi], vy), axis=-1)))
 
     n = neg.astype(int)
     case = n[:-1, :-1] + 2 * n[1:, :-1] + 4 * n[1:, 1:] + 8 * n[:-1, 1:]
@@ -119,7 +113,7 @@ def dense_crossings(L, w):
             if start >= 0:
                 assert edges[start] not in successor
                 successor[edges[start]] = edges[end]
-    return ids, coords, successor
+    return ids, successor
 
 
 def band_crossings(L, w):
@@ -127,10 +121,10 @@ def band_crossings(L, w):
     xs = np.linspace(w.xmin, w.xmax, w.nx + 1)
     ys = np.linspace(w.ymin, w.ymax, w.ny + 1)
     ci, cj, vals = _band(L, w, xs, ys)
-    neg, ids, coords = _edge_points(w, xs, ys, ci, cj, vals)
+    neg, ids = _crossed_edges(w, ci, cj, vals)
     nxt = _successors(L, w, xs, ys, ci, cj, neg, ids)
     ids = ids.tolist()
-    return ids, coords, {ids[r]: ids[k] for r, k in enumerate(nxt.tolist()) if k >= 0}
+    return ids, {ids[r]: ids[k] for r, k in enumerate(nxt.tolist()) if k >= 0}
 
 
 def raw_edges(L, w):
@@ -264,11 +258,10 @@ class TestBand:
         ],
     )
     def test_matches_dense_grid(self, lem, window):
-        ids, coords, successor = band_crossings(lem, window)
-        dense_ids, dense_coords, dense_successor = dense_crossings(lem, window)
+        ids, successor = band_crossings(lem, window)
+        dense_ids, dense_successor = dense_crossings(lem, window)
         assert len(ids) > 0
         assert ids == dense_ids.tolist()
-        assert coords.tolist() == dense_coords.tolist()
         assert successor == dense_successor
 
     def test_block_test_leaves_out_most_of_the_window(self):
