@@ -17,10 +17,12 @@ a relative 1e-9, or whose high bound falls short of it by as much, has
 every node on one side of the curve and is left out; the margin is far
 above the rounding of the bounds and of the field, so no node's computed
 sign can differ from the full grid's. Bounds that are not finite or not
-normal floats certify nothing. Unlike coarse sampling, the test cannot
-miss a lobe smaller than a block. The uncertified blocks' nodes are
-evaluated in one call with the full grid's element-wise arithmetic, so
-every value, crossing and contour is what the full grid would give.
+normal floats certify nothing. Each block kept is split into 4 x 4
+blocks of 4 x 4 cells, which the same test keeps or leaves out, so the
+work follows the curve. Unlike coarse sampling, the test cannot miss a
+lobe smaller than a block. The kept 4-cell blocks' nodes are evaluated
+in one call with the full grid's element-wise arithmetic, so every value,
+crossing and contour is what the full grid would give.
 
 Crossed edges carry integer ids in the full grid's order, and the
 marching-squares links between them are found with array operations.
@@ -88,8 +90,10 @@ def _segment_table() -> np.ndarray:
 
 
 _SEGMENTS = _segment_table()
-# cells per side of the blocks that the band keeps or leaves out whole
+# cells per side of the blocks that the band tests first, and of the
+# blocks inside them that it keeps or leaves out whole
 _BLOCK = 16
+_SUB = 4
 
 
 @dataclass(frozen=True, slots=True)
@@ -108,6 +112,10 @@ class TraceWindow:
             raise ValueError("window bounds must satisfy xmax > xmin and ymax > ymin")
         if self.nx < 8 or self.ny < 8:
             raise ValueError("window needs at least 8 cells per axis")
+        # finite cell sizes need finite bounds, so infinite ones are refused too
+        if not all(np.finfo(float).tiny <= d < math.inf for d in (self.dx, self.dy)):
+            bounds = ",".join(map(repr, (self.xmin, self.xmax, self.ymin, self.ymax)))
+            raise ValueError(f"window {bounds} needs a finite width and height and cells of normal float size")
 
     @property
     def dx(self) -> float:
@@ -232,22 +240,12 @@ def _singular_points(L: PolynomialLemniscate) -> np.ndarray:
     return np.empty((0, 2))
 
 
-def _band(L, w, xs, ys):
-    """The blocks of cells that may hold the curve, and the field on their
-    nodes.
-
-    Returns the node indices of each such block along x and along y, as
-    rows (k, _BLOCK + 1) clamped at the window edge, and the field at
-    those nodes, shape (k, _BLOCK + 1, _BLOCK + 1). A block is left out
-    when the bounds on the product of squared focal distances over its
-    box put every node on one side of the level.
-    """
-    bx = np.arange(0, w.nx, _BLOCK)
-    by = np.arange(0, w.ny, _BLOCK)
-    x0, x1 = xs[bx], xs[np.minimum(bx + _BLOCK, w.nx)]
-    y0, y1 = ys[by], ys[np.minimum(by + _BLOCK, w.ny)]
-    lo = np.ones((len(bx), len(by)))
-    hi = np.ones((len(bx), len(by)))
+def _uncertified(L, x0, x1, y0, y1):
+    """Whether each box [x0, x1] x [y0, y1], over the broadcast shape of
+    the bounds, may hold the curve: False when the bounds on the product
+    of squared focal distances over the box put every node in it on one
+    side of the level."""
+    lo = hi = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         for f in L.foci:
             # nearest and farthest offsets from the focus over the box, per axis
@@ -255,39 +253,44 @@ def _band(L, w, xs, ys):
             neary = np.maximum(np.maximum(y0 - f.y, f.y - y1), 0.0)
             farx = np.maximum(np.abs(x0 - f.x), np.abs(x1 - f.x))
             fary = np.maximum(np.abs(y0 - f.y), np.abs(y1 - f.y))
-            lo *= nearx[:, None] ** 2 + neary[None, :] ** 2
-            hi *= farx[:, None] ** 2 + fary[None, :] ** 2
+            lo = lo * (nearx**2 + neary**2)
+            hi = hi * (farx**2 + fary**2)
         normal = (lo >= np.finfo(float).tiny) & np.isfinite(hi)
         one_sign = (lo > L.level * (1.0 + 1e-9)) | (hi < L.level * (1.0 - 1e-9))
-    bi, bj = np.nonzero(~(normal & one_sign))
-    steps = np.arange(_BLOCK + 1)
-    ci = np.minimum(bx[bi, None] + steps, w.nx)
-    cj = np.minimum(by[bj, None] + steps, w.ny)
-    return ci, cj, lemniscate_field_array(L, xs[ci][:, :, None], ys[cj][:, None, :])
+    return ~(normal & one_sign)
 
 
-def _crossed_edges(w, ci, cj, vals):
-    """The sign mask of vals and the sorted ids of the grid edges inside
-    the band whose ends differ in sign.
+def _band(L, w, xs, ys):
+    """The blocks of _SUB x _SUB cells that may hold the curve, and the
+    field on their nodes.
 
-    Edges have linear ids: the edge from node (i, j) to (i + 1, j) is
-    i * (ny + 1) + j, and the edge from (i, j) to (i, j + 1) follows all of
-    those, at nx * (ny + 1) + i * ny + j. An edge on a block boundary is
-    found in both blocks, with the same values."""
-    neg = vals < 0.0
-    h = np.nonzero(neg[:, :-1, :] != neg[:, 1:, :])
-    v = np.nonzero(neg[:, :, :-1] != neg[:, :, 1:])
-    ids = np.concatenate(
-        (ci[h[0], h[1]] * (w.ny + 1) + cj[h[0], h[2]], w.nx * (w.ny + 1) + ci[v[0], v[1]] * w.ny + cj[v[0], v[2]])
-    )
-    # return_index keeps np.unique on its sorting path; without it numpy 2.4
-    # takes a hash path that imports numpy.ma, which costs every command memory
-    return neg, np.unique(ids, return_index=True)[0]
+    Blocks of _BLOCK cells are tested first, then the _SUB-cell blocks
+    inside the uncertified ones. Returns the node indices of each kept
+    block along x and along y, as columns (_SUB + 1, k) clamped at the
+    window edge, and the field at those nodes, shape (_SUB + 1, _SUB + 1, k).
+    """
+    bx, by = np.arange(0, w.nx, _BLOCK), np.arange(0, w.ny, _BLOCK)
+    bi, bj = np.nonzero(_uncertified(L, *_box(xs, bx[:, None], _BLOCK, w.nx), *_box(ys, by, _BLOCK, w.ny)))
+    # the 4 x 4 sub-blocks of each uncertified block, block axis last; those
+    # that start outside the window are dropped
+    sx = bx[bi] + np.arange(0, _BLOCK, _SUB)[:, None]
+    sy = by[bj] + np.arange(0, _BLOCK, _SUB)[:, None]
+    inside = (sx[:, None] < w.nx) & (sy[None] < w.ny)
+    a, b, k = np.nonzero(inside & _uncertified(L, *_box(xs, sx[:, None], _SUB, w.nx), *_box(ys, sy[None], _SUB, w.ny)))
+    nodes = np.arange(_SUB + 1)[:, None]
+    ci, cj = np.minimum(sx[a, k] + nodes, w.nx), np.minimum(sy[b, k] + nodes, w.ny)
+    return ci, cj, lemniscate_field_array(L, xs[ci][:, None], ys[cj][None])
+
+
+def _box(v, start, cells, n):
+    """The bounds along one axis of the blocks of cells from node start on,
+    clamped at the window edge n."""
+    return v[np.minimum(start, n)], v[np.minimum(start + cells, n)]
 
 
 def _edge_ends(w, xs, ys, ids):
-    """The end nodes of the edges with linear ids ids (see _crossed_edges),
-    as two arrays of rows (M, 2)."""
+    """The end nodes of the edges with linear ids ids (see _crossings), as
+    two arrays of rows (M, 2)."""
     along_y = ids >= w.nx * (w.ny + 1)
     k = ids - along_y * (w.nx * (w.ny + 1))
     i = np.where(along_y, k // w.ny, k // (w.ny + 1))
@@ -297,18 +300,24 @@ def _edge_ends(w, xs, ys, ids):
     return a, b
 
 
-def _successors(L, w, xs, ys, ci, cj, neg, ids):
-    """The successor of each crossing, as rows into ids: nxt[start] = end
-    for every directed marching-squares segment, -1 where none starts.
+def _crossings(L, w, xs, ys, ci, cj, vals):
+    """The sorted ids of the crossed grid edges, and the successor of each
+    crossing as rows into ids: nxt[start] = end for every directed
+    marching-squares segment, -1 where none starts.
 
-    Every segment has the field negative on its left, so each crossed edge
-    starts at most one segment and ends at most one."""
-    neg = neg.astype(np.int8)
-    case = neg[:, :-1, :-1] + 2 * neg[:, 1:, :-1] + 4 * neg[:, 1:, 1:] + 8 * neg[:, :-1, 1:]
+    Edges have linear ids: the edge from node (i, j) to (i + 1, j) is
+    i * (ny + 1) + j, and the edge from (i, j) to (i, j + 1) follows all of
+    those, at nx * (ny + 1) + i * ny + j. Every crossed edge borders a
+    band cell whose case is neither 0 nor 15, and the segments of such a
+    cell end on each of its crossed edges, so the segment ends are the
+    crossed edges. Every segment has the field negative on its left, so
+    each crossed edge starts at most one segment and ends at most one."""
+    neg = (vals < 0.0).astype(np.int8)
+    case = neg[:-1, :-1] + 2 * neg[1:, :-1] + 4 * neg[1:, 1:] + 8 * neg[:-1, 1:]
     # clamping repeats the last node of a short block: those cells are not cells
-    real = (ci[:, :-1, None] < w.nx) & (cj[:, None, :-1] < w.ny)
-    k, a, b = np.nonzero((case > 0) & (case < 15) & real)
-    i, j, case = ci[k, a], cj[k, b], case[k, a, b]
+    real = (ci[:-1, None] < w.nx) & (cj[None, :-1] < w.ny)
+    a, b, k = np.nonzero((case > 0) & (case < 15) & real)
+    i, j, case = ci[a, k], cj[b, k], case[a, b, k]
 
     inside = np.zeros(len(case), dtype=np.intp)
     saddle = np.nonzero((case == 5) | (case == 10))[0]
@@ -319,12 +328,14 @@ def _successors(L, w, xs, ys, ci, cj, neg, ids):
     left = w.nx * (w.ny + 1) + i * w.ny + j
     edges = np.stack((bottom, bottom + 1, left, left + w.ny), axis=-1)
     seg = _SEGMENTS[case, inside]
-    ends = np.take_along_axis(edges, seg.reshape(len(case), 4), axis=1).reshape(-1, 2, 2)
-    ends = np.searchsorted(ids, ends[seg[:, :, 0] >= 0])
-
+    ends = np.take_along_axis(edges, seg.reshape(len(case), 4), axis=1).reshape(-1, 2, 2)[seg[:, :, 0] >= 0]
+    # return_index keeps np.unique on its sorting path; without it numpy 2.4
+    # takes a hash path that imports numpy.ma, which costs every command memory
+    ids = np.unique(ends, return_index=True)[0]
+    ends = np.searchsorted(ids, ends)
     nxt = np.full(len(ids), -1, dtype=np.intp)
     nxt[ends[:, 0]] = ends[:, 1]
-    return nxt
+    return ids, nxt
 
 
 def _extract_chains(nxt):
@@ -404,12 +415,10 @@ def trace(L: PolynomialLemniscate, w: TraceWindow) -> list[Contour]:
     """
     xs = np.linspace(w.xmin, w.xmax, w.nx + 1)
     ys = np.linspace(w.ymin, w.ymax, w.ny + 1)
-    ci, cj, vals = _band(L, w, xs, ys)
-    neg, ids = _crossed_edges(w, ci, cj, vals)
+    ids, nxt = _crossings(L, w, xs, ys, *_band(L, w, xs, ys))
     if not ids.size:
         raise EmptyTrace("no sign change in the window")
 
-    nxt = _successors(L, w, xs, ys, ci, cj, neg, ids)
     # one bracket places every crossing; the singular points follow the
     # crossings as extra rows
     singular = _singular_points(L)

@@ -349,6 +349,21 @@ class TestErrorPaths:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and f"radius {radius} at n = 2" in err
 
+    @pytest.mark.parametrize(
+        "window, bounds",
+        [
+            ("0,inf,0,1", "0.0,inf,0.0,1.0"),
+            # the width overflows to inf
+            ("-1e308,1e308,-1,1", "-1e+308,1e+308,-1.0,1.0"),
+            # the cells are 2e-323 wide, not a normal float
+            ("0,1e-320,0,1e-320", "0.0,1e-320,0.0,1e-320"),
+        ],
+    )
+    def test_non_finite_window_is_usage_error(self, capsys, window, bounds):
+        code, out, err = run_cli(capsys, "trace", f"--window={window}", "--grid", "512")
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: window {bounds} ")
+
     def test_no_command_usage(self):
         with pytest.raises(SystemExit) as excinfo:
             main([])

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from lemniscate import (
     BernoulliConfig,
@@ -27,10 +29,9 @@ from lemniscate.errors import EmptyTrace, OpenContour
 from lemniscate.tracer import (
     _SEGMENTS,
     _band,
+    _crossings,
     _dedupe,
-    _crossed_edges,
     _signed_area,
-    _successors,
     bernoulli_window,
 )
 
@@ -120,9 +121,7 @@ def band_crossings(L, w):
     """The band's crossings in the form of dense_crossings."""
     xs = np.linspace(w.xmin, w.xmax, w.nx + 1)
     ys = np.linspace(w.ymin, w.ymax, w.ny + 1)
-    ci, cj, vals = _band(L, w, xs, ys)
-    neg, ids = _crossed_edges(w, ci, cj, vals)
-    nxt = _successors(L, w, xs, ys, ci, cj, neg, ids)
+    ids, nxt = _crossings(L, w, xs, ys, *_band(L, w, xs, ys))
     ids = ids.tolist()
     return ids, {ids[r]: ids[k] for r, k in enumerate(nxt.tolist()) if k >= 0}
 
@@ -219,8 +218,8 @@ class TestTraceMemory:
         assert peak < 100e6
 
 
-    def test_peak_below_16_mb_at_grid_2048(self):
-        # only the blocks of cells that may hold the curve are evaluated,
+    def test_peak_below_5_5_mb_at_grid_2048(self):
+        # only the 4 x 4-cell blocks that may hold the curve are evaluated,
         # so no array spans the 2049 x 2049 nodes
         w = TraceWindow(-1.6, 1.6, -0.8, 0.8, 2048, 2048)
         tracemalloc.start()
@@ -230,7 +229,7 @@ class TestTraceMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16e6
+        assert peak < 5.5e6
 
 
 class TestBand:
@@ -268,8 +267,8 @@ class TestBand:
         w = TraceWindow(-1.6, 1.6, -0.8, 0.8, 512, 512)
         xs = np.linspace(w.xmin, w.xmax, w.nx + 1)
         ys = np.linspace(w.ymin, w.ymax, w.ny + 1)
-        ci, _, _ = _band(L, w, xs, ys)
-        assert 0 < len(ci) < (512 // 16) ** 2 // 2
+        _, _, vals = _band(L, w, xs, ys)
+        assert 0 < vals.size < 0.15 * 513 * 513
 
     def test_small_circle_inside_one_block(self):
         # a curve smaller than a block, away from every node, is still found
@@ -277,6 +276,38 @@ class TestBand:
         contours = trace(small, TraceWindow(-2.0, 2.0, -2.0, 2.0, 1024, 1024))
         assert len(contours) == 1
         assert contours[0].closed
+
+    @given(
+        foci=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=1, max_size=6),
+        critical=st.integers(0, 4),
+        scale=st.one_of(st.sampled_from([1.0, 1.0 - 1e-6, 1.0 + 1e-6]), st.floats(0.02, 0.3), st.floats(0.3, 3.0)),
+        offset=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
+        half=st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
+        nx=st.integers(8, 90),
+        ny=st.integers(8, 90),
+    )
+    # ovals smaller than one 4-cell block: a circle, and three foci well under
+    # their critical level
+    @example([(0.0123, -0.0371)], 0, 0.24, (0.0, 0.0), (2.0, 2.0), 90, 87)
+    @example([(-0.5, 0.1), (0.4, 0.3), (0.1, -0.6)], 0, 0.343, (0.1, -0.2), (1.5, 1.3), 41, 66)
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    def test_matches_dense_grid_on_random_lemniscates(self, foci, critical, scale, offset, half, nx, ny):
+        # the level radius**n is scale times a critical level |p(z)|, where
+        # p'(z) = 0 and p is the monic polynomial with the foci as roots;
+        # one focus has none, and 0.25 stands in for it
+        roots = np.array([complex(x, y) for x, y in foci])
+        assume(all(abs(a - b) > 0.05 for k, a in enumerate(roots) for b in roots[:k]))
+        p = np.poly(roots)
+        levels = np.abs(np.polyval(p, np.roots(np.polyder(p)))) if len(foci) > 1 else [0.25]
+        radius = float(scale * levels[critical % len(levels)]) ** (1.0 / len(foci))
+        assume(radius > 1e-3)
+        lem = PolynomialLemniscate(tuple(Point(x, y) for x, y in foci), radius)
+        cx, cy = roots.mean().real + offset[0], roots.mean().imag + offset[1]
+        w = TraceWindow(cx - half[0], cx + half[0], cy - half[1], cy + half[1], nx, ny)
+        ids, successor = band_crossings(lem, w)
+        dense_ids, dense_successor = dense_crossings(lem, w)
+        assert ids == dense_ids.tolist()
+        assert successor == dense_successor
 
 
 class TestOrientation:
