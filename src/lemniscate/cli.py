@@ -114,64 +114,6 @@ def _json_doc(config: dict, contours=(), checks=None, **extra) -> str:
     return text.replace('\n  "contours": [],', f'\n  "contours": [\n    [\n{lists}\n    ]\n  ],', 1)
 
 
-# shared flags; a subcommand declares only those it reads
-_FLAGS = {
-    "radius": dict(type=float, default=None, help="lemniscate radius (default: Bernoulli)"),
-    "window": dict(default=None, help="xmin,xmax,ymin,ymax"),
-    "grid": dict(type=int, default=512, help="cells per axis (default 512)"),
-}
-
-
-def _subcommand(sub, name: str, summary: str, *flags: str, formats: tuple[str, ...] = ()):
-    p = sub.add_parser(name, help=summary)
-    p.add_argument("--foci", default="-1,0,1,0", help="comma list x1,y1,x2,y2,... (default -1,0,1,0)")
-    for flag in flags:
-        p.add_argument(f"--{flag}", **_FLAGS[flag])
-    if formats:
-        p.add_argument("--format", choices=formats, default=formats[0])
-    p.add_argument("--out", default=None, help="output path (default stdout)")
-    return p
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="lemniscate", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    _subcommand(sub, "trace", "trace the implicit curve", "radius", "window", "grid", formats=("csv", "json", "svg"))
-
-    p = _subcommand(sub, "linkage", "solve the three-stick linkage", "grid", formats=("json", "svg"))
-    p.add_argument("--theta", type=float, default=90.0, help="crank angle in degrees")
-    p.add_argument("--side", choices=("opposite", "same"), default="opposite", help="same: JSON form only")
-
-    p = _subcommand(sub, "maclaurin", "secant-chord construction sample", "grid", formats=("json", "svg"))
-    p.add_argument("--phi", type=float, default=30.0, help="secant angle in degrees")
-
-    p = _subcommand(sub, "rightangle", "solve the right-angle linkage", "grid", formats=("json", "svg"))
-    p.add_argument("--alpha", type=float, default=60.0, help="crank angle in degrees")
-
-    p = _subcommand(sub, "invert", "invert a point in the circle about the double point")
-    p.add_argument("--point", required=True, help="x,y")
-
-    p = _subcommand(sub, "normal", "normal line by angle doubling", "grid", formats=("json", "svg"))
-    p.add_argument("--theta", type=float, default=30.0, help="polar angle of the curve point, degrees")
-    p.add_argument("--point", default=None, help="explicit on-curve point x,y (JSON form only)")
-
-    _subcommand(sub, "area", "exact enclosed area")
-    _subcommand(sub, "expand", "polynomial coefficient table", "radius")
-
-    p = _subcommand(sub, "figure", "render a figure preset to SVG", "grid")
-    p.add_argument("--preset", choices=FIGURE_PRESETS, required=True, help="family3 has its own foci")
-    p.add_argument("--theta", type=float, default=None, help="degrees; preset default when omitted")
-    p.add_argument("--phi", type=float, default=None, help="degrees; preset default when omitted")
-    p.add_argument("--alpha", type=float, default=None, help="degrees; preset default when omitted")
-
-    _subcommand(sub, "verify", "run the full invariant sweep", "grid", formats=("text", "json"))
-    # the JSON form of a construction command traces nothing: no --grid default
-    for command in _SVG_PRESETS:
-        sub.choices[command].set_defaults(grid=None)
-    return parser
-
-
 def _cmd_trace(args) -> int:
     L = _lemniscate(args)
     w = _window(args, L)
@@ -195,11 +137,10 @@ def _cmd_trace(args) -> int:
 
 def _cmd_mechanism(args) -> int:
     B = _bernoulli(args)
-    angle = _BERNOULLI_PRESETS[_SVG_PRESETS[args.command]][1]
     side = {"side": args.side} if "side" in args else {}
-    state = _MECHANISMS[args.command](B, math.radians(getattr(args, angle)), **side)
-    config = {"foci": [_pt(B.f1), _pt(B.f2)], f"{angle}_deg": getattr(args, angle), **side}
-    points = {name: _pt(v) for name, v in state._asdict().items() if name not in (angle, "side")}
+    state = args.solve(B, math.radians(getattr(args, args.angle)), **side)
+    config = {"foci": [_pt(B.f1), _pt(B.f2)], f"{args.angle}_deg": getattr(args, args.angle), **side}
+    points = {name: _pt(v) for name, v in state._asdict().items() if name not in (args.angle, "side")}
     _write(args, _json_doc(config, points=points))
     return 0
 
@@ -243,36 +184,25 @@ def _cmd_expand(args) -> int:
     return 0
 
 
-def _figure(args, preset: str, **degrees) -> int:
+def _figure(args) -> int:  # figure --preset, and the SVG form of a construction command
     B = _bernoulli(args)
-    params = {k: math.radians(v) for k, v in degrees.items() if v is not None}
+    params = {k: math.radians(v) for k in ("theta", "phi", "alpha") if (v := getattr(args, k, None)) is not None}
     if args.grid is not None:  # else the preset's default grid
         params["grid"] = args.grid
-    _write(args, emit_svg(figure_scene(preset, B, **params)))
+    _write(args, emit_svg(figure_scene(args.preset, B, **params)))
     return 0
-
-
-def _cmd_figure(args) -> int:
-    return _figure(args, args.preset, theta=args.theta, phi=args.phi, alpha=args.alpha)
-
-
-# the SVG form of a construction command is its figure preset, drawn at
-# the command's flag for the angle that the preset draws
-_SVG_PRESETS = {"linkage": "threebar", "maclaurin": "maclaurin", "rightangle": "rightangle", "normal": "normal"}
 
 
 def _cmd_construction(args) -> int:
     if args.format == "json":
         if args.grid is not None:
             raise ValueError("--grid has no JSON form; it sets the trace resolution of the SVG figure")
-        return _COMMANDS[args.command](args)
+        return args.json_run(args)
     if getattr(args, "point", None) is not None:
         raise ValueError("--point has no SVG form; the normal figure is drawn at --theta")
     if getattr(args, "side", None) == "same":
         raise ValueError("--side same has no SVG form; the linkage figure draws the opposite-side state")
-    preset = _SVG_PRESETS[args.command]
-    angle = _BERNOULLI_PRESETS[preset][1]
-    return _figure(args, preset, **{angle: getattr(args, angle)})
+    return _figure(args)
 
 
 def _cmd_verify(args) -> int:
@@ -286,20 +216,72 @@ def _cmd_verify(args) -> int:
     return 0 if all(c.passed for c in checks) else 1
 
 
-_MECHANISMS = {"linkage": three_bar_solve, "maclaurin": maclaurin_sample, "rightangle": right_angle_solve}
-
-_COMMANDS = {
-    "trace": _cmd_trace,
-    "linkage": _cmd_mechanism,
-    "maclaurin": _cmd_mechanism,
-    "rightangle": _cmd_mechanism,
-    "invert": _cmd_invert,
-    "normal": _cmd_normal,
-    "area": _cmd_area,
-    "expand": _cmd_expand,
-    "figure": _cmd_figure,
-    "verify": _cmd_verify,
+# shared flags; a subcommand declares only those it reads
+_FLAGS = {
+    "radius": dict(type=float, default=None, help="lemniscate radius (default: Bernoulli)"),
+    "window": dict(default=None, help="xmin,xmax,ymin,ymax"),
+    "grid": dict(type=int, default=512, help="cells per axis (default 512)"),
 }
+
+
+def _subcommand(sub, name: str, summary: str, run, *flags: str, formats: tuple[str, ...] = ()):
+    p = sub.add_parser(name, help=summary)
+    p.set_defaults(run=run)
+    p.add_argument("--foci", default="-1,0,1,0", help="comma list x1,y1,x2,y2,... (default -1,0,1,0)")
+    for flag in flags:
+        p.add_argument(f"--{flag}", **_FLAGS[flag])
+    if formats:
+        p.add_argument("--format", choices=formats, default=formats[0])
+    p.add_argument("--out", default=None, help="output path (default stdout)")
+    return p
+
+
+def _construction(sub, name: str, summary: str, preset: str, angle_help: str, solve=None, json_run=_cmd_mechanism):
+    # JSON from json_run, or SVG as the figure preset; the JSON form traces nothing: no --grid default
+    p = _subcommand(sub, name, summary, _cmd_construction, "grid", formats=("json", "svg"))
+    _, angle, default, _ = _BERNOULLI_PRESETS[preset]
+    p.add_argument(f"--{angle}", type=float, default=default, help=angle_help)
+    p.set_defaults(grid=None, preset=preset, angle=angle, json_run=json_run, solve=solve)
+    return p
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="lemniscate", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    flags = ("radius", "window", "grid")
+    _subcommand(sub, "trace", "trace the implicit curve", _cmd_trace, *flags, formats=("csv", "json", "svg"))
+
+    p = _construction(
+        sub, "linkage", "solve the three-stick linkage", "threebar", "crank angle in degrees", three_bar_solve
+    )
+    p.add_argument("--side", choices=("opposite", "same"), default="opposite", help="same: JSON form only")
+    _construction(
+        sub, "maclaurin", "secant-chord construction sample", "maclaurin", "secant angle in degrees", maclaurin_sample
+    )
+    _construction(
+        sub, "rightangle", "solve the right-angle linkage", "rightangle", "crank angle in degrees", right_angle_solve
+    )
+
+    p = _subcommand(sub, "invert", "invert a point in the circle about the double point", _cmd_invert)
+    p.add_argument("--point", required=True, help="x,y")
+
+    p = _construction(
+        sub, "normal", "normal line by angle doubling", "normal", "polar angle of the curve point, degrees",
+        json_run=_cmd_normal,
+    )
+    p.add_argument("--point", default=None, help="explicit on-curve point x,y (JSON form only)")
+
+    _subcommand(sub, "area", "exact enclosed area", _cmd_area)
+    _subcommand(sub, "expand", "polynomial coefficient table", _cmd_expand, "radius")
+
+    p = _subcommand(sub, "figure", "render a figure preset to SVG", _figure, "grid")
+    p.add_argument("--preset", choices=FIGURE_PRESETS, required=True, help="family3 has its own foci")
+    for angle in ("theta", "phi", "alpha"):
+        p.add_argument(f"--{angle}", type=float, default=None, help="degrees; preset default when omitted")
+
+    _subcommand(sub, "verify", "run the full invariant sweep", _cmd_verify, "grid", formats=("text", "json"))
+    return parser
 
 
 # the parser is built on main's first call, not at import, and then reused
@@ -309,7 +291,7 @@ _parser = functools.cache(build_parser)
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return (_cmd_construction if args.command in _SVG_PRESETS else _COMMANDS[args.command])(args)
+        return args.run(args)
     except (GeometryError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

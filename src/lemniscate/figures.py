@@ -181,7 +181,7 @@ def _scene_family3(grid):
     return scene
 
 
-def _draw_threebar(scene, B, theta=math.pi / 2):
+def _draw_threebar(scene, B, theta):
     w = scene.viewbox
     state = three_bar_solve(B, theta)
     sw = 1.4 * _stroke(w)
@@ -196,7 +196,7 @@ def _draw_threebar(scene, B, theta=math.pi / 2):
     _marker(scene, B.center, "O")
 
 
-def _draw_maclaurin(scene, B, phi=math.pi / 6):
+def _draw_maclaurin(scene, B, phi):
     w = scene.viewbox
     sample = maclaurin_sample(B, phi)
     c = B.half_distance
@@ -210,7 +210,7 @@ def _draw_maclaurin(scene, B, phi=math.pi / 6):
     _marker(scene, sample.x_prime, "X'")
 
 
-def _draw_rightangle(scene, B, alpha=math.pi / 3):
+def _draw_rightangle(scene, B, alpha):
     w = scene.viewbox
     state = right_angle_solve(B, alpha)
     sw = 1.4 * _stroke(w)
@@ -232,7 +232,7 @@ def _draw_rightangle(scene, B, alpha=math.pi / 3):
     _marker(scene, state.y, "Y")
 
 
-def _draw_inversion(scene, B, theta=math.pi / 2):
+def _draw_inversion(scene, B, theta):
     w = scene.viewbox
     _add_hyperbola(scene, B)
     state = three_bar_solve(B, theta)
@@ -251,7 +251,7 @@ def _draw_inversion(scene, B, theta=math.pi / 2):
     scene.add(TextElement(label_at, Style(label=f"|OX|*|OQ| = {product:.3f}")))
 
 
-def _draw_tangentcircle(scene, B, theta=math.pi / 2):
+def _draw_tangentcircle(scene, B, theta):
     w = scene.viewbox
     state = three_bar_solve(B, theta)
     circle = tangent_circle_at(state)
@@ -271,7 +271,7 @@ def _draw_tangentcircle(scene, B, theta=math.pi / 2):
     _marker(scene, state.p, "P")
 
 
-def _draw_normal(scene, B, theta=math.pi / 6):
+def _draw_normal(scene, B, theta):
     w = scene.viewbox
     x = bernoulli_polar_point(B, theta)
     normal = normal_by_angle(B, x)
@@ -291,18 +291,18 @@ def _draw_normal(scene, B, theta=math.pi / 6):
 
 
 # Bernoulli presets: the half-height of the view window in units of
-# c*sqrt(2), the outer vertex distance, the one angle drawn (or None), and
-# the drawing added over the traced curve. The half-width is 1.6 c*sqrt(2);
-# the height grows for presets whose construction elements reach above the
-# curve (stick tips go up to c*sqrt(2) from the double point).
+# c*sqrt(2), the outer vertex distance, the one angle drawn (or None), its
+# default in degrees, and the drawing added over the traced curve. The
+# half-width is 1.6 c*sqrt(2); the height grows for presets whose elements
+# reach above the curve (stick tips go up to c*sqrt(2) from the double point).
 _BERNOULLI_PRESETS = {
-    "lemniscate": (0.8, None, _draw_lemniscate),
-    "threebar": (1.15, "theta", _draw_threebar),
-    "maclaurin": (1.15, "phi", _draw_maclaurin),
-    "rightangle": (1.15, "alpha", _draw_rightangle),
-    "inversion": (1.15, "theta", _draw_inversion),
-    "tangentcircle": (1.45, "theta", _draw_tangentcircle),
-    "normal": (0.8, "theta", _draw_normal),
+    "lemniscate": (0.8, None, None, _draw_lemniscate),
+    "threebar": (1.15, "theta", 90.0, _draw_threebar),
+    "maclaurin": (1.15, "phi", 30.0, _draw_maclaurin),
+    "rightangle": (1.15, "alpha", 60.0, _draw_rightangle),
+    "inversion": (1.15, "theta", 90.0, _draw_inversion),
+    "tangentcircle": (1.45, "theta", 90.0, _draw_tangentcircle),
+    "normal": (0.8, "theta", 30.0, _draw_normal),
 }
 FIGURE_PRESETS = ("family3", *_BERNOULLI_PRESETS)
 
@@ -318,16 +318,16 @@ def figure_scene(
 ) -> Scene:
     """Compose the named figure.
 
-    Each preset draws at most one angle, which falls back to a
-    representative value when None: crank theta = pi/2 (threebar,
-    inversion, tangentcircle), secant phi = pi/6 (maclaurin), crank alpha
-    = pi/3 (rightangle), polar angle theta = pi/6 (normal). Any other
-    angle raises ValueError. The `family3` preset has its own fixed foci,
-    draws no angle, and ignores B.
+    Each preset draws at most one angle, in radians; when None it is the
+    preset's default, kept in degrees: crank theta 90 (threebar,
+    inversion, tangentcircle), secant phi 30 (maclaurin), crank alpha 60
+    (rightangle), polar angle theta 30 (normal). Any other angle raises
+    ValueError. The `family3` preset has its own fixed foci, draws no
+    angle, and ignores B.
     """
     if preset not in FIGURE_PRESETS:
         raise UnknownPreset(f"unknown preset {preset!r}; choose from {FIGURE_PRESETS}")
-    tall, angle, draw = _BERNOULLI_PRESETS.get(preset, (None, None, None))
+    tall, angle, default, draw = _BERNOULLI_PRESETS.get(preset, (None,) * 4)
     given = {k: v for k, v in (("theta", theta), ("phi", phi), ("alpha", alpha)) if v is not None}
     stray = [k for k in given if k != angle]
     if stray:
@@ -337,6 +337,8 @@ def figure_scene(
         return _scene_family3(grid)
     c = B.half_distance
     scene = curve_scene(B.lemniscate, bernoulli_window(B, grid, 1.6 * c * SQRT2, tall * c * SQRT2))
+    if angle:
+        given.setdefault(angle, math.radians(default))
     draw(scene, B, **given)
     return scene
 

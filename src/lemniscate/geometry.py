@@ -52,9 +52,6 @@ class Point:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "Point":
-        return Point(-self.x, -self.y)
-
     def dot(self, other: "Point") -> float:
         return self.x * other.x + self.y * other.y
 
@@ -99,20 +96,12 @@ class Line:
         if abs(n - 1.0) > _EPS:
             object.__setattr__(self, "direction", Point(self.direction.x / n, self.direction.y / n))
 
-    @classmethod
-    def through(cls, a: Point, b: Point) -> "Line":
-        return cls(a, b - a)
-
     def point_at(self, t: float) -> Point:
         return self.anchor + self.direction * t
 
     def param_of(self, p: Point) -> float:
         """Signed arc parameter of the projection of p onto the line."""
         return (p - self.anchor).dot(self.direction)
-
-    def foot_of(self, p: Point) -> Point:
-        """Orthogonal projection of p onto the line."""
-        return self.point_at(self.param_of(p))
 
     def signed_distance(self, p: Point) -> float:
         """Positive on the left of the direction vector."""

@@ -170,21 +170,25 @@ class Contour:
 def refine(L: PolynomialLemniscate, a, b) -> np.ndarray:
     """The roots of the field on the segments a -> b, as rows (M, 2).
 
-    a and b are rows (M, 2) whose field values straddle the curve: one end
-    negative, the other not (ValueError otherwise). Each row runs regula
-    falsi with the Illinois modification (Dowell & Jarratt, 1971) on its
-    segment: a step takes the secant root of the bracket, the first being
-    the linear interpolant of the end values, and an end that stays twice
-    running has its value halved, so the bracket closes from both sides.
-    A row stops once its scale-free residual |f| / (f + 2 level) is at
-    most 5e-13, once no float lies strictly between the points of its
-    bracket's ends, or after 64 steps. Every iterate lies on its segment,
-    so nothing can fail.
+    a and b are rows (M, 2) whose field values are finite and straddle
+    the curve: one end negative, the other not (ValueError otherwise).
+    Each row runs regula falsi with the Illinois modification (Dowell &
+    Jarratt, 1971) on its segment: a step takes the secant root of the
+    bracket, the first being the linear interpolant of the end values,
+    and an end that stays twice running has its value halved, so the
+    bracket closes from both sides. A row stops once its scale-free
+    residual |f| / (f + 2 level) is at most 5e-13, once no float lies
+    strictly between the points of its bracket's ends, or after 64
+    steps. Every iterate lies on its segment, so nothing can fail.
     """
     a = np.asarray(a, dtype=float).reshape(-1, 2)
     b = np.asarray(b, dtype=float).reshape(-1, 2)
-    flo = lemniscate_field_array(L, a[:, 0], a[:, 1])
-    fhi = lemniscate_field_array(L, b[:, 0], b[:, 1])
+    with np.errstate(over="ignore"):  # refused below
+        flo = lemniscate_field_array(L, a[:, 0], a[:, 1])
+        fhi = lemniscate_field_array(L, b[:, 0], b[:, 1])
+    big = np.flatnonzero(~(np.isfinite(flo) & np.isfinite(fhi)))
+    if big.size:
+        raise ValueError(f"the field overflows a float at an end of segment {big[0]}")
     same = np.flatnonzero((flo < 0.0) == (fhi < 0.0))
     if same.size:
         raise ValueError(f"the ends of segment {same[0]} do not straddle the curve")
@@ -233,9 +237,11 @@ def _signed_area(points: np.ndarray) -> float:
 
 def _singular_points(L: PolynomialLemniscate) -> np.ndarray:
     # the only singularity handled, as a row: the Bernoulli double point,
-    # present exactly when a 2-focus lemniscate's radius equals the half distance
+    # present exactly when a 2-focus lemniscate's radius equals the half
+    # distance; a field that overflows at the midpoint is far from zero
     mid = midpoint(L.foci[0], L.foci[1]) if L.n == 2 else None
-    if mid is not None and field_residual(L, lemniscate_field(L, mid)) <= 5e-10:
+    f = math.inf if mid is None else lemniscate_field(L, mid)
+    if f < math.inf and field_residual(L, f) <= 5e-10:
         return xy(mid)[None]
     return np.empty((0, 2))
 
@@ -411,11 +417,13 @@ def trace(L: PolynomialLemniscate, w: TraceWindow) -> list[Contour]:
 
     Returns one contour per connected component crossing the window,
     ordered by each contour's leftmost-lowest point. Raises EmptyTrace
-    when the field has no sign change in the window.
+    when the field has no sign change in the window, and ValueError when
+    the field overflows a float at an end of a crossed edge.
     """
     xs = np.linspace(w.xmin, w.xmax, w.nx + 1)
     ys = np.linspace(w.ymin, w.ymax, w.ny + 1)
-    ids, nxt = _crossings(L, w, xs, ys, *_band(L, w, xs, ys))
+    with np.errstate(over="ignore"):  # +inf is the right sign, outside
+        ids, nxt = _crossings(L, w, xs, ys, *_band(L, w, xs, ys))
     if not ids.size:
         raise EmptyTrace("no sign change in the window")
 

@@ -250,13 +250,34 @@ class TestFigureCommand:
             ("maclaurin", "maclaurin", "--phi", "-17.5"),
             ("rightangle", "rightangle", "--alpha", "40"),
             ("normal", "normal", "--theta", "12"),
+            # the angle flag omitted: the command's default is the preset's
+            ("linkage", "threebar", None, None),
+            ("maclaurin", "maclaurin", None, None),
+            ("rightangle", "rightangle", None, None),
+            ("normal", "normal", None, None),
         ],
     )
     def test_command_svg_is_its_preset(self, capsys, command, preset, angle, value):
-        code, out, _ = run_cli(capsys, command, "--format", "svg", f"{angle}={value}", "--grid", "64")
+        flag = [f"{angle}={value}"] if angle else []
+        code, out, _ = run_cli(capsys, command, "--format", "svg", *flag, "--grid", "64")
         assert code == 0
-        _, figure, _ = run_cli(capsys, "figure", "--preset", preset, f"{angle}={value}", "--grid", "64")
+        _, figure, _ = run_cli(capsys, "figure", "--preset", preset, *flag, "--grid", "64")
         assert out == figure
+
+    @pytest.mark.parametrize(
+        "command, key, degrees",
+        [
+            ("linkage", "theta_deg", 90.0),
+            ("maclaurin", "phi_deg", 30.0),
+            ("rightangle", "alpha_deg", 60.0),
+            ("normal", "theta_deg", 30.0),
+        ],
+    )
+    def test_json_default_angle(self, capsys, command, key, degrees):
+        code, out, _ = run_cli(capsys, command)
+        assert code == 0
+        value = json.loads(out)["config"][key]
+        assert value == degrees and isinstance(value, float)
 
     @pytest.mark.parametrize(
         "argv, flag",
@@ -363,6 +384,20 @@ class TestErrorPaths:
         code, out, err = run_cli(capsys, "trace", f"--window={window}", "--grid", "512")
         assert code == 2 and out == ""
         assert err.startswith(f"error: window {bounds} ")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # +inf is the field's right sign far out: no warning, no sign change
+            (("--window=-1e300,1e300,-1,1", "--grid", "512"), "no sign change in the window"),
+            # a normal level, 1e300, but the field overflows next to the foci
+            (("--foci=0,0,1e150,0", "--radius", "1e75", "--grid", "64"), "the field overflows a float"),
+        ],
+    )
+    def test_overflowing_field_is_a_usage_error(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "trace", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
     def test_no_command_usage(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -202,6 +202,11 @@ class TestRefine:
         with pytest.raises(ValueError, match="segment 1 "):
             refine(L, [(1.40, 0.01), (2.0, 0.0)], [(1.44, 0.01), (3.0, 0.0)])
 
+    def test_ends_must_be_finite(self):
+        # the product of squared focal distances passes the largest float
+        with pytest.raises(ValueError, match="overflows a float at an end of segment 1$"):
+            refine(L, [(1.40, 0.01), (1.40, 0.01)], [(1.44, 0.01), (1e100, 0.0)])
+
 
 class TestTraceMemory:
     def test_peak_below_100_mb_at_grid_2048(self):
