@@ -49,6 +49,12 @@ class PolynomialLemniscate:
         object.__setattr__(self, "foci", foci)
         if len(foci) < 1:
             raise ValueError("a lemniscate needs at least one focus")
+        # before the radius: half the distance of a repeated pair, a usual default, is 0
+        for i in range(len(foci)):
+            for j in range(i + 1, len(foci)):
+                if foci[i].distance_to(foci[j]) == 0.0:
+                    at = f"{foci[i].x!r},{foci[i].y!r}"
+                    raise ValueError(f"foci must be pairwise distinct, got foci {i + 1} and {j + 1} both at {at}")
         with np.errstate(over="ignore", under="ignore"):
             level = float(np.float64(self.radius) ** (2 * len(foci)))
         if not (self.radius > 0.0 and np.finfo(float).tiny <= level < math.inf):
@@ -56,10 +62,6 @@ class PolynomialLemniscate:
                 f"lemniscate radius must be positive with radius**(2n) a normal float, "
                 f"got radius {self.radius} at n = {len(foci)}"
             )
-        for i in range(len(foci)):
-            for j in range(i + 1, len(foci)):
-                if foci[i].distance_to(foci[j]) == 0.0:
-                    raise ValueError("foci must be pairwise distinct")
 
     @property
     def n(self) -> int:
@@ -90,8 +92,9 @@ def lemniscate_gradient(L: PolynomialLemniscate, p: Point) -> Point:
 def lemniscate_field_array(L: PolynomialLemniscate, x, y) -> np.ndarray:
     """lemniscate_field at the points (x, y), broadcasting the coordinate
     arrays; the scalar form is a one-row call of it."""
-    acc = np.ones(np.broadcast_shapes(np.shape(x), np.shape(y)))
-    for f in L.foci:
+    first, *rest = L.foci
+    acc = (x - first.x) ** 2 + (y - first.y) ** 2
+    for f in rest:
         acc *= (x - f.x) ** 2 + (y - f.y) ** 2
     acc -= L.level
     return acc
@@ -201,7 +204,7 @@ class BernoulliConfig:
 
     def __post_init__(self):
         if self.f1.distance_to(self.f2) == 0.0:
-            raise ValueError("Bernoulli foci must be distinct")
+            raise ValueError(f"Bernoulli foci must be distinct, got both at {self.f1.x!r},{self.f1.y!r}")
         self.lemniscate  # refuses a c**4 that is not a normal float
 
     @property

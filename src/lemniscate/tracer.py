@@ -24,8 +24,8 @@ lobe smaller than a block. The kept 4-cell blocks' nodes are evaluated
 in one call with the full grid's element-wise arithmetic, so every value,
 crossing and contour is what the full grid would give.
 
-Crossed edges carry integer ids in the full grid's order, and the
-marching-squares links between them are found with array operations.
+Crossed edges carry integer ids in the full grid's order; one sort of
+the segment ends ranks them and links each crossing to its successor.
 Only the walk along successors, the loop over chains and their pieces,
 and the walk past a dropped near-duplicate vertex stay sequential; they
 are deterministic, so output is independent of how the array work is
@@ -196,26 +196,27 @@ def refine(L: PolynomialLemniscate, a, b) -> np.ndarray:
     rows = np.arange(len(a))
     ax, ay, dx, dy = a[:, 0], a[:, 1], b[:, 0] - a[:, 0], b[:, 1] - a[:, 1]
     lo, hi = np.zeros(len(a)), np.ones(len(a))
-    moved = np.zeros(len(a))  # the end the last step replaced: -1 lo, 1 hi, 0 none
-    for _ in range(_MAX_STEPS):
+    neg = flo < 0.0  # the lo end keeps its sign
+    for step in range(_MAX_STEPS):
         t = np.minimum(np.maximum(lo + (hi - lo) * (flo / (flo - fhi)), lo), hi)
         x, y = ax + t * dx, ay + t * dy
         f = lemniscate_field_array(L, x, y)
         out[rows, 0], out[rows, 1] = x, y
-        low = (f < 0.0) == (flo < 0.0)  # the step replaces the lo end
-        # Illinois: an end that stays a second time running has its value halved
-        fhi = np.where(low & (moved < 0.0), 0.5 * fhi, fhi)
-        flo = np.where(~low & (moved > 0.0), 0.5 * flo, flo)
+        low = (f < 0.0) == neg  # the step replaces the lo end
+        if step:
+            # Illinois: an end that stays a second time running has its value halved
+            fhi = np.where(low & was_low, 0.5 * fhi, fhi)
+            flo = np.where(~(low | was_low), 0.5 * flo, flo)
         lo, flo = np.where(low, t, lo), np.where(low, f, flo)
         hi, fhi = np.where(low, hi, t), np.where(low, fhi, f)
-        moved = np.where(low, -1.0, 1.0)
+        was_low = low
         # (x, y) is now one end of the bracket and (u, v) the kept one; with no
         # float strictly between them no later step can meet the target
         kept = np.where(low, hi, lo)
         u, v = ax + kept * dx, ay + kept * dy
         go = ~(field_residual(L, f) <= _REFINE_TOL) & ((np.nextafter(x, u) != u) | (np.nextafter(y, v) != v))
-        state = (rows, ax, ay, dx, dy, lo, hi, flo, fhi, moved)
-        rows, ax, ay, dx, dy, lo, hi, flo, fhi, moved = (w[go] for w in state)
+        state = (rows, ax, ay, dx, dy, lo, hi, flo, fhi, neg, was_low)
+        rows, ax, ay, dx, dy, lo, hi, flo, fhi, neg, was_low = (w[go] for w in state)
         if not rows.size:
             break
     return out
@@ -317,7 +318,8 @@ def _crossings(L, w, xs, ys, ci, cj, vals):
     band cell whose case is neither 0 nor 15, and the segments of such a
     cell end on each of its crossed edges, so the segment ends are the
     crossed edges. Every segment has the field negative on its left, so
-    each crossed edge starts at most one segment and ends at most one."""
+    each crossed edge starts at most one segment and ends at most one:
+    one sort of the ends ranks them, a run of equal ids being one crossing."""
     neg = (vals < 0.0).astype(np.int8)
     case = neg[:-1, :-1] + 2 * neg[1:, :-1] + 4 * neg[1:, 1:] + 8 * neg[:-1, 1:]
     # clamping repeats the last node of a short block: those cells are not cells
@@ -335,19 +337,22 @@ def _crossings(L, w, xs, ys, ci, cj, vals):
     edges = np.stack((bottom, bottom + 1, left, left + w.ny), axis=-1)
     seg = _SEGMENTS[case, inside]
     ends = np.take_along_axis(edges, seg.reshape(len(case), 4), axis=1).reshape(-1, 2, 2)[seg[:, :, 0] >= 0]
-    # return_index keeps np.unique on its sorting path; without it numpy 2.4
-    # takes a hash path that imports numpy.ma, which costs every command memory
-    ids = np.unique(ends, return_index=True)[0]
-    ends = np.searchsorted(ids, ends)
+    order = np.argsort(ends, axis=None)
+    ids = ends.ravel()[order]
+    first = np.ones(len(ids), dtype=bool)
+    first[1:] = ids[1:] != ids[:-1]
+    rank = np.empty_like(order)
+    rank[order] = np.cumsum(first) - 1
+    ids = ids[first]
     nxt = np.full(len(ids), -1, dtype=np.intp)
-    nxt[ends[:, 0]] = ends[:, 1]
+    nxt[rank[0::2]] = rank[1::2]
     return ids, nxt
 
 
 def _extract_chains(nxt):
-    """The chains of successors, as (rows, closed): open chains from each
-    crossing that no segment ends at, in id order, then each cycle from
-    its lowest id."""
+    """The chains of successors, as (rows, closed) with rows an intp array:
+    open chains from each crossing that no segment ends at, in id order,
+    then each cycle from its lowest id."""
     heads = np.ones(len(nxt), dtype=bool)
     heads[nxt[nxt >= 0]] = False
     nxt = nxt.tolist()
@@ -361,7 +366,7 @@ def _extract_chains(nxt):
             seq.append(cur)
             visited[cur] = True
             cur = nxt[cur]
-        chains.append((seq, cur == start))
+        chains.append((np.fromiter(seq, dtype=np.intp, count=len(seq)), cur == start))
     return chains
 
 
@@ -373,7 +378,6 @@ def _snap_and_split(rows, closed, coords, singular_rows, snap_radius):
     hold the singular points."""
     if not singular_rows:
         return [(rows, closed)]
-    rows = np.asarray(rows)
     pts, singular = coords[rows], coords[singular_rows]
     near = np.hypot(pts[:, None, 0] - singular[:, 0], pts[:, None, 1] - singular[:, 1]) <= snap_radius
     # each vertex snaps to the first singular point within reach

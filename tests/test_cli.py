@@ -1,5 +1,6 @@
 """Command line surface tests: formats, exit codes, determinism."""
 
+import hashlib
 import json
 import math
 import os
@@ -329,6 +330,21 @@ class TestErrorPaths:
         code, _, err = run_cli(capsys, "area", "--foci", "1,2,3")
         assert code == 2 and "even number" in err
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (("trace", "--foci=1,1,1,1"), "foci 1 and 2 both at 1.0,1.0"),
+            (("trace", "--foci=0,0,2,1,2,1", "--grid", "64"), "foci 2 and 3 both at 2.0,1.0"),
+            (("area", "--foci=1,1,1,1"), "both at 1.0,1.0"),
+        ],
+        ids=["trace_pair", "trace_third_focus", "area_pair"],
+    )
+    def test_coincident_foci_are_named(self, capsys, argv, named):
+        # the default radius of a repeated pair is 0: distinctness is checked first
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "distinct" in err and named in err
+
     def test_invert_center_singular(self, capsys):
         code, _, err = run_cli(capsys, "invert", "--point", "0,0")
         assert code == 2
@@ -454,8 +470,9 @@ def _run_subprocess(args, hashseed):
 
 
 def test_commands_leave_numpy_ma_unimported(tmp_path):
-    # numpy.ma costs each command memory; numpy 2.4's hash path of a plain
-    # np.unique imports it, so a fresh interpreter shows whether any does
+    # numpy.ma costs each command memory, and numpy 2.4 imports it on the
+    # hash path of a plain np.unique, which src/ does not call; a fresh
+    # interpreter shows whether any command imports it
     script = (
         "import sys\n"
         "from lemniscate.cli import main\n"
@@ -488,3 +505,29 @@ class TestDeterminism:
         assert first.returncode == 0, first.stderr.decode()
         assert second.returncode == 0, second.stderr.decode()
         assert first.stdout == second.stdout
+
+    @pytest.mark.parametrize(
+        "foci, digest",
+        [
+            # canonical Bernoulli pair at the default grid 512
+            ("-1,0,1,0", "94ecc802edc522dd9ab5582a310ec6f0f121c7f3d0b19751b12cd036e793b13f"),
+            # four foci drawn uniformly from [-1.5, 1.5]^2 (numpy seed 20261018), radius 1
+            (
+                "1.1238825230586604,-0.34168929850715446,-1.3978339653113128,0.7022633736739632,"
+                "1.077076544773603,0.8098615418093464,0.498943990580186,-1.4443307023966439",
+                "6c8ff2f51e658d83932c2f7e9039901e59f90504d9cc84a5037714839229a402",
+            ),
+            # a Bernoulli pair at c = 1e-3 about (0.25, -0.5), turned 37 degrees
+            (
+                "0.2492013644899527,-0.500601815023152,0.2507986355100473,-0.49939818497684796",
+                "a43d11b2d368d852578d919bf8960bbac66b7d4ad6cc6591f82b0fc5a8dc7828",
+            ),
+        ],
+        ids=["canonical", "four_foci", "turned_small_pair"],
+    )
+    def test_trace_csv_is_pinned_bit_for_bit(self, capsys, foci, digest):
+        # the CSV writes every vertex at full precision, so any change to a
+        # vertex bit, a contour's order or its direction changes the hash
+        code, out, _ = run_cli(capsys, "trace", "--format", "csv", f"--foci={foci}")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -25,7 +25,7 @@ from lemniscate import (
     line_line_intersection,
     unit_hyperbola_foci,
 )
-from lemniscate.curves import hyperbola_gradient_array
+from lemniscate.curves import hyperbola_gradient_array, lemniscate_field_array
 from lemniscate.errors import NotOnCurve, OutsideLobe, TooManyFoci
 from lemniscate.geometry import Line, row_point, xy
 
@@ -71,6 +71,42 @@ class TestField:
         assert lemniscate_field(scaled, p * k) == pytest.approx(
             base * k ** (2 * CANON_L.n), rel=1e-9, abs=1e-12
         )
+
+    @staticmethod
+    def seeded_field(L, x, y):
+        # reference: the product started from ones, which 1.0 * q == q makes
+        # equal to the evaluator's bit for bit
+        acc = np.ones(np.broadcast_shapes(np.shape(x), np.shape(y)))
+        for f in L.foci:
+            acc *= (x - f.x) ** 2 + (y - f.y) ** 2
+        acc -= L.level
+        return acc
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_the_seeded_form_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        for scale in (1e-3, 1.0, 1e3):
+            foci = tuple(Point(*p) for p in rng.uniform(-scale, scale, (n, 2)))
+            L = PolynomialLemniscate(foci, scale * rng.uniform(0.3, 1.5))
+            k = int(rng.integers(1, 9))
+            # the band's shapes: node columns along x against node rows along y
+            x = rng.uniform(-2.0 * scale, 2.0 * scale, (5, 1, k))
+            y = rng.uniform(-2.0 * scale, 2.0 * scale, (1, 5, k))
+            got, want = lemniscate_field_array(L, x, y), self.seeded_field(L, x, y)
+            assert got.shape == want.shape == (5, 5, k)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            pts = rng.uniform(-2.0 * scale, 2.0 * scale, (2, 50))
+            got, want = lemniscate_field_array(L, *pts), self.seeded_field(L, *pts)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_overflow_matches_the_seeded_form(self):
+        L = PolynomialLemniscate(tuple(Point(float(k), 0.0) for k in range(4)), 1.0)
+        x = np.array((1e40, 1e80, -1e160, 3.0, 1e300))[:, None]
+        y = np.array((0.0, 1e80, 2.0))[None]
+        with np.errstate(over="ignore"):
+            got, want = lemniscate_field_array(L, x, y), self.seeded_field(L, x, y)
+        assert np.isinf(got).sum() > 0 and np.isfinite(got).sum() > 0
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestGradient:
