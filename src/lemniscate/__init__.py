@@ -10,7 +10,6 @@ from .geometry import (
     InversionMap,
     Line,
     Point,
-    angle_at,
     circle_circle_intersection,
     invert_line,
     invert_point,

@@ -292,7 +292,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.run(args)
-    except (GeometryError, ValueError) as exc:
+    except (GeometryError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

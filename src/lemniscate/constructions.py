@@ -288,8 +288,8 @@ def normal_by_angle_array(B: BernoulliConfig, x) -> np.ndarray:
         raise DoublePoint(
             f"two branches cross at the double point {row_point(x[at_o][0])}; no single normal"
         )
-    # angle_at_array(o, x, f1) without its ray test, which is relative to the
-    # coordinates, not to c: o->x is longer than 1e-12 c here, o->f1 is c long
+    # the unsigned angle at o between the rays to x and to f1, atan2(|cross|, dot):
+    # o->x is longer than 1e-12 c here and o->f1 is c long, so neither is degenerate
     delta = np.arctan2(np.abs(row_cross(-to_o, f1 - o)), row_dot(-to_o, f1 - o))
     phi0 = np.arctan2(to_o[..., 1], to_o[..., 0])
     turn = np.arctan2(f1[1] - x[..., 1], f1[0] - x[..., 0]) - phi0

@@ -21,10 +21,6 @@ class Concentric(GeometryError):
     """Concentric circles have no well-defined intersection."""
 
 
-class DegenerateRay(GeometryError):
-    """Angle requested with a ray endpoint equal to the vertex."""
-
-
 class TooManyFoci(GeometryError):
     """Coefficient expansion guarded to small focus counts."""
 

@@ -5,12 +5,12 @@ types are immutable values and all operations are pure closed-form
 computations, so everything here is safe to use concurrently.
 
 Conventions: angles are radians; every guard is scale-free, relative
-to a radius, to the coordinates or to a unit direction, so it holds
-alike at any similarity placement; intersection results are returned in
-a deterministic order so downstream branch selection is reproducible.
+to a radius or to a unit direction, so it holds alike at any similarity
+placement; intersection results are returned in a deterministic order
+so downstream branch selection is reproducible.
 
-Angles, reflection, inversion of points and lines, and line
-intersection each have one array form (the `*_array` functions) that takes points as rows
+Reflection, inversion of points and lines, and line intersection each
+have one array form (the `*_array` functions) that takes points as rows
 of a float array of shape (..., 2) and broadcasts its arguments; the
 Point functions are one-row calls of it.
 """
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CenterSingular, Concentric, DegenerateRay, LineThroughCenter
+from .errors import CenterSingular, Concentric, LineThroughCenter
 
 _EPS = 1e-12
 SQRT2 = math.sqrt(2.0)
@@ -103,10 +103,6 @@ class Line:
         """Signed arc parameter of the projection of p onto the line."""
         return (p - self.anchor).dot(self.direction)
 
-    def signed_distance(self, p: Point) -> float:
-        """Positive on the left of the direction vector."""
-        return self.direction.cross(p - self.anchor)
-
 
 @dataclass(frozen=True, slots=True)
 class Circle:
@@ -116,9 +112,6 @@ class Circle:
     def __post_init__(self):
         if not (self.radius > 0.0 and math.isfinite(self.radius)):
             raise ValueError(f"circle radius must be positive, got {self.radius}")
-
-    def contains(self, p: Point, tol: float = 1e-9) -> bool:
-        return abs(p.distance_to(self.center) - self.radius) <= tol
 
 
 @dataclass(frozen=True, slots=True)
@@ -198,11 +191,6 @@ def line_circle_intersection(l: Line, c: Circle) -> list[Point]:
     return [l.point_at(t0 - h), l.point_at(t0 + h)]
 
 
-def angle_at(vertex: Point, a: Point, b: Point) -> float:
-    """Unsigned angle in [0, pi] between the rays vertex->a and vertex->b."""
-    return float(angle_at_array(xy(vertex), xy(a), xy(b)))
-
-
 def line_line_intersection(l1: Line, l2: Line) -> Point | None:
     """Intersection of two lines, or None when they are parallel."""
     p = line_line_intersection_array(
@@ -257,17 +245,6 @@ def row_rotate(v, angle):
     """Rotate the vector(s) v counterclockwise by the angle(s)."""
     c, s = np.cos(angle), np.sin(angle)
     return np.stack((v[..., 0] * c - v[..., 1] * s, v[..., 0] * s + v[..., 1] * c), axis=-1)
-
-
-def angle_at_array(vertex, a, b):
-    """angle_at for each row. Raises DegenerateRay where a ray is no longer
-    than 1e-12 times the largest coordinate magnitude in its row."""
-    va = a - vertex
-    vb = b - vertex
-    least = _EPS * np.abs(np.broadcast_arrays(vertex, a, b)).max(axis=(0, -1))
-    if ((row_norm(va) <= least) | (row_norm(vb) <= least)).any():
-        raise DegenerateRay("ray endpoint coincides with the vertex")
-    return np.arctan2(np.abs(row_cross(va, vb)), row_dot(va, vb))
 
 
 def reflect_across_line_array(anchor, direction, p):

@@ -29,14 +29,17 @@ the segment ends ranks them and links each crossing to its successor.
 Only the walk along successors, the loop over chains and their pieces,
 and the walk past a dropped near-duplicate vertex stay sequential; they
 are deterministic, so output is independent of how the array work is
-scheduled. Snapping and output work on each contour as one (N, 2) array.
+scheduled. Output works on each contour as one (N, 2) array.
 
 Every crossing is placed once, by one vectorised bracket over every
-crossed edge (refine) before any snapping: regula falsi with the
-Illinois modification, started from the edge's end values, so a vertex
-never leaves its edge and no point, singular ones included, can make it
-fail. It stops at a scale-free residual, so the curve is traced alike at
-any similarity placement of the foci.
+crossed edge (refine): regula falsi with the Illinois modification,
+started from the edge's end values, so a vertex never leaves its edge
+and no point, singular ones included, can make it fail. It stops at a
+scale-free residual, so the curve is traced alike at any similarity
+placement of the foci. Snapping then runs once per trace, over every
+crossing at once: each one within a cell diagonal of a singular point
+becomes that point. A closed chain that meets singular points twice or
+more is split at the vertices whose coordinates equal one.
 """
 
 from __future__ import annotations
@@ -370,33 +373,6 @@ def _extract_chains(nxt):
     return chains
 
 
-def _snap_and_split(rows, closed, coords, singular_rows, snap_radius):
-    """Snap vertices near a singular point onto it and split the chain
-    there, so a figure-eight separates into one loop per lobe.
-
-    Vertices are rows of coords; singular_rows are the last rows, which
-    hold the singular points."""
-    if not singular_rows:
-        return [(rows, closed)]
-    pts, singular = coords[rows], coords[singular_rows]
-    near = np.hypot(pts[:, None, 0] - singular[:, 0], pts[:, None, 1] - singular[:, 1]) <= snap_radius
-    # each vertex snaps to the first singular point within reach
-    rows = np.where(near.any(axis=1), singular_rows.start + near.argmax(axis=1), rows)
-    pts = coords[rows]
-    # exact repeats: equal to the last kept row exactly when equal to the previous one
-    keep = np.ones(len(rows), dtype=bool)
-    keep[1:] = (pts[1:] != pts[:-1]).any(axis=1)
-    rows = rows[keep]
-    if closed and len(rows) > 1 and rows[0] == rows[-1]:
-        rows = rows[:-1]
-
-    hits = np.flatnonzero(rows >= singular_rows.start).tolist()
-    if closed and len(hits) >= 2:
-        # one loop from each hit to the next, around the cycle
-        return [(np.roll(rows, -a)[: (b - a) % len(rows)], True) for a, b in zip(hits, hits[1:] + hits[:1])]
-    return [(rows, closed)]
-
-
 def _dedupe(pts: np.ndarray, tol: float) -> np.ndarray:
     """Drop each vertex within tol of the last one kept.
 
@@ -431,23 +407,32 @@ def trace(L: PolynomialLemniscate, w: TraceWindow) -> list[Contour]:
     if not ids.size:
         raise EmptyTrace("no sign change in the window")
 
-    # one bracket places every crossing; the singular points follow the
-    # crossings as extra rows
+    # one bracket places every crossing, then each crossing within a cell
+    # diagonal of a singular point snaps onto the first one within reach
+    coords = refine(L, *_edge_ends(w, xs, ys, ids))
     singular = _singular_points(L)
-    singular_rows = range(len(ids), len(ids) + len(singular))
-    coords = np.concatenate((refine(L, *_edge_ends(w, xs, ys, ids)), singular))
-
-    pieces = []
-    for rows, closed in _extract_chains(nxt):
-        pieces += _snap_and_split(rows, closed, coords, singular_rows, w.cell_diagonal)
+    if len(singular):
+        near = np.hypot(coords[:, None, 0] - singular[:, 0], coords[:, None, 1] - singular[:, 1]) <= w.cell_diagonal
+        coords = np.where(near.any(axis=1)[:, None], singular[near.argmax(axis=1)], coords)
 
     contours = []
-    for rows, closed in pieces:
-        pts = _dedupe(coords[rows], 1e-12 * w.cell_diagonal)
-        if len(pts) < (3 if closed else 2):
-            continue
-        residual = float(np.abs(lemniscate_field_array(L, pts[:, 0], pts[:, 1])).max())
-        contours.append(Contour(pts, closed, residual))
+    for rows, closed in _extract_chains(nxt):
+        pts = coords[rows]
+        on = (pts[:, None] == singular).all(axis=2).any(axis=1)
+        # a closed chain meets a singular point at each singular vertex unlike
+        # the one before it, around the cycle; met twice or more, it splits
+        # into one loop from each meeting to the next
+        meets = np.flatnonzero(on & (pts != np.roll(pts, 1, axis=0)).any(axis=1))
+        split = closed and len(meets) >= 2
+        for piece in np.split(np.roll(pts, -meets[0], axis=0), meets[1:] - meets[0]) if split else [pts]:
+            piece = _dedupe(piece, 1e-12 * w.cell_diagonal)
+            # a cycle that starts on a singular point ends on it too
+            if closed and on[0] and (piece[0] == piece[-1]).all():
+                piece = piece[:-1]
+            if len(piece) < (3 if closed else 2):
+                continue
+            residual = float(np.abs(lemniscate_field_array(L, piece[:, 0], piece[:, 1])).max())
+            contours.append(Contour(piece, closed, residual))
 
     # by each contour's leftmost-lowest point
     contours.sort(key=lambda c: tuple(c.points[np.lexsort(c.points.T[::-1])[0]].tolist()))

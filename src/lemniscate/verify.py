@@ -82,10 +82,6 @@ def _field(L, pts):
     return lemniscate_field_array(L, pts[..., 0], pts[..., 1])
 
 
-def canonical_config() -> BernoulliConfig:
-    return BernoulliConfig(Point(-1.0, 0.0), Point(1.0, 0.0))
-
-
 def polar_angles(count: int, margin: float = 0.0) -> np.ndarray:
     """Angles across both lobes where the polar radius is defined."""
     half = count // 2
@@ -340,14 +336,13 @@ def check_area(B: BernoulliConfig, grid: int = 512) -> Check:
 
 
 def run_verification(
-    B: BernoulliConfig | None = None,
+    B: BernoulliConfig,
     *,
     sweep: int = 10_000,
     dense: int = 1_000,
     grid: int = 512,
 ) -> list[Check]:
     """Run every sweep at the given sample counts and collect the checks."""
-    B = B or canonical_config()
     checks = [check_defining_product(B, sweep)]
     states = threebar_states(B, sweep)
     checks += check_threebar(B, states)

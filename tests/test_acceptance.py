@@ -307,6 +307,7 @@ def _cli_bytes(args, hashseed, threads):
         env={
             "PYTHONHASHSEED": hashseed,
             "PYTHONPATH": _PACKAGE_PARENT,
+            "PYTHONDONTWRITEBYTECODE": "1",
             "OMP_NUM_THREADS": threads,
             "OPENBLAS_NUM_THREADS": threads,
             "PATH": "/usr/bin:/bin",

@@ -345,6 +345,13 @@ class TestErrorPaths:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "distinct" in err and named in err
 
+    @pytest.mark.parametrize("argv", [("area",), ("verify", "--grid", "64")], ids=["area", "verify"])
+    def test_out_path_that_cannot_be_opened_is_a_usage_error(self, capsys, tmp_path, argv):
+        path = tmp_path / "missing" / "report.json"
+        code, out, err = run_cli(capsys, *argv, "--out", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and str(path) in err
+
     def test_invert_center_singular(self, capsys):
         code, _, err = run_cli(capsys, "invert", "--point", "0,0")
         assert code == 2
@@ -464,6 +471,7 @@ def _run_subprocess(args, hashseed):
         env={
             "PYTHONHASHSEED": hashseed,
             "PYTHONPATH": _PACKAGE_PARENT,
+            "PYTHONDONTWRITEBYTECODE": "1",
             "PATH": "/usr/bin:/bin",
         },
     )
@@ -483,7 +491,7 @@ def test_commands_leave_numpy_ma_unimported(tmp_path):
     result = subprocess.run(
         [sys.executable, "-c", script, str(tmp_path / "out")],
         capture_output=True,
-        env={"PYTHONPATH": _PACKAGE_PARENT, "PATH": "/usr/bin:/bin"},
+        env={"PYTHONPATH": _PACKAGE_PARENT, "PYTHONDONTWRITEBYTECODE": "1", "PATH": "/usr/bin:/bin"},
     )
     assert result.returncode == 0, result.stderr.decode()
     assert result.stdout == b"False\n"

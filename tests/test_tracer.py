@@ -1,5 +1,6 @@
 """Tracer tests: extraction topology, refinement, area, CSV round trip."""
 
+import hashlib
 import math
 import random
 import tracemalloc
@@ -25,7 +26,7 @@ from lemniscate import (
 )
 from lemniscate import tracer
 from lemniscate.curves import field_residual, lemniscate_field_array
-from lemniscate.errors import EmptyTrace, OpenContour
+from lemniscate.errors import EmptyTrace, GeometryError, OpenContour
 from lemniscate.tracer import (
     _SEGMENTS,
     _band,
@@ -425,6 +426,22 @@ class TestTraceBernoulli:
             total = sum(contour_area(c) for c in contours)
             assert total == pytest.approx(2.0, rel=2e-3)
 
+    def test_split_loops_dedupe_across_the_cycle_start(self):
+        # node (1, 4) lies a rounding error inside the left lobe at height
+        # 1/16, so the figure-eight's first crossing, left of that node, and
+        # its last, above it, both lie within rounding of the node; the loop
+        # that holds them must keep no two consecutive vertices within 1e-12
+        # cell diagonals
+        y = 0.0625
+        x = -math.sqrt(1.0 - y * y + math.sqrt(1.0 - 4.0 * y * y))  # (x^2 + y^2)^2 = 2 (x^2 - y^2)
+        while lemniscate_field(L, Point(x, y)) >= 0.0:
+            x = math.nextafter(x, 0.0)
+        w = TraceWindow(x - 0.25, x + 3.0, y - 2.0, y + 2.0, 13, 8)
+        contours = trace(L, w)
+        assert len(contours) == 2 and all(c.closed for c in contours)
+        for c in contours:
+            assert np.hypot(*np.diff(c.points, axis=0).T).min() > 1e-12 * w.cell_diagonal
+
     def test_monotone_area_convergence(self):
         errors = []
         for grid in (128, 256, 512):
@@ -436,6 +453,57 @@ class TestTraceBernoulli:
     def test_open_contour_when_clipped(self):
         contours = trace(L, TraceWindow(-0.5, 2.0, -0.9, 0.9, 128, 128))
         assert any(not c.closed for c in contours)
+
+
+def pinned_batch():
+    """300 seeded (lemniscate, window) pairs: 200 Bernoulli pairs, turned
+    and scaled by 2**-10 to 2**10, and 100 lemniscates of 1 to 6 foci.
+    Every other pair has its double point on a grid node of power-of-two
+    spacing; pairs 100 on have radii 0, 1e-12 or 1e-10 off the double
+    point's level."""
+    rng = random.Random(1515)
+    for k in range(300):
+        grid = rng.randrange(16, 97)
+        if k >= 200:
+            foci = tuple(Point(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(rng.randint(1, 6)))
+            L = PolynomialLemniscate(foci, rng.uniform(0.3, 1.3))
+            box = [rng.uniform(-2.2, -1.0), rng.uniform(1.0, 2.2), rng.uniform(-2.2, -1.0), rng.uniform(1.0, 2.2)]
+            yield L, TraceWindow(*box, rng.randrange(9, 97), rng.randrange(9, 97))
+            continue
+        c = 2.0 ** rng.uniform(-10, 10)
+        turn = rng.uniform(0.0, math.tau)
+        if k % 2:
+            # the grid's nodes are exact multiples of dx, and node (i, j) is the origin
+            dx = 2.0 ** math.floor(math.log2(3.0 * c / grid))
+            o = (0.0, 0.0)
+            i, j = rng.randrange(grid // 4, 3 * grid // 4), rng.randrange(grid // 4, 3 * grid // 4)
+            box = [-i * dx, (grid - i) * dx, -j * dx, (grid - j) * dx]
+        else:
+            o = (rng.uniform(-5, 5) * c, rng.uniform(-5, 5) * c)
+            h = rng.uniform(1.0, 1.8) * c * math.sqrt(2.0)
+            box = [o[0] - h * rng.uniform(0.9, 1.1), o[0] + h * rng.uniform(0.9, 1.1)]
+            box += [o[1] - h * rng.uniform(0.9, 1.1), o[1] + h * rng.uniform(0.9, 1.1)]
+        v = (c * math.cos(turn), c * math.sin(turn))
+        foci = (Point(o[0] - v[0], o[1] - v[1]), Point(o[0] + v[0], o[1] + v[1]))
+        off = (0.0, 0.0, 1e-12, -1e-12, 1e-10, -1e-10)[k % 6] if k >= 100 else 0.0
+        L = PolynomialLemniscate(foci, 0.5 * foci[0].distance_to(foci[1]) * (1.0 + off))
+        yield L, TraceWindow(*box, grid, grid)
+
+
+class TestPinnedBatch:
+    def test_batch_is_pinned_bit_for_bit(self):
+        # every vertex bit, each contour's order, direction, closedness and
+        # residual, and each refusal's type and message
+        digest = hashlib.sha256()
+        for L, w in pinned_batch():
+            try:
+                contours = trace(L, w)
+            except (GeometryError, ValueError) as exc:
+                digest.update(f"{type(exc).__name__}: {exc}".encode())
+                continue
+            for c in contours:
+                digest.update(c.points.tobytes() + bytes([c.closed]) + np.float64(c.max_residual).tobytes())
+        assert digest.hexdigest() == "f12b5be6bbea136fea44beacf8b1aedbea090cc137407ff781e43f44d032c518"
 
 
 class TestTraceThreeFoci:

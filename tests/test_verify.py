@@ -64,7 +64,7 @@ def test_residuals_invariant_under_exact_scaling():
     def residuals(B):
         return {c.name: c.max_residual for c in run_verification(B, sweep=400, dense=120, grid=128)}
 
-    assert residuals(None) == residuals(placed(2.0, 0.0, 0.0, 0.0))
+    assert residuals(placed(1.0, 0.0, 0.0, 0.0)) == residuals(placed(2.0, 0.0, 0.0, 0.0))
 
 
 def test_area_window_follows_the_axis():
@@ -75,5 +75,5 @@ def test_area_window_follows_the_axis():
 
 def test_no_floating_point_warnings():
     with np.errstate(divide="raise", invalid="raise", over="raise"):
-        for B in (None, placed(5.0, 0.9273, 1.0, 3.0)):
+        for B in (placed(1.0, 0.0, 0.0, 0.0), placed(5.0, 0.9273, 1.0, 3.0)):
             run_verification(B, sweep=400, dense=120, grid=128)
