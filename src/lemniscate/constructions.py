@@ -52,6 +52,7 @@ from .geometry import (
     row_point,
     row_rotate,
     row_unit,
+    rows,
     xy,
 )
 
@@ -102,7 +103,9 @@ class ThreeBarState(NamedTuple):
 
     def select(self, rows) -> ThreeBarState:
         """The sweep's states at the given rows (an index or boolean mask)."""
-        return ThreeBarState(*(field[rows] for field in self[:-1]), self.side)
+        # taken along the points' axis, the point rows stay coordinate-major
+        k = np.arange(len(self.theta))[rows]
+        return ThreeBarState(*(field.T.take(k, axis=-1).T for field in self[:-1]), self.side)
 
 
 class MaclaurinSample(NamedTuple):
@@ -295,7 +298,7 @@ def normal_by_angle_array(B: BernoulliConfig, x) -> np.ndarray:
     turn = np.arctan2(f1[1] - x[..., 1], f1[0] - x[..., 0]) - phi0
     swing = turn - math.tau * np.round(turn / math.tau)  # math.remainder(turn, tau)
     ang = phi0 + np.where(swing >= 0.0, 1.0, -1.0) * 2.0 * delta
-    return np.stack((np.cos(ang), np.sin(ang)), axis=-1)
+    return rows(np.cos(ang), np.sin(ang))
 
 
 def hyperbola_of(B: BernoulliConfig) -> EquilateralHyperbola:

@@ -27,8 +27,8 @@ from .geometry import (
     row_cross,
     row_dot,
     row_norm,
-    row_perp,
     row_point,
+    rows,
     xy,
 )
 
@@ -118,7 +118,7 @@ def lemniscate_gradient_array(L: PolynomialLemniscate, x, y) -> np.ndarray:
                 pref = pref * qj
         gx = gx + pref * 2.0 * (x - f.x)
         gy = gy + pref * 2.0 * (y - f.y)
-    return np.stack(np.broadcast_arrays(gx, gy), axis=-1)
+    return rows(gx, gy)
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,7 +170,8 @@ def expand_coefficients(L: PolynomialLemniscate) -> CoefficientTable:
 
     Exact convolution in a dense (i, j) table; guarded to n <= 8 where
     the table stays tiny and float arithmetic stays exact for integer
-    inputs.
+    inputs. ValueError, naming the foci and radius, when a coefficient
+    is not a finite float.
     """
     if L.n > 8:
         raise TooManyFoci(f"coefficient expansion supports n <= 8, got {L.n}")
@@ -182,12 +183,16 @@ def expand_coefficients(L: PolynomialLemniscate) -> CoefficientTable:
         factor[0, 1] = -2.0 * f.y
         factor[2, 0] = 1.0
         factor[0, 2] = 1.0
-        acc = _mul2d(acc, factor)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            acc = _mul2d(acc, factor)
     # pad to a square (2n+1) x (2n+1) table for uniform indexing
     size = 2 * L.n + 1
     table = np.zeros((size, size))
     table[: acc.shape[0], : acc.shape[1]] = acc
     table[0, 0] -= L.level
+    if not np.isfinite(table).all():
+        foci = ", ".join(f"({f.x!r}, {f.y!r})" for f in L.foci)
+        raise ValueError(f"the coefficients overflow a float at foci {foci} and radius {L.radius!r}")
     return CoefficientTable(n=L.n, coeffs=table)
 
 
@@ -258,7 +263,7 @@ def bernoulli_polar_array(B: BernoulliConfig, theta) -> np.ndarray:
     u = B.axis_unit
     ct, st = np.cos(theta), np.sin(theta)
     o = B.center
-    return np.stack((o.x + r * (u.x * ct - u.y * st), o.y + r * (u.x * st + u.y * ct)), axis=-1)
+    return rows(o.x + r * (u.x * ct - u.y * st), o.y + r * (u.x * st + u.y * ct))
 
 
 def bernoulli_area(B: BernoulliConfig) -> float:
@@ -312,9 +317,9 @@ def hyperbola_gradient_array(H: EquilateralHyperbola, p) -> np.ndarray:
     frame aligned with the focal axis, at each row of p."""
     u = xy(H.axis_unit)
     v = p - xy(H.center)
-    xi = row_dot(v, u)
-    eta = row_cross(u, v)
-    return u * (2.0 * xi)[..., None] - row_perp(u) * (2.0 * eta)[..., None]
+    xi2 = 2.0 * row_dot(v, u)
+    eta2 = 2.0 * row_cross(u, v)
+    return rows(u[0] * xi2 + u[1] * eta2, u[1] * xi2 - u[0] * eta2)  # 2 xi u - 2 eta perp(u)
 
 
 def hyperbola_tangent_at(H: EquilateralHyperbola, q: Point) -> Line:
@@ -337,10 +342,10 @@ def hyperbola_point_array(H: EquilateralHyperbola, t, branch: int = 1) -> np.nda
     """hyperbola_point at each parameter t on one branch, as rows (N, 2)."""
     t = np.asarray(t, dtype=float)
     a = H.semi_axis
-    u = xy(H.axis_unit)
+    u, o = H.axis_unit, H.center
     xi = (1.0 if branch >= 0 else -1.0) * a * np.cosh(t)
     eta = a * np.sinh(t)
-    return xy(H.center) + u * xi[..., None] + row_perp(u) * eta[..., None]
+    return rows(o.x + u.x * xi - u.y * eta, o.y + u.y * xi + u.x * eta)  # o + u xi + perp(u) eta
 
 
 def unit_hyperbola_foci() -> tuple[Point, Point]:

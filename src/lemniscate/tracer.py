@@ -397,7 +397,8 @@ def trace(L: PolynomialLemniscate, w: TraceWindow) -> list[Contour]:
 
     Returns one contour per connected component crossing the window,
     ordered by each contour's leftmost-lowest point. Raises EmptyTrace
-    when the field has no sign change in the window, and ValueError when
+    when the field has no sign change in the window or every chain
+    collapses onto a point, and ValueError when
     the field overflows a float at an end of a crossed edge.
     """
     xs = np.linspace(w.xmin, w.xmax, w.nx + 1)
@@ -433,6 +434,8 @@ def trace(L: PolynomialLemniscate, w: TraceWindow) -> list[Contour]:
                 continue
             residual = float(np.abs(lemniscate_field_array(L, piece[:, 0], piece[:, 1])).max())
             contours.append(Contour(piece, closed, residual))
+    if not contours:
+        raise EmptyTrace(f"every traced chain collapses within 1e-12 of a cell diagonal at grid {w.nx}x{w.ny}")
 
     # by each contour's leftmost-lowest point
     contours.sort(key=lambda c: tuple(c.points[np.lexsort(c.points.T[::-1])[0]].tolist()))

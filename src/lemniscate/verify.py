@@ -53,6 +53,7 @@ from .geometry import (
     row_norm,
     row_perp,
     row_unit,
+    rows,
     xy,
 )
 from .tracer import bernoulli_window, contour_area, trace
@@ -189,11 +190,12 @@ def check_rightangle(B: BernoulliConfig, count: int = 10_000) -> list[Check]:
     c = B.half_distance
     alpha = -math.pi / 2 + (np.arange(count) + 0.5) * math.pi / count
     st = right_angle_array(B, alpha)
+    crank2 = row_norm(st.a - o) ** 2
     right = []
     sticks = []
     for tip in (st.x, st.y):
         stick = row_norm(st.a - tip)
-        right.append(row_norm(tip - o) ** 2 + row_norm(st.a - o) ** 2 - stick**2)
+        right.append(row_norm(tip - o) ** 2 + crank2 - stick**2)
         sticks.append(stick - c * SQRT2)
     lobe_margin = min(np.min(row_dot(st.x - o, u)), np.min(-row_dot(st.y - o, u)))
     return [
@@ -266,22 +268,20 @@ def check_lemma1(pair_count: int = 1_000, samples_per_line: int = 50, seed: int 
     import random
 
     rng = random.Random(seed)
-    pairs = []
-    for _ in range(pair_count):
-        center = (rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
-        radius, ang = rng.uniform(0.5, 2.0), rng.uniform(0.0, math.pi)
-        offset = rng.choice((-1.0, 1.0)) * rng.uniform(0.1, 3.0)
-        pairs.append((*center, radius, ang, offset))
-    cx, cy, radius, ang, offset = np.array(pairs).T
-    center = np.stack((cx, cy), axis=-1)
-    direction = np.stack((np.cos(ang), np.sin(ang)), axis=-1)
-    anchor = center + row_perp(direction) * offset[:, None]
+    u = np.array([(rng.random(), rng.random(), rng.random(), rng.random(), rng.choice((-1.0, 1.0)), rng.random())
+                  for _ in range(pair_count)]).T
+    # the floats of random.uniform(a, b), a + (b - a) * random(), where b - a is 2, 1.5, pi and 2.9
+    cx, cy, radius, ang = -1.0 + 2.0 * u[0], -1.0 + 2.0 * u[1], 0.5 + 1.5 * u[2], 0.0 + math.pi * u[3]
+    offset = u[4] * (0.1 + 2.9 * u[5])
+    dx, dy = np.cos(ang), np.sin(ang)
+    ax, ay = cx - dy * offset, cy + dx * offset  # center + perp(direction) * offset
+    center, direction, anchor = rows(cx, cy), rows(dx, dy), rows(ax, ay)
     image_center, image_radius = invert_line_array(center, radius, anchor, direction)
 
     # samples_per_line points of each line, inverted, must land on its image
     # circle, which also passes through the center of inversion
     t = -5.0 + 10.0 * (np.arange(samples_per_line) + 0.5) / samples_per_line
-    samples = anchor[:, None] + direction[:, None] * t[:, None]
+    samples = rows(ax[:, None] + dx[:, None] * t, ay[:, None] + dy[:, None] * t)
     images = invert_point_array(center[:, None], radius[:, None], samples)
     on_circle = row_norm(images - image_center[:, None]) - image_radius[:, None]
     through_center = row_norm(center - image_center) - image_radius
@@ -313,7 +313,7 @@ def check_coefficients(seed: int = 42) -> Check:
 def check_unit_hyperbola(count: int = 100) -> list[Check]:
     H = EquilateralHyperbola(*unit_hyperbola_foci())
     t = 0.1 * (10.0 / 0.1) ** (np.arange(count) / (count - 1))
-    q = np.stack((t, 1.0 / t), axis=-1)
+    q = rows(t, 1.0 / t)
     # the tangent at q (perpendicular to the gradient of the quadratic
     # form) meets the axes at r and s, and q is the midpoint of rs
     tangent = row_unit(row_perp(hyperbola_gradient_array(H, q)))

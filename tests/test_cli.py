@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -71,6 +72,17 @@ class TestBasicCommands:
         # the parallelogram's stick lines are parallel: no p, no q
         assert doc["config"]["side"] == "same"
         assert doc["points"]["p"] is None and doc["points"]["q"] is None
+
+    def test_invert_beyond_1e154_is_quiet(self, capsys):
+        # the squared distance overflows to +inf and the image rounds onto
+        # the center; the bytes are those written before the warning went
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "invert", "--point", "1e300,-1")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "aa2aab600fcf3e571ba1ca32abc173f805dbf6231bfc63e7116021e3a38f3af5"
+        )
 
     def test_invert(self, capsys):
         code, out, _ = run_cli(capsys, "invert", "--point", "1.4142135623730951,0")
@@ -166,6 +178,15 @@ class TestTraceCommand:
         code, _, err = run_cli(capsys, "trace", "--window", "5,6,5,6", "--grid", "16")
         assert code == 2
         assert "sign change" in err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "svg"])
+    def test_collapsed_trace_is_refused(self, capsys, fmt):
+        # ovals far below a cell about foci on grid nodes: every chain
+        # collapses onto its focus, which is no curve to write
+        argv = ("--foci=0,0,1,0", "--radius", "1e-8", "--grid", "512", "--window=-1,3,-2,2", "--format", fmt)
+        code, out, err = run_cli(capsys, "trace", *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: every traced chain collapses within 1e-12 of a cell diagonal at grid 512x512\n"
 
 
 class TestJsonWriter:
@@ -422,6 +443,27 @@ class TestErrorPaths:
         assert code == 2 and out == ""
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "foci, radius, code",
+        [
+            ("1e-300,-0,1.7e308,-1", "3", 2),
+            ("1e100,1e100,2e100,0,0,3e100", "1", 2),
+            ("1,2,3,4,-1,0.5", "2", 0),
+        ],
+    )
+    def test_expand_writes_strict_json_or_names_the_input(self, capsys, foci, radius, code):
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        got, out, err = run_cli(capsys, "expand", f"--foci={foci}", "--radius", radius)
+        assert got == code
+        if code == 0:
+            assert json.loads(out, parse_constant=refuse)["degree"] == 6
+        else:
+            named = ", ".join(f"({float(x)!r}, {float(y)!r})" for x, y in zip(*[iter(foci.split(","))] * 2))
+            assert out == ""
+            assert err == f"error: the coefficients overflow a float at foci {named} and radius {float(radius)!r}\n"
+
     def test_no_command_usage(self):
         with pytest.raises(SystemExit) as excinfo:
             main([])
@@ -458,6 +500,22 @@ class TestVerifyCommand:
         doc = json.loads(out)
         assert doc["checks"]["defining_product"] <= 1e-10
         assert len(doc["checks"]) >= 20
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            ((), "0daa8d428a6220d2bf4e6aa89b573ab5972e3d1442ad021360af1d95a6a3e2ff"),
+            (("--foci=-2,-1,4,7",), "92bc016ca067da28bd3775696f520aa0cf8ed7efec9bb5e0263323d769a043c8"),
+            (("--format", "json"), "f60f01281250dc2365ef89ceca77550850fca5599d53abddb07a0566c8d51d61"),
+        ],
+        ids=["text", "text-placed", "json"],
+    )
+    def test_report_is_pinned_bit_for_bit(self, capsys, argv, digest):
+        # the JSON report writes every residual at full precision, so a
+        # changed bit anywhere in the sweeps changes its hash
+        code, out, _ = run_cli(capsys, "verify", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # The child imports the same lemniscate copy as this process, installed or not.

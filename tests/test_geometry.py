@@ -3,6 +3,7 @@
 import math
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -20,6 +21,7 @@ from lemniscate import (
     reflect_across_line,
 )
 from lemniscate.errors import CenterSingular, Concentric, LineThroughCenter
+from lemniscate.geometry import rows
 
 SQRT2 = math.sqrt(2.0)
 
@@ -268,3 +270,26 @@ def test_circle_radius_positive():
         Circle(Point(0, 0), 0.0)
     with pytest.raises(ValueError):
         InversionMap(Point(0, 0), -1.0)
+
+
+class TestRows:
+    """rows is np.stack(np.broadcast_arrays(x, y), axis=-1), stored coordinate-major."""
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [
+            (np.float64(0.1), np.float64(-2.5)),
+            (0.75, -0.0),
+            (np.linspace(-1.0, 1.0, 7), -np.sin(np.arange(7.0))),
+            (np.linspace(0.0, 1.0, 5)[:, None], np.cos(np.arange(3.0))),
+            (np.arange(4.0), 3.0),
+        ],
+        ids=["0-d", "0-d-negative-zero", "1-d", "broadcast-2-d", "broadcast-scalar"],
+    )
+    def test_equals_stack_bit_for_bit(self, x, y):
+        got = rows(x, y)
+        expected = np.stack(np.broadcast_arrays(x, y), axis=-1)
+        assert got.shape == expected.shape and got.dtype == expected.dtype
+        assert (got.view(np.int64) == expected.view(np.int64)).all()
+        assert got.tobytes() == expected.tobytes() and got.tolist() == expected.tolist()
+        assert got[..., 0].flags.c_contiguous and got[..., 1].flags.c_contiguous

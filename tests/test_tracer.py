@@ -581,6 +581,13 @@ class TestTraceErrors:
         with pytest.raises(EmptyTrace):
             trace(L, TraceWindow(0.9, 1.1, -0.05, 0.05, 40, 40))
 
+    def test_every_chain_collapsed(self):
+        # ovals of radius 1e-16 about foci on grid nodes: every crossing
+        # refines onto its focus, so each chain dedupes to one vertex
+        tiny = PolynomialLemniscate((Point(0.0, 0.0), Point(1.0, 0.0)), 1e-8)
+        with pytest.raises(EmptyTrace, match="every traced chain collapses"):
+            trace(tiny, TraceWindow(-1.0, 3.0, -2.0, 2.0, 512, 512))
+
     def test_window_validation(self):
         with pytest.raises(ValueError):
             TraceWindow(1, -1, 0, 1, 16, 16)
