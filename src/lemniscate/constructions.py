@@ -281,7 +281,8 @@ def normal_by_angle_array(B: BernoulliConfig, x) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     L = B.lemniscate
-    off = ~(field_residual(L, lemniscate_field_array(L, x[..., 0], x[..., 1])) <= 5e-10)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing field leaves a NaN: off the curve
+        off = ~(field_residual(L, lemniscate_field_array(L, x[..., 0], x[..., 1])) <= 5e-10)
     if off.any():
         raise NotOnCurve(f"point {row_point(x[off][0])} is not on the lemniscate")
     o, f1 = xy(B.center), xy(B.f1)

@@ -261,7 +261,8 @@ def row_rotate(v, angle):
 def reflect_across_line_array(anchor, direction, p):
     """Mirror images of the points p in the lines through anchor along the
     unit direction."""
-    foot = anchor + direction * row_dot(p - anchor, direction)[..., None]
+    t = row_dot(p - anchor, direction)
+    foot = rows(anchor[..., 0] + direction[..., 0] * t, anchor[..., 1] + direction[..., 1] * t)
     return 2.0 * foot - p
 
 
@@ -272,14 +273,21 @@ def invert_point_array(center, radius, p):
     lies within 1e-12 radius of its center.
     """
     v = p - center
-    with np.errstate(over="ignore"):  # +inf past 1e154: the image rounds onto the center
+    with np.errstate(over="ignore"):  # +inf past 1e154: those rows are rescaled below
         d2 = v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1]
     at_center = d2 <= (_EPS * radius) ** 2
     if at_center.any():
         bad = np.broadcast_to(p, v.shape)[at_center][0]
         raise CenterSingular(f"cannot invert the center of inversion (point {row_point(bad)})")
     k = (radius * radius) / d2
-    return center + v * k[..., None]
+    image = center + v * k[..., None]
+    far = np.isinf(d2)
+    if far.any():  # v r^2 / |v|^2 = (w s)(s / m): w = v / m, m the largest |coordinate|, s = r / |w|
+        m = np.max(np.abs(v[far]), axis=-1, keepdims=True)
+        w = v[far] / m
+        s = np.broadcast_to(radius, d2.shape)[far][:, None] / row_norm(w)[:, None]
+        image[far] = np.broadcast_to(center, image.shape)[far] + (w * s) * (s / m)
+    return image
 
 
 def invert_line_array(center, radius, anchor, direction):

@@ -74,14 +74,17 @@ class TestBasicCommands:
         assert doc["points"]["p"] is None and doc["points"]["q"] is None
 
     def test_invert_beyond_1e154_is_quiet(self, capsys):
-        # the squared distance overflows to +inf and the image rounds onto
-        # the center; the bytes are those written before the warning went
+        # the squared distance overflows to +inf; the row is rescaled before
+        # squaring, so the image keeps its float, 1e-300, and the check holds
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run_cli(capsys, "invert", "--point", "1e300,-1")
         assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["image"] == [pytest.approx(1e-300, rel=1e-15, abs=0.0), 0.0]
+        assert doc["checks"]["distance_product_minus_c2"] <= 1e-15
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "aa2aab600fcf3e571ba1ca32abc173f805dbf6231bfc63e7116021e3a38f3af5"
+            "29b156e495b5c3d6a372bb07c6d082d66703de08cdf2e0ad064b06f9d1295e03"
         )
 
     def test_invert(self, capsys):
@@ -376,6 +379,14 @@ class TestErrorPaths:
     def test_invert_center_singular(self, capsys):
         code, _, err = run_cli(capsys, "invert", "--point", "0,0")
         assert code == 2
+
+    def test_normal_at_a_far_point_is_one_error_line(self, capsys):
+        # the on-curve test's field overflows; its NaN residual counts as off the curve
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "normal", "--point", "1e300,-1")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "1e+300" in err and err.count("\n") == 1
 
     def test_rightangle_out_of_reach(self, capsys):
         code, _, err = run_cli(capsys, "rightangle", "--alpha", "150")

@@ -449,17 +449,15 @@ class TestCoordinateMajor:
     def test_sweeps_store_coordinate_columns_contiguously(self):
         theta = (np.arange(64) + 0.5) * math.tau / 64
         opposite = three_bar_array(TILTED, theta)
-        # q mirrors p in the focal axis with the broadcast form of
-        # reflect_across_line_array, row-major; select stores it coordinate-major
         sweeps = [
-            opposite._replace(q=None),
+            opposite,
             opposite.select(~np.isnan(opposite.p[:, 0])),
-            three_bar_array(TILTED, theta, "same")._replace(q=None),
+            three_bar_array(TILTED, theta, "same"),
             maclaurin_array(TILTED, np.linspace(-0.7, 0.7, 64)),
             right_angle_array(TILTED, np.linspace(-1.5, 1.5, 64)),
         ]
         points = [v for s in sweeps for v in s if isinstance(v, np.ndarray) and v.ndim == 2]
         points.append(bernoulli_polar_array(TILTED, np.linspace(-0.7, 0.7, 64)))
-        assert len(points) == 21
+        assert len(points) == 23
         for v in points:
             assert v.shape[-1] == 2 and v[..., 0].flags.c_contiguous

@@ -21,7 +21,7 @@ from lemniscate import (
     reflect_across_line,
 )
 from lemniscate.errors import CenterSingular, Concentric, LineThroughCenter
-from lemniscate.geometry import rows
+from lemniscate.geometry import reflect_across_line_array, rows
 
 SQRT2 = math.sqrt(2.0)
 
@@ -106,6 +106,43 @@ class TestReflect:
         assert reflect_across_line(line, image).distance_to(p) <= 1e-12
         # signed distances to the line, positive on the left of its direction
         assert abs(line.direction.cross(p - line.anchor) + line.direction.cross(image - line.anchor)) <= 1e-12
+
+
+class TestReflectArray:
+    """reflect_across_line_array builds its foot with rows: the bits of the
+    broadcast form anchor + direction * t[..., None], stored coordinate-major."""
+
+    @pytest.mark.parametrize(
+        "anchor, direction, p",
+        [
+            (np.array((0.5, -1.25)), np.array((0.6, 0.8)), np.array((2.0, 3.0))),
+            (np.array((-0.0, 0.0)), np.array((1.0, -0.0)), np.array((-0.0, -0.0))),
+            (
+                np.array((1.5, -0.5)),
+                np.array((math.cos(0.7), math.sin(0.7))),
+                rows(np.linspace(-3.0, 3.0, 9), -np.sin(np.arange(9.0))),
+            ),
+            (
+                rows(np.linspace(-1.0, 1.0, 7), np.cos(np.arange(7.0))),
+                rows(np.cos(np.arange(7.0) / 3), np.sin(np.arange(7.0) / 3)),
+                np.array((0.25, -2.0)),
+            ),
+            (
+                rows(np.linspace(0.0, 1.0, 4)[:, None], np.zeros((4, 3))),
+                np.array((-0.0, 1.0)),
+                rows(np.arange(3.0), -np.arange(3.0)),
+            ),
+        ],
+        ids=["one-row", "negative-zero", "sweep", "broadcast-anchors", "broadcast-2-d"],
+    )
+    def test_equals_broadcast_form_bit_for_bit(self, anchor, direction, p):
+        got = reflect_across_line_array(anchor, direction, p)
+        v = p - anchor
+        t = v[..., 0] * direction[..., 0] + v[..., 1] * direction[..., 1]
+        expected = 2.0 * (anchor + direction * t[..., None]) - p
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+        assert got.tolist() == expected.tolist()
+        assert got[..., 0].flags.c_contiguous
 
 
 class TestInvertLine:

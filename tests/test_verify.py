@@ -3,6 +3,7 @@ canonical one: every check is a theorem, so every check passes at any
 similarity placement once residuals are scale-free."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lemniscate import BernoulliConfig, Point
-from lemniscate.verify import check_area, format_report, run_verification
+from lemniscate.verify import (
+    check_area,
+    check_inversion_pairing,
+    format_report,
+    run_verification,
+    threebar_states,
+)
 
 
 def placed(scale, angle, tx, ty):
@@ -77,3 +84,32 @@ def test_no_floating_point_warnings():
     with np.errstate(divide="raise", invalid="raise", over="raise"):
         for B in (placed(1.0, 0.0, 0.0, 0.0), placed(5.0, 0.9273, 1.0, 3.0)):
             run_verification(B, sweep=400, dense=120, grid=128)
+
+
+@pytest.mark.parametrize("B", [placed(1.0, 0.0, 0.0, 0.0), placed(5.0, 0.9273, 1.0, 3.0)], ids=["canonical", "placed"])
+def test_inversion_pairing_drops_parallel_rows(B):
+    # 300 crank angles include pi/4 and 7pi/4, where the stick lines are
+    # parallel (p and q are NaN) and, at the canonical foci, x is exactly o;
+    # the residuals run over every row and drop those rows after: the same
+    # checks as on the selected rows, with no floating-point warning
+    states = threebar_states(B, 300)
+    parallel = np.isnan(states.p[:, 0])
+    assert parallel.sum() == 2
+    with np.errstate(divide="raise", invalid="raise", over="raise"):
+        got = check_inversion_pairing(B, states)
+    assert got == check_inversion_pairing(B, states.select(~parallel))
+    assert all(c.passed for c in got)
+
+
+def test_peak_memory_stays_within_one_sweep():
+    # each check holds at most one 10^4-row sweep's temporaries (check_lemma1
+    # inverts 10 samples per line at a time), plus the three-bar sweep that
+    # two checks share: about 1.8 MB, where a (1000, 50, 2) batch peaked at 4.3 MB
+    B = placed(1.0, 0.0, 0.0, 0.0)
+    tracemalloc.start()
+    try:
+        run_verification(B)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.0e6
