@@ -150,9 +150,12 @@ def _cmd_invert(args) -> int:
     p = _parse_point(args.point)
     image = invert_between(B, p)
     config = {"foci": [_pt(B.f1), _pt(B.f2)], "point": _pt(p)}
-    o = B.center
-    product = p.distance_to(o) * image.distance_to(o)
-    checks = {"distance_product_minus_c2": abs(product - B.half_distance**2)}
+    v = p - B.center
+    near, far = v.norm(), image.distance_to(B.center)
+    if near == math.inf:  # |v| = m |v / m| with m the larger offset, and far * m stays finite
+        m = max(abs(v.x), abs(v.y))
+        near, far = math.hypot(v.x / m, v.y / m), far * m
+    checks = {"distance_product_minus_c2": abs(near * far - B.half_distance**2)}
     _write(args, _json_doc(config, checks=checks, image=_pt(image)))
     return 0
 

@@ -20,9 +20,10 @@ sign can differ from the full grid's. Bounds that are not finite or not
 normal floats certify nothing. Each block kept is split into 4 x 4
 blocks of 4 x 4 cells, which the same test keeps or leaves out, so the
 work follows the curve. Unlike coarse sampling, the test cannot miss a
-lobe smaller than a block. The kept 4-cell blocks' nodes are evaluated
-in one call with the full grid's element-wise arithmetic, so every value,
-crossing and contour is what the full grid would give.
+lobe smaller than a block. The field's signs at the kept 4-cell blocks'
+nodes are computed per bounded chunk of blocks, with the full grid's
+element-wise arithmetic, so every sign, crossing and contour is what the
+full grid would give.
 
 Crossed edges carry integer ids in the full grid's order; one sort of
 the segment ends ranks them and links each crossing to its successor.
@@ -94,9 +95,10 @@ def _segment_table() -> np.ndarray:
 
 _SEGMENTS = _segment_table()
 # cells per side of the blocks that the band tests first, and of the
-# blocks inside them that it keeps or leaves out whole
+# blocks inside them that it keeps or leaves out whole, _CHUNK blocks at a time
 _BLOCK = 16
 _SUB = 4
+_CHUNK = 1024
 
 
 @dataclass(frozen=True, slots=True)
@@ -220,6 +222,7 @@ def refine(L: PolynomialLemniscate, a, b) -> np.ndarray:
         go = ~(field_residual(L, f) <= _REFINE_TOL) & ((np.nextafter(x, u) != u) | (np.nextafter(y, v) != v))
         state = (rows, ax, ay, dx, dy, lo, hi, flo, fhi, neg, was_low)
         rows, ax, ay, dx, dy, lo, hi, flo, fhi, neg, was_low = (w[go] for w in state)
+        del state  # the uncompacted arrays are not kept through the next step
         if not rows.size:
             break
     return out
@@ -272,12 +275,13 @@ def _uncertified(L, x0, x1, y0, y1):
 
 def _band(L, w, xs, ys):
     """The blocks of _SUB x _SUB cells that may hold the curve, and the
-    field on their nodes.
+    signs of the field on their nodes, in runs of at most _CHUNK blocks.
 
     Blocks of _BLOCK cells are tested first, then the _SUB-cell blocks
-    inside the uncertified ones. Returns the node indices of each kept
-    block along x and along y, as columns (_SUB + 1, k) clamped at the
-    window edge, and the field at those nodes, shape (_SUB + 1, _SUB + 1, k).
+    inside the uncertified ones. Yields, per run, the node indices of each
+    kept block along x and along y, as columns (_SUB + 1, k) clamped at the
+    window edge, and the field's sign at those nodes, 1 where negative and
+    0 elsewhere, as int8 of shape (_SUB + 1, _SUB + 1, k).
     """
     bx, by = np.arange(0, w.nx, _BLOCK), np.arange(0, w.ny, _BLOCK)
     bi, bj = np.nonzero(_uncertified(L, *_box(xs, bx[:, None], _BLOCK, w.nx), *_box(ys, by, _BLOCK, w.ny)))
@@ -288,8 +292,10 @@ def _band(L, w, xs, ys):
     inside = (sx[:, None] < w.nx) & (sy[None] < w.ny)
     a, b, k = np.nonzero(inside & _uncertified(L, *_box(xs, sx[:, None], _SUB, w.nx), *_box(ys, sy[None], _SUB, w.ny)))
     nodes = np.arange(_SUB + 1)[:, None]
-    ci, cj = np.minimum(sx[a, k] + nodes, w.nx), np.minimum(sy[b, k] + nodes, w.ny)
-    return ci, cj, lemniscate_field_array(L, xs[ci][:, None], ys[cj][None])
+    for run in range(0, len(k), _CHUNK):
+        at = slice(run, run + _CHUNK)
+        ci, cj = np.minimum(sx[a[at], k[at]] + nodes, w.nx), np.minimum(sy[b[at], k[at]] + nodes, w.ny)
+        yield ci, cj, (lemniscate_field_array(L, xs[ci][:, None], ys[cj][None]) < 0.0).view(np.int8)
 
 
 def _box(v, start, cells, n):
@@ -310,7 +316,7 @@ def _edge_ends(w, xs, ys, ids):
     return a, b
 
 
-def _crossings(L, w, xs, ys, ci, cj, vals):
+def _crossings(L, w, xs, ys, band):
     """The sorted ids of the crossed grid edges, and the successor of each
     crossing as rows into ids: nxt[start] = end for every directed
     marching-squares segment, -1 where none starts.
@@ -322,28 +328,27 @@ def _crossings(L, w, xs, ys, ci, cj, vals):
     cell end on each of its crossed edges, so the segment ends are the
     crossed edges. Every segment has the field negative on its left, so
     each crossed edge starts at most one segment and ends at most one:
-    one sort of the ends ranks them, a run of equal ids being one crossing."""
-    neg = (vals < 0.0).astype(np.int8)
-    case = neg[:-1, :-1] + 2 * neg[1:, :-1] + 4 * neg[1:, 1:] + 8 * neg[:-1, 1:]
-    # clamping repeats the last node of a short block: those cells are not cells
-    real = (ci[:-1, None] < w.nx) & (cj[None, :-1] < w.ny)
-    a, b, k = np.nonzero((case > 0) & (case < 15) & real)
-    i, j, case = ci[a, k], cj[b, k], case[a, b, k]
-
-    inside = np.zeros(len(case), dtype=np.intp)
-    saddle = np.nonzero((case == 5) | (case == 10))[0]
-    if saddle.size:
-        centre = lemniscate_field_array(L, xs[i[saddle]] + 0.5 * w.dx, ys[j[saddle]] + 0.5 * w.dy)
-        inside[saddle] = centre < 0.0
-    bottom = i * (w.ny + 1) + j
-    left = w.nx * (w.ny + 1) + i * w.ny + j
-    edges = np.stack((bottom, bottom + 1, left, left + w.ny), axis=-1)
-    seg = _SEGMENTS[case, inside]
-    ends = np.take_along_axis(edges, seg.reshape(len(case), 4), axis=1).reshape(-1, 2, 2)[seg[:, :, 0] >= 0]
+    the ends are found run by run of the band, then one sort of them all
+    ranks them, a run of equal ids being one crossing."""
+    ends = [np.empty((0, 2), dtype=np.intp)]
+    for ci, cj, neg in band:
+        case = neg[:-1, :-1] + 2 * neg[1:, :-1] + 4 * neg[1:, 1:] + 8 * neg[:-1, 1:]
+        # clamping repeats the last node of a short block: those cells are not cells
+        real = (ci[:-1, None] < w.nx) & (cj[None, :-1] < w.ny)
+        a, b, k = np.nonzero((case > 0) & (case < 15) & real)
+        i, j, case = ci[a, k], cj[b, k], case[a, b, k]
+        # a saddle cell's segments follow the sign at its centre
+        inside = (case == 5) | (case == 10)
+        inside[inside] = lemniscate_field_array(L, xs[i[inside]] + 0.5 * w.dx, ys[j[inside]] + 0.5 * w.dy) < 0.0
+        bottom = i * (w.ny + 1) + j
+        left = w.nx * (w.ny + 1) + i * w.ny + j
+        edges = np.stack((bottom, bottom + 1, left, left + w.ny), axis=-1)
+        seg = _SEGMENTS[case, inside.view(np.int8)]
+        ends.append(np.take_along_axis(edges, seg.reshape(len(case), 4), axis=1).reshape(-1, 2, 2)[seg[:, :, 0] >= 0])
+    ends = np.concatenate(ends)
     order = np.argsort(ends, axis=None)
     ids = ends.ravel()[order]
-    first = np.ones(len(ids), dtype=bool)
-    first[1:] = ids[1:] != ids[:-1]
+    first = np.diff(ids, prepend=-1) != 0
     rank = np.empty_like(order)
     rank[order] = np.cumsum(first) - 1
     ids = ids[first]
@@ -373,8 +378,10 @@ def _extract_chains(nxt):
     return chains
 
 
-def _dedupe(pts: np.ndarray, tol: float) -> np.ndarray:
-    """Drop each vertex within tol of the last one kept.
+def _dedupe(pts: np.ndarray, tol: float, closed: bool = False) -> np.ndarray:
+    """Drop each vertex within tol of the last one kept; around a closed
+    cycle, the first vertex follows the last, so the last vertices kept
+    go too while they lie within tol of the first.
 
     Where the previous row is kept it is the last kept one, so the test
     against it decides; only the rows after a drop are walked."""
@@ -389,7 +396,11 @@ def _dedupe(pts: np.ndarray, tol: float) -> np.ndarray:
             keep[k] = False
             k += 1
         k += 1  # row k, if there is one, is kept
-    return pts[keep]
+    pts = pts[keep]
+    end = len(pts)
+    while closed and end > 1 and math.hypot(*(pts[end - 1] - pts[0]).tolist()) <= tol:
+        end -= 1
+    return pts[:end]
 
 
 def trace(L: PolynomialLemniscate, w: TraceWindow) -> list[Contour]:
@@ -404,7 +415,7 @@ def trace(L: PolynomialLemniscate, w: TraceWindow) -> list[Contour]:
     xs = np.linspace(w.xmin, w.xmax, w.nx + 1)
     ys = np.linspace(w.ymin, w.ymax, w.ny + 1)
     with np.errstate(over="ignore"):  # +inf is the right sign, outside
-        ids, nxt = _crossings(L, w, xs, ys, *_band(L, w, xs, ys))
+        ids, nxt = _crossings(L, w, xs, ys, _band(L, w, xs, ys))
     if not ids.size:
         raise EmptyTrace("no sign change in the window")
 
@@ -426,10 +437,7 @@ def trace(L: PolynomialLemniscate, w: TraceWindow) -> list[Contour]:
         meets = np.flatnonzero(on & (pts != np.roll(pts, 1, axis=0)).any(axis=1))
         split = closed and len(meets) >= 2
         for piece in np.split(np.roll(pts, -meets[0], axis=0), meets[1:] - meets[0]) if split else [pts]:
-            piece = _dedupe(piece, 1e-12 * w.cell_diagonal)
-            # a cycle that starts on a singular point ends on it too
-            if closed and on[0] and (piece[0] == piece[-1]).all():
-                piece = piece[:-1]
+            piece = _dedupe(piece, 1e-12 * w.cell_diagonal, closed)
             if len(piece) < (3 if closed else 2):
                 continue
             residual = float(np.abs(lemniscate_field_array(L, piece[:, 0], piece[:, 1])).max())

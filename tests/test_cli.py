@@ -87,6 +87,20 @@ class TestBasicCommands:
             "29b156e495b5c3d6a372bb07c6d082d66703de08cdf2e0ad064b06f9d1295e03"
         )
 
+    @pytest.mark.parametrize("point", ["1.7e308,1.7e308", "-1.7e308,1e308"])
+    def test_invert_where_the_distance_overflows_writes_strict_json(self, capsys, point):
+        # |p - o| passes the largest float; the check rescales the offset
+        # first, so it stays a finite number and the output stays JSON
+        def refuse(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "invert", f"--point={point}")
+        assert (code, err) == (0, "")
+        doc = json.loads(out, parse_constant=refuse)
+        assert doc["checks"]["distance_product_minus_c2"] <= 1e-15
+
     def test_invert(self, capsys):
         code, out, _ = run_cli(capsys, "invert", "--point", "1.4142135623730951,0")
         doc = json.loads(out)
@@ -608,3 +622,12 @@ class TestDeterminism:
         code, out, _ = run_cli(capsys, "trace", "--format", "csv", f"--foci={foci}")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_trace_csv_over_many_band_runs_is_pinned_bit_for_bit(self, capsys):
+        # at grid 4096 the band keeps about 7,800 blocks of 4 x 4 cells, so its
+        # signs and segment ends come in several bounded runs
+        code, out, _ = run_cli(capsys, "trace", "--format", "csv", "--grid", "4096")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "b90068d308047c299e3d232a46e475cee044a89321eed444be46e2b4447fa2af"
+        )

@@ -28,6 +28,7 @@ from lemniscate import tracer
 from lemniscate.curves import field_residual, lemniscate_field_array
 from lemniscate.errors import EmptyTrace, GeometryError, OpenContour
 from lemniscate.tracer import (
+    _CHUNK,
     _SEGMENTS,
     _band,
     _crossings,
@@ -122,7 +123,7 @@ def band_crossings(L, w):
     """The band's crossings in the form of dense_crossings."""
     xs = np.linspace(w.xmin, w.xmax, w.nx + 1)
     ys = np.linspace(w.ymin, w.ymax, w.ny + 1)
-    ids, nxt = _crossings(L, w, xs, ys, *_band(L, w, xs, ys))
+    ids, nxt = _crossings(L, w, xs, ys, _band(L, w, xs, ys))
     ids = ids.tolist()
     return ids, {ids[r]: ids[k] for r, k in enumerate(nxt.tolist()) if k >= 0}
 
@@ -237,6 +238,21 @@ class TestTraceMemory:
             tracemalloc.stop()
         assert peak < 5.5e6
 
+    @pytest.mark.parametrize("grid, bound", [(2048, 2.0e6), (8192, 7.5e6)])
+    def test_peak_in_the_default_window(self, grid, bound):
+        # the band's signs and segment ends are built _CHUNK blocks at a
+        # time, so the peak follows the output, 16 bytes a vertex
+        w = bernoulli_window(B, grid, 1.6 * math.sqrt(2.0), 0.8 * math.sqrt(2.0))
+        trace(L, bernoulli_window(B, 64, 1.6 * math.sqrt(2.0), 0.8 * math.sqrt(2.0)))
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            trace(L, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
 
 class TestBand:
     @pytest.mark.parametrize(
@@ -273,7 +289,7 @@ class TestBand:
         w = TraceWindow(-1.6, 1.6, -0.8, 0.8, 512, 512)
         xs = np.linspace(w.xmin, w.xmax, w.nx + 1)
         ys = np.linspace(w.ymin, w.ymax, w.ny + 1)
-        _, _, vals = _band(L, w, xs, ys)
+        vals = np.concatenate([neg for _, _, neg in _band(L, w, xs, ys)], axis=-1)
         assert 0 < vals.size < 0.15 * 513 * 513
 
     def test_small_circle_inside_one_block(self):
@@ -442,6 +458,23 @@ class TestTraceBernoulli:
         for c in contours:
             assert np.hypot(*np.diff(c.points, axis=0).T).min() > 1e-12 * w.cell_diagonal
 
+    def test_unsplit_cycle_dedupes_its_closing_edge(self):
+        # node (1, 5) lies a rounding error inside the left lobe at height
+        # 1/32, so the lobe's first crossing, left of that node, and its
+        # last, below it, both lie within rounding of the node; the closing
+        # edge, from the last vertex back to the first, must be no shorter
+        # than 1e-12 cell diagonals either
+        y = 0.03125
+        x = -math.sqrt(1.0 - y * y + math.sqrt(1.0 - 4.0 * y * y))
+        while lemniscate_field(L, Point(x, y)) >= 0.0:
+            x = math.nextafter(x, 0.0)
+        w = TraceWindow(x - 0.0625, x - 0.0625 + 3.0, y - 0.625, y + 0.625, 48, 10)
+        contours = trace(L, w)
+        assert len(contours) == 2 and all(c.closed for c in contours)
+        for c in contours:
+            ring = np.vstack((c.points, c.points[:1]))
+            assert np.hypot(*np.diff(ring, axis=0).T).min() > 1e-12 * w.cell_diagonal
+
     def test_monotone_area_convergence(self):
         errors = []
         for grid in (128, 256, 512):
@@ -504,6 +537,21 @@ class TestPinnedBatch:
             for c in contours:
                 digest.update(c.points.tobytes() + bytes([c.closed]) + np.float64(c.max_residual).tobytes())
         assert digest.hexdigest() == "f12b5be6bbea136fea44beacf8b1aedbea090cc137407ff781e43f44d032c518"
+
+    def test_six_foci_over_many_band_runs_is_pinned_bit_for_bit(self):
+        # five ovals in a 3001 x 2897 grid: the band comes in four runs
+        foci = [(-1.1, 0.2), (-0.4, 0.9), (0.5, 0.7), (1.0, -0.3), (0.1, -0.8), (-0.6, -0.5)]
+        lem = PolynomialLemniscate(tuple(Point(x, y) for x, y in foci), 0.9)
+        w = TraceWindow(-2.3, 2.2, -2.1, 2.15, 3001, 2897)
+        xs = np.linspace(w.xmin, w.xmax, w.nx + 1)
+        ys = np.linspace(w.ymin, w.ymax, w.ny + 1)
+        assert sum(ci.shape[1] for ci, _, _ in _band(lem, w, xs, ys)) > 3 * _CHUNK
+        contours = trace(lem, w)
+        assert [c.closed for c in contours] == [True] * 5
+        digest = hashlib.sha256()
+        for c in contours:
+            digest.update(c.points.tobytes() + bytes([c.closed]) + np.float64(c.max_residual).tobytes())
+        assert digest.hexdigest() == "b301813dfafcc96915768d61899e89feb0122e5eccba4ccaf017b6b889060c91"
 
 
 class TestTraceThreeFoci:
@@ -659,6 +707,13 @@ class TestDedupe:
     def test_far_vertices_are_kept(self):
         pts = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)])
         assert _dedupe(pts, 1e-12).tolist() == pts.tolist()
+
+    def test_closed_cycle_drops_last_vertices_near_the_first(self):
+        # the first vertex follows the last around a cycle and is kept, so
+        # the last ones go while they lie within 1e-12 of it
+        pts = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.5e-12, 0.0), (0.2e-12, 0.0)])
+        assert _dedupe(pts, 1e-12, closed=True).tolist() == pts[:3].tolist()
+        assert _dedupe(pts, 1e-12).tolist() == pts[:4].tolist()
 
     def test_matches_the_loop_on_random_chains(self):
         def reference(rows):
