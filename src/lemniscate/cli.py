@@ -32,7 +32,7 @@ from .constructions import (
 from .errors import GeometryError
 from .figures import _BERNOULLI_PRESETS, FIGURE_PRESETS, curve_scene, emit_svg, figure_scene
 from .geometry import SQRT2, Point
-from .tracer import TraceWindow, bernoulli_window, contours_to_csv, trace
+from .tracer import TraceWindow, _coordinate_texts, bernoulli_window, contours_to_csv, trace
 
 
 def _parse_floats(text: str, count: int | None = None):
@@ -99,17 +99,17 @@ def _pt(p: Point | None):
     return None if p is None else [p.x, p.y]
 
 
-# a contour vertex as json.dumps(doc, indent=2) writes it: float.__repr__ (rows are finite)
-_JSON_VERTEX = "      [\n        %r,\n        %r\n      ]"
+# a contour vertex as json.dumps(doc, indent=2) writes it: float.__repr__ (rows are
+# finite), with each distinct coordinate formatted once
+_JSON_VERTEX = "      [\n        %s,\n        %s\n      ]"
 
 
 def _json_doc(config: dict, contours=(), checks=None, **extra) -> str:
     text = json.dumps({"config": config, "contours": [], "checks": checks or {}} | extra, indent=2) + "\n"
     if not contours:
         return text
-    lists = "\n    ],\n    [\n".join(
-        ",\n".join([_JSON_VERTEX] * len(c.points)) % tuple(c.points.ravel().tolist()) for c in contours
-    )
+    lists = "\n    ],\n    [\n".join(",\n".join([_JSON_VERTEX] * len(c.points)) for c in contours)
+    lists %= tuple(_coordinate_texts(contours))
     # config's lines are indented deeper, so the first match is the top-level key
     return text.replace('\n  "contours": [],', f'\n  "contours": [\n    [\n{lists}\n    ]\n  ],', 1)
 

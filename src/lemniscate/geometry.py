@@ -79,7 +79,10 @@ class Point:
 
 
 def midpoint(a: Point, b: Point) -> Point:
-    return Point(0.5 * (a.x + b.x), 0.5 * (a.y + b.y))
+    try:
+        return Point(0.5 * (a.x + b.x), 0.5 * (a.y + b.y))
+    except ValueError:  # the sum overflows
+        raise ValueError(f"the midpoint of {a} and {b} overflows") from None
 
 
 @dataclass(frozen=True, slots=True)

@@ -450,14 +450,25 @@ def trace(L: PolynomialLemniscate, w: TraceWindow) -> list[Contour]:
     return contours
 
 
+def _coordinate_texts(contours) -> list[str]:
+    """`repr` of every coordinate of a non-empty contour list, in output order.
+    Each distinct bit pattern is formatted once, so -0.0 and 0.0 stay apart."""
+    values = np.concatenate([c.points.ravel() for c in contours])
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    return texts[inverse].tolist()
+
+
 def contours_to_csv(contours) -> str:
     """One `x,y` pair per line, a blank line between contours.
 
     Coordinates use shortest round-trip float formatting so re-importing
-    reproduces them exactly.
+    reproduces them exactly; each distinct coordinate is formatted once.
     """
-    text = ("\n".join(["%r,%r"] * len(c.points)) % tuple(c.points.ravel().tolist()) for c in contours)
-    return "\n\n".join(text) + "\n"
+    if not contours:
+        return "\n"
+    lines = "\n\n".join("\n".join(["%s,%s"] * len(c.points)) for c in contours)
+    return lines % tuple(_coordinate_texts(contours)) + "\n"
 
 
 def contours_from_csv(text: str) -> list[np.ndarray]:

@@ -8,11 +8,12 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 import lemniscate
 import lemniscate.cli as cli
-from lemniscate import BernoulliConfig, Point, PolynomialLemniscate, Scene, TraceWindow, emit_svg, figure_scene
+from lemniscate import BernoulliConfig, Contour, Point, PolynomialLemniscate, Scene, TraceWindow, emit_svg, figure_scene
 from lemniscate.cli import main
 from lemniscate.figures import PolylineElement, curve_scene
 from lemniscate.tracer import contours_from_csv
@@ -226,6 +227,17 @@ class TestJsonWriter:
         code, csv, _ = run_cli(capsys, "trace", "--grid", "96", *argv)
         assert [g.tolist() for g in contours_from_csv(csv)] == doc["contours"]
 
+    def test_contours_match_json_dumps_at_edge_values(self):
+        # signed zeros side by side, the least subnormal, +-1e300 and repeated values
+        rng = np.random.default_rng(17)
+        rows = rng.choice([-1.0, 1.0], (60, 2)) * 10.0 ** rng.uniform(-300, 300, (60, 2))
+        rows[:7] = [(-0.0, 0.0), (5e-324, -1e300), (0.0, -0.0), (1e300, 5e-324), (-0.0, 1e300), (0.1, 0.1), (-1e300, -0.0)]
+        rows[30:40, 0] = 0.25
+        contours = [Contour(rows[:25], True, 0.0), Contour(rows[25:], False, 0.0)]
+        config = {"foci": [[-1.0, 0.0], [1.0, 0.0]]}
+        doc = {"config": config, "contours": [c.points.tolist() for c in contours], "checks": {"r": 0.0}}
+        assert cli._json_doc(config, contours, {"r": 0.0}) == json.dumps(doc, indent=2) + "\n"
+
     def test_documents_without_contours(self, capsys):
         for argv in (["area"], ["expand"], ["verify", "--grid", "64", "--format", "json"]):
             code, out, _ = run_cli(capsys, *argv)
@@ -389,6 +401,22 @@ class TestErrorPaths:
         code, out, err = run_cli(capsys, *argv, "--out", str(path))
         assert code == 2 and out == ""
         assert err.startswith("error: ") and str(path) in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("invert", "--point=-1.7e308,0"), ("normal",)],
+        ids=["invert", "normal"],
+    )
+    def test_overflowing_double_point_names_both_foci(self, capsys, argv):
+        # the foci are finite and 2 apart, but their coordinate sum overflows
+        code, out, err = run_cli(capsys, argv[0], "--foci=1.7e308,0,1.7e308,2", *argv[1:])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "midpoint" in err and err.count("\n") == 1
+        assert "x=1.7e+308, y=0.0" in err and "x=1.7e+308, y=2.0" in err
+
+    def test_area_of_foci_whose_midpoint_overflows(self, capsys):
+        code, out, _ = run_cli(capsys, "area", "--foci=1.7e308,0,1.7e308,2")
+        assert code == 0 and json.loads(out)["area"] == 2.0
 
     def test_invert_center_singular(self, capsys):
         code, _, err = run_cli(capsys, "invert", "--point", "0,0")
@@ -620,6 +648,29 @@ class TestDeterminism:
         # the CSV writes every vertex at full precision, so any change to a
         # vertex bit, a contour's order or its direction changes the hash
         code, out, _ = run_cli(capsys, "trace", "--format", "csv", f"--foci={foci}")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            # canonical Bernoulli pair at grid 2048
+            (["--grid", "2048"], "bffedf2601c4cc8cb21755194a765e5d0c2ecec28c5d45fdfe12d6a7d15b0767"),
+            # the four seeded foci of the CSV pin above
+            (
+                [
+                    "--foci=1.1238825230586604,-0.34168929850715446,-1.3978339653113128,0.7022633736739632,"
+                    "1.077076544773603,0.8098615418093464,0.498943990580186,-1.4443307023966439",
+                    "--grid",
+                    "1024",
+                ],
+                "73fa108e9e19fbb9e4f2b830f4d7c923e305297834c55f47f023a9f590a59337",
+            ),
+        ],
+        ids=["canonical_2048", "four_foci_1024"],
+    )
+    def test_trace_json_is_pinned_bit_for_bit(self, capsys, argv, digest):
+        code, out, _ = run_cli(capsys, "trace", "--format", "json", *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 

@@ -21,7 +21,7 @@ from lemniscate import (
     reflect_across_line,
 )
 from lemniscate.errors import CenterSingular, Concentric, LineThroughCenter
-from lemniscate.geometry import reflect_across_line_array, rows
+from lemniscate.geometry import midpoint, reflect_across_line_array, rows
 
 SQRT2 = math.sqrt(2.0)
 
@@ -307,6 +307,25 @@ def test_circle_radius_positive():
         Circle(Point(0, 0), 0.0)
     with pytest.raises(ValueError):
         InversionMap(Point(0, 0), -1.0)
+
+
+class TestMidpoint:
+    @given(*[st.floats(allow_nan=False, allow_infinity=False)] * 4)
+    @example(5e-324, 0.0, -0.0, -5e-324)
+    def test_finite_midpoint_is_the_halved_sum(self, ax, ay, bx, by):
+        assume(math.isfinite(ax + bx) and math.isfinite(ay + by))
+        m = midpoint(Point(ax, ay), Point(bx, by))
+        assert (m.x, m.y) == (0.5 * (ax + bx), 0.5 * (ay + by))
+        assert (math.copysign(1.0, m.x), math.copysign(1.0, m.y)) == (
+            math.copysign(1.0, 0.5 * (ax + bx)),
+            math.copysign(1.0, 0.5 * (ay + by)),
+        )
+
+    @pytest.mark.parametrize("a, b", [((1.7e308, 0.0), (1.7e308, 2.0)), ((0.0, -1e308), (1.0, -1e308))])
+    def test_overflowing_sum_names_both_points(self, a, b):
+        with pytest.raises(ValueError, match="midpoint") as info:
+            midpoint(Point(*a), Point(*b))
+        assert str(Point(*a)) in str(info.value) and str(Point(*b)) in str(info.value)
 
 
 class TestRows:

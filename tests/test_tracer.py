@@ -31,6 +31,7 @@ from lemniscate.tracer import (
     _CHUNK,
     _SEGMENTS,
     _band,
+    _coordinate_texts,
     _crossings,
     _dedupe,
     _signed_area,
@@ -767,6 +768,17 @@ class TestCsv:
         contours += trace(L, TraceWindow(-1.6, 1.6, -0.8, 0.8, 64, 64))
         expected = "\n\n".join("\n".join(f"{x!r},{y!r}" for x, y in c.points.tolist()) for c in contours) + "\n"
         assert contours_to_csv(contours) == expected
+
+    def test_coordinate_texts_format_each_bit_pattern(self):
+        # repeats share a text, and -0.0 keeps its sign beside 0.0
+        rows = [(0.0, -0.0), (1.5, 0.0), (-0.0, 1.5), (5e-324, -1e300), (0.1, 1e300), (0.1, -0.0)]
+        contours = [Contour(rows, True, 0.0), Contour([(-0.0, 0.0), (1.5, 5e-324)], False, 0.0)]
+        assert _coordinate_texts(contours) == [repr(v) for c in contours for v in c.points.ravel().tolist()]
+        signed = [Contour([(-0.0, 0.0), (1.0, 1.0), (0.0, -0.0)], False, 0.0)]
+        assert _coordinate_texts(signed) == ["-0.0", "0.0", "1.0", "1.0", "0.0", "-0.0"]
+
+    def test_no_contours_is_one_newline(self):
+        assert contours_to_csv([]) == "\n"
 
     def test_format_shape(self):
         text = contours_to_csv(
