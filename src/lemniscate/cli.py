@@ -31,7 +31,7 @@ from .constructions import (
 )
 from .errors import GeometryError
 from .figures import _BERNOULLI_PRESETS, FIGURE_PRESETS, curve_scene, emit_svg, figure_scene
-from .geometry import SQRT2, Point
+from .geometry import SQRT2, InversionMap, Point, invert_point
 from .tracer import TraceWindow, _coordinate_texts, bernoulli_window, contours_to_csv, trace
 
 
@@ -150,8 +150,9 @@ def _cmd_invert(args) -> int:
     p = _parse_point(args.point)
     image = invert_between(B, p)
     config = {"foci": [_pt(B.f1), _pt(B.f2)], "point": _pt(p)}
+    # far is the image's offset from o, p - o inverted about the origin: a far p's image itself can round onto o
     v = p - B.center
-    near, far = v.norm(), image.distance_to(B.center)
+    near, far = v.norm(), invert_point(InversionMap(Point(0.0, 0.0), B.half_distance), v).norm()
     if near == math.inf:  # |v| = m |v / m| with m the larger offset, and far * m stays finite
         m = max(abs(v.x), abs(v.y))
         near, far = math.hypot(v.x / m, v.y / m), far * m

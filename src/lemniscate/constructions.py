@@ -149,6 +149,7 @@ def three_bar_array(B: BernoulliConfig, theta, side: str = SIDE_OPPOSITE) -> Thr
     if side not in (SIDE_OPPOSITE, SIDE_SAME):
         raise ValueError(f"side must be '{SIDE_OPPOSITE}' or '{SIDE_SAME}', got {side!r}")
     theta = angle_array("theta", theta)
+    B.center  # refuses foci whose midpoint overflows; the sums below would write inf and NaN
     c = B.half_distance
     f1, f2, u = xy(B.f1), xy(B.f2), xy(B.axis_unit)
     a = f1 + row_rotate(u, theta) * (c * SQRT2)

@@ -136,8 +136,18 @@ def curve_scene(L: PolynomialLemniscate, w: TraceWindow) -> Scene:
     return scene
 
 
-def _marker(scene, p, label=""):
-    scene.add(MarkerElement(p, Style(label=label)))
+def _markers(scene: Scene, labels: str, *points: Point) -> None:
+    """One labelled marker per point; labels is a space-separated list."""
+    for label, p in zip(labels.split(), points, strict=True):
+        scene.add(MarkerElement(p, Style(label=label)))
+
+
+def _segment(scene: Scene, a: Point, b: Point, width: float = 1.0, dashed: bool = False) -> None:
+    scene.add(SegmentElement(a, b, Style(stroke_width=width * _stroke(scene.viewbox), dashed=dashed)))
+
+
+def _circle(scene: Scene, center: Point, radius: float, dashed: bool = False) -> None:
+    scene.add(CircleElement(center, radius, Style(stroke_width=_stroke(scene.viewbox), dashed=dashed)))
 
 
 def _clip_runs(pts: np.ndarray, scene: Scene):
@@ -157,9 +167,7 @@ def _add_hyperbola(scene: Scene, B: BernoulliConfig) -> None:
 
 
 def _draw_lemniscate(scene, B):
-    _marker(scene, B.f1, "F1")
-    _marker(scene, B.f2, "F2")
-    _marker(scene, B.center, "O")
+    _markers(scene, "F1 F2 O", B.f1, B.f2, B.center)
 
 
 def _scene_family3(grid):
@@ -176,118 +184,67 @@ def _scene_family3(grid):
     ratio = (1.4 / 0.7) ** (1.0 / 8.0)
     for k in range(9):
         _add_lemniscate(scene, PolynomialLemniscate(foci, circumradius * 0.7 * ratio**k), 0.7)
-    for i, f in enumerate(foci, start=1):
-        _marker(scene, f, f"F{i}")
+    _markers(scene, "F1 F2 F3", *foci)
     return scene
 
 
 def _draw_threebar(scene, B, theta):
-    w = scene.viewbox
-    state = three_bar_solve(B, theta)
-    sw = 1.4 * _stroke(w)
-    scene.add(SegmentElement(B.f1, state.a, Style(stroke_width=sw)))
-    scene.add(SegmentElement(state.a, state.b, Style(stroke_width=sw)))
-    scene.add(SegmentElement(B.f2, state.b, Style(stroke_width=sw)))
-    _marker(scene, B.f1, "F1")
-    _marker(scene, B.f2, "F2")
-    _marker(scene, state.a, "A")
-    _marker(scene, state.b, "B")
-    _marker(scene, state.x, "X")
-    _marker(scene, B.center, "O")
+    s = three_bar_solve(B, theta)
+    for a, b in ((B.f1, s.a), (s.a, s.b), (B.f2, s.b)):
+        _segment(scene, a, b, 1.4)
+    _markers(scene, "F1 F2 A B X O", B.f1, B.f2, s.a, s.b, s.x, B.center)
 
 
 def _draw_maclaurin(scene, B, phi):
-    w = scene.viewbox
-    sample = maclaurin_sample(B, phi)
-    c = B.half_distance
-    scene.add(CircleElement(B.f1, c / SQRT2, Style(stroke_width=_stroke(w), dashed=True)))
-    scene.add(SegmentElement(sample.x_prime, sample.b, Style(stroke_width=1.2 * _stroke(w))))
-    _marker(scene, B.f1, "F1")
-    _marker(scene, B.center, "O")
-    _marker(scene, sample.a, "A")
-    _marker(scene, sample.b, "B")
-    _marker(scene, sample.x, "X")
-    _marker(scene, sample.x_prime, "X'")
+    s = maclaurin_sample(B, phi)
+    _circle(scene, B.f1, B.half_distance / SQRT2, dashed=True)
+    _segment(scene, s.x_prime, s.b, 1.2)
+    _markers(scene, "F1 O A B X X'", B.f1, B.center, s.a, s.b, s.x, s.x_prime)
 
 
 def _draw_rightangle(scene, B, alpha):
-    w = scene.viewbox
-    state = right_angle_solve(B, alpha)
-    sw = 1.4 * _stroke(w)
+    s = right_angle_solve(B, alpha)
     o = B.center
-    scene.add(CircleElement(B.f1, B.half_distance, Style(stroke_width=_stroke(w), dashed=True)))
-    scene.add(SegmentElement(B.f1, state.a, Style(stroke_width=sw)))
-    scene.add(SegmentElement(state.a, state.x, Style(stroke_width=sw)))
-    scene.add(SegmentElement(state.a, state.y, Style(stroke_width=sw)))
-    mid_x = midpoint(state.a, state.x)
-    mid_y = midpoint(state.a, state.y)
-    scene.add(SegmentElement(o, mid_x, Style(stroke_width=_stroke(w), dashed=True)))
-    scene.add(SegmentElement(o, mid_y, Style(stroke_width=_stroke(w), dashed=True)))
-    _marker(scene, B.f1, "F1")
-    _marker(scene, o, "O")
-    _marker(scene, state.a, "A")
-    _marker(scene, mid_x, "B")
-    _marker(scene, mid_y, "C")
-    _marker(scene, state.x, "X")
-    _marker(scene, state.y, "Y")
+    _circle(scene, B.f1, B.half_distance, dashed=True)
+    for a, b in ((B.f1, s.a), (s.a, s.x), (s.a, s.y)):
+        _segment(scene, a, b, 1.4)
+    mids = midpoint(s.a, s.x), midpoint(s.a, s.y)
+    for m in mids:
+        _segment(scene, o, m, dashed=True)
+    _markers(scene, "F1 O A B C X Y", B.f1, o, s.a, *mids, s.x, s.y)
 
 
 def _draw_inversion(scene, B, theta):
-    w = scene.viewbox
     _add_hyperbola(scene, B)
-    state = three_bar_solve(B, theta)
+    s = three_bar_solve(B, theta)
     o = B.center
-    scene.add(CircleElement(o, B.half_distance, Style(stroke_width=_stroke(w), dashed=True)))
-    far = state.q if state.q.distance_to(o) >= state.x.distance_to(o) else state.x
-    scene.add(SegmentElement(o, far, Style(stroke_width=_stroke(w), dashed=True)))
-    _marker(scene, o, "O")
-    _marker(scene, B.f1, "F1")
-    _marker(scene, B.f2, "F2")
-    _marker(scene, state.x, "X")
-    _marker(scene, state.q, "Q")
-    _marker(scene, state.p, "P")
-    product = state.x.distance_to(o) * state.q.distance_to(o)
+    _circle(scene, o, B.half_distance, dashed=True)
+    _segment(scene, o, s.q if s.q.distance_to(o) >= s.x.distance_to(o) else s.x, dashed=True)
+    _markers(scene, "O F1 F2 X Q P", o, B.f1, B.f2, s.x, s.q, s.p)
+    product = s.x.distance_to(o) * s.q.distance_to(o)
+    w = scene.viewbox
     label_at = Point(w.xmin + 0.05 * (w.xmax - w.xmin), w.ymax - 0.08 * (w.ymax - w.ymin))
     scene.add(TextElement(label_at, Style(label=f"|OX|*|OQ| = {product:.3f}")))
 
 
 def _draw_tangentcircle(scene, B, theta):
-    w = scene.viewbox
-    state = three_bar_solve(B, theta)
-    circle = tangent_circle_at(state)
-    scene.add(CircleElement(circle.center, circle.radius, Style(stroke_width=_stroke(w))))
-    tangent = hyperbola_tangent_at(hyperbola_of(B), state.q)
+    s = three_bar_solve(B, theta)
+    circle = tangent_circle_at(s)
+    _circle(scene, circle.center, circle.radius)
+    tangent = hyperbola_tangent_at(hyperbola_of(B), s.q)
     half_len = 0.9 * B.half_distance
-    scene.add(
-        SegmentElement(
-            tangent.point_at(-half_len),
-            tangent.point_at(half_len),
-            Style(stroke_width=_stroke(w), dashed=True),
-        )
-    )
-    _marker(scene, B.center, "O")
-    _marker(scene, state.x, "X")
-    _marker(scene, state.q, "Q")
-    _marker(scene, state.p, "P")
+    _segment(scene, tangent.point_at(-half_len), tangent.point_at(half_len), dashed=True)
+    _markers(scene, "O X Q P", B.center, s.x, s.q, s.p)
 
 
 def _draw_normal(scene, B, theta):
-    w = scene.viewbox
     x = bernoulli_polar_point(B, theta)
     normal = normal_by_angle(B, x)
     o = B.center
     half_len = 0.7 * B.half_distance
-    scene.add(SegmentElement(o, x, Style(stroke_width=_stroke(w), dashed=True)))
-    scene.add(
-        SegmentElement(
-            normal.point_at(-half_len),
-            normal.point_at(half_len),
-            Style(stroke_width=1.2 * _stroke(w)),
-        )
-    )
-    _marker(scene, o, "O")
-    _marker(scene, B.f1, "F1")
-    _marker(scene, x, "X")
+    _segment(scene, o, x, dashed=True)
+    _segment(scene, normal.point_at(-half_len), normal.point_at(half_len), 1.2)
+    _markers(scene, "O F1 X", o, B.f1, x)
 
 
 # Bernoulli presets: the half-height of the view window in units of
@@ -382,35 +339,27 @@ def emit_svg(scene: Scene) -> str:
         f'viewBox="0 0 {_fmt(_SVG_WIDTH)} {_fmt(height)}">',
     ]
 
-    def dash(style: Style) -> str:
-        return ' stroke-dasharray="6 4"' if style.dashed else ""
-
-    def width_px(style: Style) -> float:
-        return max(style.stroke_width * scale, 0.75)
+    def stroke(color: str, style: Style) -> str:
+        dash = ' stroke-dasharray="6 4"' if style.dashed else ""
+        return f'stroke="{color}" stroke-width="{_fmt(max(style.stroke_width * scale, 0.75))}"{dash}'
 
     for el in scene.elements:
         if isinstance(el, PolylineElement):
             rows = to_px(el.points) + 0.0  # as _fmt: -0.0 + 0.0 is 0.0
             coords = " ".join(["%.9g,%.9g"] * len(rows)) % tuple(rows.ravel().tolist())
             tag = "polygon" if el.closed else "polyline"
-            lines.append(
-                f'  <{tag} points="{coords}" fill="none" stroke="{_CURVE_COLOR}" '
-                f'stroke-width="{_fmt(width_px(el.style))}"{dash(el.style)}/>'
-            )
+            lines.append(f'  <{tag} points="{coords}" fill="none" {stroke(_CURVE_COLOR, el.style)}/>')
         elif isinstance(el, CircleElement):
             cx, cy = to_px(xy(el.center))
             lines.append(
                 f'  <circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(el.radius * scale)}" '
-                f'fill="none" stroke="{_AUX_COLOR}" '
-                f'stroke-width="{_fmt(width_px(el.style))}"{dash(el.style)}/>'
+                f'fill="none" {stroke(_AUX_COLOR, el.style)}/>'
             )
         elif isinstance(el, SegmentElement):
-            x1, y1 = to_px(xy(el.a))
-            x2, y2 = to_px(xy(el.b))
+            (x1, y1), (x2, y2) = to_px([xy(el.a), xy(el.b)])
             lines.append(
                 f'  <line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
-                f'stroke="{_STICK_COLOR}" '
-                f'stroke-width="{_fmt(width_px(el.style))}"{dash(el.style)}/>'
+                f"{stroke(_STICK_COLOR, el.style)}/>"
             )
         elif isinstance(el, MarkerElement):
             cx, cy = to_px(xy(el.at))

@@ -102,6 +102,20 @@ class TestBasicCommands:
         doc = json.loads(out, parse_constant=refuse)
         assert doc["checks"]["distance_product_minus_c2"] <= 1e-15
 
+    @pytest.mark.parametrize(
+        "foci, point, image, c2",
+        [("-2,-1,4,7", "-1.7e308,-1.7e308", [1.0, 3.0], 25.0), ("1e300,0,1e300,2", "1e300,1e300", [1e300, 1.0], 1.0)],
+        ids=["similar", "far_foci"],
+    )
+    def test_invert_image_that_rounds_onto_the_centre(self, capsys, foci, point, image, c2):
+        # the printed image rounds onto the centre; the check measures the image's
+        # offset from the centre (about 1e-307 and 1e-300), which is not zero
+        code, out, err = run_cli(capsys, "invert", f"--foci={foci}", f"--point={point}")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["image"] == image
+        assert doc["checks"]["distance_product_minus_c2"] <= 1e-15 * c2
+
     def test_invert(self, capsys):
         code, out, _ = run_cli(capsys, "invert", "--point", "1.4142135623730951,0")
         doc = json.loads(out)
@@ -413,6 +427,21 @@ class TestErrorPaths:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "midpoint" in err and err.count("\n") == 1
         assert "x=1.7e+308, y=0.0" in err and "x=1.7e+308, y=2.0" in err
+
+    @pytest.mark.parametrize("form", [(), ("--format", "svg")], ids=["json", "svg"])
+    @pytest.mark.parametrize(
+        "foci, theta",
+        [("1.7e308,0,1.7e308,2", "90"), ("1e13,1.7e308,1,1.7e308", "5e-324")],
+        ids=["x_sum", "y_sum"],
+    )
+    def test_linkage_of_foci_whose_midpoint_overflows(self, capsys, foci, theta, form):
+        # both forms refuse before any stick is solved, naming both foci
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "linkage", f"--foci={foci}", "--theta", theta, *form)
+        assert code == 2 and out == ""
+        x1, y1, x2, y2 = (repr(float(v)) for v in foci.split(","))
+        assert err == f"error: the midpoint of Point(x={x1}, y={y1}) and Point(x={x2}, y={y2}) overflows\n"
 
     def test_area_of_foci_whose_midpoint_overflows(self, capsys):
         code, out, _ = run_cli(capsys, "area", "--foci=1.7e308,0,1.7e308,2")

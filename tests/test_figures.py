@@ -1,5 +1,6 @@
 """Scene composition and SVG emission tests."""
 
+import hashlib
 import math
 import pathlib
 import random
@@ -18,8 +19,9 @@ from lemniscate import (
     emit_svg,
     figure_scene,
 )
+from lemniscate.cli import main
 from lemniscate.errors import UnknownPreset
-from lemniscate.figures import CircleElement, MarkerElement, PolylineElement, SegmentElement, _fmt
+from lemniscate.figures import CircleElement, MarkerElement, PolylineElement, SegmentElement, TextElement, _fmt
 
 B = BernoulliConfig(Point(-1.0, 0.0), Point(1.0, 0.0))
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -125,6 +127,13 @@ class TestSceneGuard:
             scene.add(MarkerElement(Point(10.0, 0.0), Style()))
         with pytest.raises(ValueError):
             scene.add(CircleElement(Point(0.0, 0.0), 5.0, Style()))
+        with pytest.raises(ValueError):
+            scene.add(SegmentElement(Point(0.0, 0.0), Point(0.0, -7.0), Style()))
+        with pytest.raises(ValueError):
+            scene.add(TextElement(Point(3.5, 3.5), Style(label="far")))
+        with pytest.raises(TypeError, match="not a scene element"):
+            scene.add(Point(0.0, 0.0))
+        assert not scene.elements
 
     def test_polyline_error_names_first_vertex_outside(self):
         scene = Scene(TraceWindow(-1, 1, -1, 1, 16, 16))
@@ -197,3 +206,61 @@ def test_golden_threebar():
     golden = GOLDEN / "threebar.svg"
     produced = emit_svg(figure_scene("threebar", B, grid=128))
     assert produced == golden.read_text(encoding="utf-8")
+
+
+# SHA-256 of the SVG each command writes, recorded before the draw functions and
+# the emitter were rewritten as drawing data; `figure --preset P --foci F --grid 64`
+# writes emit_svg(figure_scene(P, B, grid=64)). family3 ignores the foci.
+_PINNED_PRESETS = {
+    "family3": ("1b5335442b75bca8ceceeb7ccc9e6b2face922c0135f7afe3bb850cd51675e9e",) * 2,
+    "lemniscate": (
+        "398ccde01e1b7ea16fdf0a8ff7aa80eddbde8dbe352fbe217e033b70e4ac10ea",
+        "a016f53a21cfc4f25fcf42a2827554bb89c29c0460e7c175022d907b3af3b519",
+    ),
+    "threebar": (
+        "b26db7f9fae2edcf039ab04f5c5c6415133523f237c685009c06f0d62bcd5983",
+        "be5b08326f78fec69fb7fe0afeea9343cfc8949e9ad4fd72574472629f2eb1ae",
+    ),
+    "maclaurin": (
+        "4fbb370ed16cfffe7c6af93121a162059fdab1168d073a9f16c8636592025f21",
+        "ccf973cf5ca99a3476dccf41201de3c9a15b9db2493301aa100d6d6ccd88825a",
+    ),
+    "rightangle": (
+        "e1b65ee163433bd9181bf2539388e2a52a680237e4b58482ca1bda2fa5f73232",
+        "81756f1abb338b2b7f6c09709fdad68584c185d0e40b17103b9e120eb989b9d2",
+    ),
+    "inversion": (
+        "777c676a50008574cb34e1c365c577f5b5384b0c2b42c8e26430bc13f4b1c855",
+        "5933715ce77a6f7f046bbe6cf716c23d03b5f251cb35a0fffcf19457a048f8a3",
+    ),
+    "tangentcircle": (
+        "b4cc0eda17c9287a689cf060f194555734092835cbceabafb43b8f0bc61a0c7f",
+        "8908ca4d2822937b7d606ce48cc6b3286a5f5c11684302f46b53dd440cd8da1d",
+    ),
+    "normal": (
+        "52b2b859132237411fb62231cf4b00b3a4daeb59bd2fe324941d4f92a4618371",
+        "5b6891ac3ed56367e5742a9b775c1e72746a0480aa2fc728bbac8a3b08f5b00a",
+    ),
+}
+_PINNED_SVG = [
+    *(
+        (("figure", f"--foci={foci}", "--preset", preset, "--grid", "64"), _PINNED_PRESETS[preset][k])
+        for k, foci in enumerate(("-2,-1,4,7", "999.7,5,1000.4,5.2"))
+        for preset in FIGURE_PRESETS
+    ),
+    *(
+        ((command, "--foci=-2,-1,4,7", "--format", "svg", f"--{angle}", value, "--grid", "64"), digest)
+        for command, angle, value, digest in (
+            ("linkage", "theta", "37", "28fb824a0a9bd732aab3a3ff6194da875a481abe56e743c19a6efeb97a5918e6"),
+            ("maclaurin", "phi", "12", "a7cbc862341f1b360e6da1d3e84e902166c4c950c712412e7b61b70e0b2869b5"),
+            ("rightangle", "alpha", "20", "39c4dfc2b4768367436c76edc69dfe7e008dcb0aaaf82fb18bcb365345938cd3"),
+            ("normal", "theta", "-17", "d3d58f4db2965c638fd92ace56fb474a92c9c2496f8f758c1ad957b1ea1e1d8b"),
+        )
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, digest", _PINNED_SVG, ids=[" ".join(argv[:4]) for argv, _ in _PINNED_SVG])
+def test_svg_is_pinned(capsys, argv, digest):
+    assert main(list(argv)) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
