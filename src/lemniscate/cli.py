@@ -32,7 +32,7 @@ from .constructions import (
 from .errors import GeometryError
 from .figures import _BERNOULLI_PRESETS, FIGURE_PRESETS, curve_scene, emit_svg, figure_scene
 from .geometry import SQRT2, InversionMap, Point, invert_point
-from .tracer import TraceWindow, _coordinate_texts, bernoulli_window, contours_to_csv, trace
+from .tracer import TraceWindow, _coordinate_texts, _singular_points, bernoulli_window, contours_to_csv, trace
 
 
 def _parse_floats(text: str, count: int | None = None):
@@ -76,8 +76,8 @@ def _window(args, L: PolynomialLemniscate) -> TraceWindow:
     if args.window:
         xmin, xmax, ymin, ymax = _parse_floats(args.window, 4)
         return TraceWindow(xmin, xmax, ymin, ymax, args.grid, args.grid)
-    if L.n == 2 and abs(L.radius - 0.5 * L.foci[0].distance_to(L.foci[1])) <= 1e-12 * L.radius:
-        B = BernoulliConfig(L.foci[0], L.foci[1])
+    if L.n == 2 and len(_singular_points(L)):  # through the double point it snaps to: the lemniscate figure's frame
+        B = BernoulliConfig(*L.foci)
         c = B.half_distance
         return bernoulli_window(B, args.grid, 1.6 * c * SQRT2, 0.8 * c * SQRT2)
     cx = sum(f.x for f in L.foci) / L.n
@@ -87,12 +87,14 @@ def _window(args, L: PolynomialLemniscate) -> TraceWindow:
     return TraceWindow(cx - half, cx + half, cy - half, cy + half, args.grid, args.grid)
 
 
-def _write(args, text: str) -> None:
+def _answer(args, text: str, failed: bool = False) -> int:
+    """Every handler's exit: write text to --out or stdout, then yield the exit code."""
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+    return 1 if failed else 0
 
 
 def _pt(p: Point | None):
@@ -114,42 +116,37 @@ def _json_doc(config: dict, contours=(), checks=None, **extra) -> str:
     return text.replace('\n  "contours": [],', f'\n  "contours": [\n    [\n{lists}\n    ]\n  ],', 1)
 
 
+def _json(foci, config: dict, contours=(), checks=None, **extra) -> str:
+    # every JSON answer: its config led by the foci
+    return _json_doc({"foci": [_pt(f) for f in foci]} | config, contours, checks, **extra)
+
+
 def _cmd_trace(args) -> int:
     L = _lemniscate(args)
     w = _window(args, L)
     if args.format == "svg":
-        _write(args, emit_svg(curve_scene(L, w)))
-        return 0
+        return _answer(args, emit_svg(curve_scene(L, w)))
     contours = trace(L, w)
     if args.format == "csv":
-        _write(args, contours_to_csv(contours))
-    else:
-        config = {
-            "foci": [_pt(f) for f in L.foci],
-            "radius": L.radius,
-            "window": [w.xmin, w.xmax, w.ymin, w.ymax],
-            "grid": [w.nx, w.ny],
-        }
-        checks = {"max_contour_residual": max(c.max_residual for c in contours)}
-        _write(args, _json_doc(config, contours, checks))
-    return 0
+        return _answer(args, contours_to_csv(contours))
+    config = {"radius": L.radius, "window": [w.xmin, w.xmax, w.ymin, w.ymax], "grid": [w.nx, w.ny]}
+    checks = {"max_contour_residual": max(c.max_residual for c in contours)}
+    return _answer(args, _json(L.foci, config, contours, checks))
 
 
 def _cmd_mechanism(args) -> int:
     B = _bernoulli(args)
     side = {"side": args.side} if "side" in args else {}
     state = args.solve(B, math.radians(getattr(args, args.angle)), **side)
-    config = {"foci": [_pt(B.f1), _pt(B.f2)], f"{args.angle}_deg": getattr(args, args.angle), **side}
+    config = {f"{args.angle}_deg": getattr(args, args.angle), **side}
     points = {name: _pt(v) for name, v in state._asdict().items() if name not in (args.angle, "side")}
-    _write(args, _json_doc(config, points=points))
-    return 0
+    return _answer(args, _json((B.f1, B.f2), config, points=points))
 
 
 def _cmd_invert(args) -> int:
     B = _bernoulli(args)
     p = _parse_point(args.point)
     image = invert_between(B, p)
-    config = {"foci": [_pt(B.f1), _pt(B.f2)], "point": _pt(p)}
     # far is the image's offset from o, p - o inverted about the origin: a far p's image itself can round onto o
     v = p - B.center
     near, far = v.norm(), invert_point(InversionMap(Point(0.0, 0.0), B.half_distance), v).norm()
@@ -157,35 +154,27 @@ def _cmd_invert(args) -> int:
         m = max(abs(v.x), abs(v.y))
         near, far = math.hypot(v.x / m, v.y / m), far * m
     checks = {"distance_product_minus_c2": abs(near * far - B.half_distance**2)}
-    _write(args, _json_doc(config, checks=checks, image=_pt(image)))
-    return 0
+    return _answer(args, _json((B.f1, B.f2), {"point": _pt(p)}, checks=checks, image=_pt(image)))
 
 
 def _cmd_normal(args) -> int:
     B = _bernoulli(args)
     x = _parse_point(args.point) if args.point else bernoulli_polar_point(B, math.radians(args.theta))
     line = normal_by_angle(B, x)
-    config = {"foci": [_pt(B.f1), _pt(B.f2)], "theta_deg": args.theta}
-    _write(args, _json_doc(config, point=_pt(x), anchor=_pt(line.anchor), direction=_pt(line.direction)))
-    return 0
+    fields = {"point": _pt(x), "anchor": _pt(line.anchor), "direction": _pt(line.direction)}
+    return _answer(args, _json((B.f1, B.f2), {"theta_deg": args.theta}, **fields))
 
 
 def _cmd_area(args) -> int:
     B = _bernoulli(args)
-    config = {"foci": [_pt(B.f1), _pt(B.f2)]}
-    _write(args, _json_doc(config, area=bernoulli_area(B)))
-    return 0
+    return _answer(args, _json((B.f1, B.f2), {}, area=bernoulli_area(B)))
 
 
 def _cmd_expand(args) -> int:
     L = _lemniscate(args)
     table = expand_coefficients(L)
-    config = {"foci": [_pt(f) for f in L.foci], "radius": L.radius}
-    _write(
-        args,
-        _json_doc(config, degree=table.degree, coefficients=[[float(v) for v in row] for row in table.coeffs]),
-    )
-    return 0
+    coefficients = [[float(v) for v in row] for row in table.coeffs]
+    return _answer(args, _json(L.foci, {"radius": L.radius}, degree=table.degree, coefficients=coefficients))
 
 
 def _figure(args) -> int:  # figure --preset, and the SVG form of a construction command
@@ -193,8 +182,7 @@ def _figure(args) -> int:  # figure --preset, and the SVG form of a construction
     params = {k: math.radians(v) for k in ("theta", "phi", "alpha") if (v := getattr(args, k, None)) is not None}
     if args.grid is not None:  # else the preset's default grid
         params["grid"] = args.grid
-    _write(args, emit_svg(figure_scene(args.preset, B, **params)))
-    return 0
+    return _answer(args, emit_svg(figure_scene(args.preset, B, **params)))
 
 
 def _cmd_construction(args) -> int:
@@ -213,11 +201,10 @@ def _cmd_verify(args) -> int:
     B = _bernoulli(args)
     checks = verification.run_verification(B, grid=args.grid)
     if args.format == "json":
-        config = {"foci": [_pt(B.f1), _pt(B.f2)]}
-        _write(args, _json_doc(config, checks={c.name: c.max_residual for c in checks}))
+        text = _json((B.f1, B.f2), {}, checks={c.name: c.max_residual for c in checks})
     else:
-        _write(args, verification.format_report(checks) + "\n")
-    return 0 if all(c.passed for c in checks) else 1
+        text = verification.format_report(checks) + "\n"
+    return _answer(args, text, failed=not all(c.passed for c in checks))
 
 
 # shared flags; a subcommand declares only those it reads

@@ -144,7 +144,8 @@ def three_bar_array(B: BernoulliConfig, theta, side: str = SIDE_OPPOSITE) -> Thr
     is an isosceles trapezoid, so b is f1 reflected in the perpendicular
     bisector of a-f2. The parallelogram (same-side) branch, b = a + f2 - f1,
     traces a circle of radius c*sqrt(2) about the double point. Every
-    crank angle solves; at theta = 0 and pi, x is a vertex.
+    crank angle solves, unless a stick is too short for the floats about
+    its focus (ValueError); at theta = 0 and pi, x is a vertex.
     """
     if side not in (SIDE_OPPOSITE, SIDE_SAME):
         raise ValueError(f"side must be '{SIDE_OPPOSITE}' or '{SIDE_SAME}', got {side!r}")
@@ -157,6 +158,12 @@ def three_bar_array(B: BernoulliConfig, theta, side: str = SIDE_OPPOSITE) -> Thr
         b = a + (f2 - f1)
     else:
         b = reflect_across_line_array(0.5 * (a + f2), row_perp(row_unit(f2 - a)), f1)
+    # far from the origin a stick can be shorter than the float spacing there: its tip
+    # rounds onto its focus and its direction is 0/0, not a parallel pair
+    bad = np.flatnonzero((a == f1).all(axis=-1) | (b == f2).all(axis=-1))
+    if bad.size:
+        first = float(theta.ravel()[bad[0]])
+        raise ValueError(f"a stick rounds onto its focus at theta = {first}: foci {B.f1}, {B.f2}")
     x = 0.5 * (a + b)
     p = line_line_intersection_array(f1, row_unit(a - f1), f2, row_unit(b - f2))
     q = reflect_across_line_array(f1, u, p)

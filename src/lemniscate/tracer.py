@@ -295,7 +295,10 @@ def _band(L, w, xs, ys):
     for run in range(0, len(k), _CHUNK):
         at = slice(run, run + _CHUNK)
         ci, cj = np.minimum(sx[a[at], k[at]] + nodes, w.nx), np.minimum(sy[b[at], k[at]] + nodes, w.ny)
-        yield ci, cj, (lemniscate_field_array(L, xs[ci][:, None], ys[cj][None]) < 0.0).view(np.int8)
+        f = lemniscate_field_array(L, xs[ci][:, None], ys[cj][None])
+        if np.isnan(f).any():  # a float cannot tell the side of the true, finite product
+            raise ValueError(f"the field is 0 * inf at a grid node: foci {', '.join(map(str, L.foci))}")
+        yield ci, cj, (f < 0.0).view(np.int8)
 
 
 def _box(v, start, cells, n):
@@ -409,12 +412,12 @@ def trace(L: PolynomialLemniscate, w: TraceWindow) -> list[Contour]:
     Returns one contour per connected component crossing the window,
     ordered by each contour's leftmost-lowest point. Raises EmptyTrace
     when the field has no sign change in the window or every chain
-    collapses onto a point, and ValueError when
-    the field overflows a float at an end of a crossed edge.
+    collapses onto a point, and ValueError when the field overflows a
+    float at an end of a crossed edge or is 0 * inf at a grid node.
     """
     xs = np.linspace(w.xmin, w.xmax, w.nx + 1)
     ys = np.linspace(w.ymin, w.ymax, w.ny + 1)
-    with np.errstate(over="ignore"):  # +inf is the right sign, outside
+    with np.errstate(over="ignore", invalid="ignore"):  # +inf is the right sign, outside; NaN is refused
         ids, nxt = _crossings(L, w, xs, ys, _band(L, w, xs, ys))
     if not ids.size:
         raise EmptyTrace("no sign change in the window")

@@ -176,6 +176,16 @@ class TestTraceCommand:
         assert out.count("<polygon") == 2
         assert "<polyline" not in out
 
+    def test_radius_the_snap_takes_for_the_double_point_gets_the_figure_frame(self, capsys):
+        # 1e-10 off the half distance: the snap splits the curve at the double point,
+        # and the frame is the lemniscate figure's, not the general square
+        code, out, _ = run_cli(capsys, "trace", "--radius", "1.0000000001", "--grid", "64", "--format", "json")
+        doc = json.loads(out)
+        assert code == 0
+        along, across = 1.6 * math.sqrt(2.0), 0.8 * math.sqrt(2.0)
+        assert doc["config"]["window"] == [-along, along, -across, across]
+        assert len(doc["contours"]) == 2
+
     def test_oval_at_a_tiny_scale_gets_its_own_window(self, capsys):
         # radius 5c is no Bernoulli radius, however small c is
         code, out, err = run_cli(
@@ -442,6 +452,30 @@ class TestErrorPaths:
         assert code == 2 and out == ""
         x1, y1, x2, y2 = (repr(float(v)) for v in foci.split(","))
         assert err == f"error: the midpoint of Point(x={x1}, y={y1}) and Point(x={x2}, y={y2}) overflows\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "svg"])
+    def test_field_of_zero_times_inf_names_the_foci(self, capsys, fmt):
+        # a grid node on the first focus gives a factor 0, the far focus's factor
+        # overflows: the product is NaN, and its side unknown
+        argv = ("--foci=1e-8,1e-8,5e-324,1e300", "--radius", "3", "--grid", "32", "--format", fmt)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "trace", *argv)
+        assert code == 2 and out == ""
+        foci = "Point(x=1e-08, y=1e-08), Point(x=5e-324, y=1e+300)"
+        assert err == f"error: the field is 0 * inf at a grid node: foci {foci}\n"
+
+    @pytest.mark.parametrize("form", [(), ("--format", "svg", "--grid", "32")], ids=["json", "svg"])
+    def test_linkage_whose_sticks_round_onto_their_foci(self, capsys, form):
+        # c * sqrt(2) is below the float spacing at 1e300: no stick direction, not parallel sticks
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "linkage", "--foci=-1,1e300,0,1e300", *form)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        if not form:  # the SVG form's view window is refused first
+            foci = "Point(x=-1.0, y=1e+300), Point(x=0.0, y=1e+300)"
+            assert err == f"error: a stick rounds onto its focus at theta = {math.pi / 2!r}: foci {foci}\n"
 
     def test_area_of_foci_whose_midpoint_overflows(self, capsys):
         code, out, _ = run_cli(capsys, "area", "--foci=1.7e308,0,1.7e308,2")

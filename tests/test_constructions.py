@@ -104,6 +104,14 @@ class TestThreeBar:
         with pytest.raises(ValueError):
             three_bar_solve(B, 1.0, side="sideways")
 
+    @pytest.mark.parametrize("side", ["opposite", "same"])
+    def test_stick_that_rounds_onto_its_focus(self, side):
+        # at theta = pi/2 the stick of length c*sqrt(2) is all along y, below ulp(1e300)
+        far = BernoulliConfig(Point(-1.0, 1e300), Point(0.0, 1e300))
+        three_bar_array(far, [0.0], side)
+        with pytest.raises(ValueError, match=r"theta = 1\.5707963267948966: foci Point\(x=-1\.0, y=1e\+300\)"):
+            three_bar_array(far, [0.0, math.pi / 2, math.pi], side)
+
     def test_general_pose(self):
         tilted = BernoulliConfig(Point(0.7, -0.3), Point(1.9, 1.1))
         for k in range(50):

@@ -1,6 +1,7 @@
 """Scene composition and SVG emission tests."""
 
 import hashlib
+import json
 import math
 import pathlib
 import random
@@ -118,6 +119,43 @@ class TestFigureScene:
         # family3 has its own fixed foci and ignores the config
         far = BernoulliConfig(Point(5.0, 7.0), Point(-3.0, 9.0))
         assert emit_svg(figure_scene("family3", far, grid=32)) == emit_svg(figure_scene("family3", B, grid=32))
+
+
+class TestDefaultFrames:
+    # c = 5 about (1, 3), the focal axis turned through 0, 15, ..., 165 degrees
+    TURNS = [
+        BernoulliConfig(Point(1.0 - dx, 3.0 - dy), Point(1.0 + dx, 3.0 + dy))
+        for dx, dy in ((5.0 * math.cos(t), 5.0 * math.sin(t)) for t in (math.radians(15 * k) for k in range(12)))
+    ]
+
+    @pytest.mark.parametrize("preset", ["threebar", "maclaurin", "rightangle", "tangentcircle"])
+    def test_construction_stays_in_view_at_every_turn(self, preset):
+        # each preset's frame turns with the focal axis, so nothing it draws leaves the view
+        for config in self.TURNS:
+            scene = figure_scene(preset, config, grid=32)
+            w = scene.viewbox
+            for el in scene.elements:
+                if isinstance(el, SegmentElement):
+                    corners = [el.a, el.b]
+                elif isinstance(el, CircleElement):
+                    corners = [el.center - Point(el.radius, el.radius), el.center + Point(el.radius, el.radius)]
+                elif isinstance(el, MarkerElement):
+                    corners = [el.at]
+                else:
+                    continue
+                for p in corners:
+                    assert w.xmin <= p.x <= w.xmax and w.ymin <= p.y <= w.ymax, (preset, config, el)
+
+    def test_default_trace_frame_holds_both_loops_at_every_turn(self, capsys):
+        for config in self.TURNS:
+            foci = f"--foci={config.f1.x!r},{config.f1.y!r},{config.f2.x!r},{config.f2.y!r}"
+            assert main(["trace", foci, "--grid", "64", "--format", "json"]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            loops = [np.array(c) for c in doc["contours"]]
+            assert len(loops) == 2
+            # the loops meet at the double point, a vertex of both
+            o = np.array([config.center.x, config.center.y])
+            assert all((loop == o).all(axis=1).any() for loop in loops), config
 
 
 class TestSceneGuard:
