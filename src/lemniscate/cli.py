@@ -32,13 +32,13 @@ from .constructions import (
 from .errors import GeometryError
 from .figures import _BERNOULLI_PRESETS, FIGURE_PRESETS, curve_scene, emit_svg, figure_scene
 from .geometry import SQRT2, InversionMap, Point, invert_point
-from .tracer import TraceWindow, _coordinate_texts, _singular_points, bernoulli_window, contours_to_csv, trace
+from .tracer import TraceWindow, _contours_text, _singular_points, bernoulli_window, contours_to_csv, trace
 
 
 def _parse_floats(text: str, count: int | None = None):
     parts = [float(v) for v in text.split(",") if v.strip() != ""]
     if count is not None and len(parts) != count:
-        raise ValueError(f"expected {count} comma-separated numbers, got {len(parts)}")
+        raise ValueError(f"expected {count} comma-separated numbers, got {len(parts)} in {text!r}")
     return parts
 
 
@@ -57,7 +57,7 @@ def _parse_point(text: str) -> Point:
 def _bernoulli(args) -> BernoulliConfig:
     foci = _parse_foci(args.foci)
     if len(foci) != 2:
-        raise ValueError("this command needs exactly two foci")
+        raise ValueError(f"this command needs exactly two foci, got {len(foci)} in --foci={args.foci}")
     return BernoulliConfig(foci[0], foci[1])
 
 
@@ -110,8 +110,7 @@ def _json_doc(config: dict, contours=(), checks=None, **extra) -> str:
     text = json.dumps({"config": config, "contours": [], "checks": checks or {}} | extra, indent=2) + "\n"
     if not contours:
         return text
-    lists = "\n    ],\n    [\n".join(",\n".join([_JSON_VERTEX] * len(c.points)) for c in contours)
-    lists %= tuple(_coordinate_texts(contours))
+    lists = _contours_text(contours, _JSON_VERTEX, ",\n", "\n    ],\n    [\n")
     # config's lines are indented deeper, so the first match is the top-level key
     return text.replace('\n  "contours": [],', f'\n  "contours": [\n    [\n{lists}\n    ]\n  ],', 1)
 

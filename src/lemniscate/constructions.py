@@ -26,8 +26,7 @@ import numpy as np
 from .curves import (
     BernoulliConfig,
     EquilateralHyperbola,
-    field_residual,
-    lemniscate_field_array,
+    on_curve,
 )
 from .errors import (
     DoublePoint,
@@ -43,6 +42,7 @@ from .geometry import (
     Point,
     angle_array,
     invert_point_array,
+    line_circle_array,
     line_line_intersection_array,
     reflect_across_line_array,
     row_cross,
@@ -189,16 +189,10 @@ def maclaurin_array(B: BernoulliConfig, phi) -> MaclaurinSample:
     f1 = xy(B.f1)
     r = B.half_distance / SQRT2
     d = row_rotate(row_unit(f1 - o), phi)
-    t0 = row_dot(f1 - o, d)
-    closest = o + d * t0[..., None]
-    off = f1 - closest
-    h2 = r * r - row_dot(off, off)
+    a, b, h2 = line_circle_array(o, d, f1, r)
     misses = h2 < -1e-12 * r * r
     if misses.any():
         raise NoChord(f"secant at phi = {float(phi[misses][0])} misses the construction circle")
-    h = np.sqrt(np.maximum(h2, 0.0))[..., None]
-    a = o + d * (t0[..., None] - h)
-    b = o + d * (t0[..., None] + h)
     length = row_norm(a - b)[..., None]
     return MaclaurinSample(phi, a, b, o + d * length, o - d * length)
 
@@ -288,9 +282,7 @@ def normal_by_angle_array(B: BernoulliConfig, x) -> np.ndarray:
     NotOnCurve for a point off the lemniscate and DoublePoint at o.
     """
     x = np.asarray(x, dtype=float)
-    L = B.lemniscate
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing field leaves a NaN: off the curve
-        off = ~(field_residual(L, lemniscate_field_array(L, x[..., 0], x[..., 1])) <= 5e-10)
+    off = ~on_curve(B.lemniscate, x)
     if off.any():
         raise NotOnCurve(f"point {row_point(x[off][0])} is not on the lemniscate")
     o, f1 = xy(B.center), xy(B.f1)

@@ -107,6 +107,13 @@ def field_residual(L: PolynomialLemniscate, f):
     return np.abs(f) / (f + 2.0 * L.level)
 
 
+def on_curve(L: PolynomialLemniscate, p) -> np.ndarray:
+    """Whether each row of p lies on the curve: a field_residual of at most 5e-10 there."""
+    p = np.asarray(p, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing field gives inf / inf, NaN: off the curve
+        return field_residual(L, lemniscate_field_array(L, p[..., 0], p[..., 1])) <= 5e-10
+
+
 def lemniscate_gradient_array(L: PolynomialLemniscate, x, y) -> np.ndarray:
     """lemniscate_gradient at the points (x, y) as rows (..., 2)."""
     q = [(x - f.x) ** 2 + (y - f.y) ** 2 for f in L.foci]
@@ -197,33 +204,41 @@ def expand_coefficients(L: PolynomialLemniscate) -> CoefficientTable:
 
 
 @dataclass(frozen=True, slots=True)
-class BernoulliConfig:
-    """Focus pair of a Bernoulli lemniscate.
-
-    The induced lemniscate has radius c = |F1 F2| / 2, so the curve
-    passes through the midpoint of the foci (its double point).
-    """
+class _FocalPair:
+    """Two distinct foci, and the center and axis of the frame they set."""
 
     f1: Point
     f2: Point
 
     def __post_init__(self):
         if self.f1.distance_to(self.f2) == 0.0:
-            raise ValueError(f"Bernoulli foci must be distinct, got both at {self.f1.x!r},{self.f1.y!r}")
-        self.lemniscate  # refuses a c**4 that is not a normal float
+            raise ValueError(f"foci must be distinct, got both at {self.f1.x!r},{self.f1.y!r}")
 
     @property
     def center(self) -> Point:
         return midpoint(self.f1, self.f2)
 
     @property
-    def half_distance(self) -> float:
-        return 0.5 * self.f1.distance_to(self.f2)
-
-    @property
     def axis_unit(self) -> Point:
         """Unit vector from f1 toward f2 (also from f1 toward the center)."""
         return (self.f2 - self.f1).unit()
+
+
+@dataclass(frozen=True, slots=True)
+class BernoulliConfig(_FocalPair):
+    """Focus pair of a Bernoulli lemniscate.
+
+    The induced lemniscate has radius c = |F1 F2| / 2, so the curve
+    passes through the midpoint of the foci (its double point).
+    """
+
+    def __post_init__(self):
+        _FocalPair.__post_init__(self)
+        self.lemniscate  # refuses a c**4 that is not a normal float
+
+    @property
+    def half_distance(self) -> float:
+        return 0.5 * self.f1.distance_to(self.f2)
 
     @property
     def lemniscate(self) -> PolynomialLemniscate:
@@ -272,27 +287,12 @@ def bernoulli_area(B: BernoulliConfig) -> float:
 
 
 @dataclass(frozen=True, slots=True)
-class EquilateralHyperbola:
+class EquilateralHyperbola(_FocalPair):
     """Hyperbola with perpendicular asymptotes, represented by its foci.
 
     The locus is | |F1 X| - |F2 X| | = |F1 F2| / sqrt(2); the quadratic
     form is synthesized on demand from the pose implied by the foci.
     """
-
-    f1: Point
-    f2: Point
-
-    def __post_init__(self):
-        if self.f1.distance_to(self.f2) == 0.0:
-            raise ValueError("hyperbola foci must be distinct")
-
-    @property
-    def center(self) -> Point:
-        return midpoint(self.f1, self.f2)
-
-    @property
-    def axis_unit(self) -> Point:
-        return (self.f2 - self.f1).unit()
 
     @property
     def semi_axis(self) -> float:

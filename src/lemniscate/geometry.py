@@ -9,10 +9,10 @@ to a radius or to a unit direction, so it holds alike at any similarity
 placement; intersection results are returned in a deterministic order
 so downstream branch selection is reproducible.
 
-Reflection, inversion of points and lines, and line intersection each
-have one array form (the `*_array` functions) that takes points as rows
-of a float array of shape (..., 2) and broadcasts its arguments; the
-Point functions are one-row calls of it.
+Reflection, inversion of points and lines, and the intersections of a
+line with a line or a circle each have one array form (the `*_array`
+functions) that takes points as rows of a float array of shape (..., 2)
+and broadcasts its arguments; the Point functions are one-row calls of it.
 """
 
 from __future__ import annotations
@@ -102,10 +102,6 @@ class Line:
     def point_at(self, t: float) -> Point:
         return self.anchor + self.direction * t
 
-    def param_of(self, p: Point) -> float:
-        """Signed arc parameter of the projection of p onto the line."""
-        return (p - self.anchor).dot(self.direction)
-
 
 @dataclass(frozen=True, slots=True)
 class Circle:
@@ -183,15 +179,10 @@ def circle_circle_intersection(c1: Circle, c2: Circle) -> list[Point]:
 
 def line_circle_intersection(l: Line, c: Circle) -> list[Point]:
     """Intersection points of a line and a circle, sorted by line parameter."""
-    t0 = l.param_of(c.center)
-    closest = l.point_at(t0)
-    h2 = c.radius * c.radius - (c.center - closest).norm_sq()
+    a, b, h2 = line_circle_array(xy(l.anchor), xy(l.direction), xy(c.center), c.radius)
     if h2 < -_EPS * c.radius * c.radius:
         return []
-    if h2 <= 0.0:
-        return [closest]
-    h = math.sqrt(h2)
-    return [l.point_at(t0 - h), l.point_at(t0 + h)]
+    return [row_point(a)] if h2 <= 0.0 else [row_point(a), row_point(b)]
 
 
 def line_line_intersection(l1: Line, l2: Line) -> Point | None:
@@ -308,6 +299,17 @@ def invert_line_array(center, radius, anchor, direction):
         )
     image = invert_point_array(center, radius, foot)
     return 0.5 * (center + image), 0.5 * row_norm(image - center)
+
+
+def line_circle_array(anchor, direction, center, radius):
+    """Both ends, in line order, of the chords that the lines through anchor along the
+    unit direction cut from the circles (center, radius), and h2, the squared half chord;
+    where h2 <= 0 the line touches or misses its circle, and both ends are the foot."""
+    t0 = row_dot(center - anchor, direction)[..., None]
+    off = center - (anchor + direction * t0)
+    h2 = radius * radius - row_dot(off, off)
+    h = np.sqrt(np.maximum(h2, 0.0))[..., None]
+    return anchor + direction * (t0 - h), anchor + direction * (t0 + h), h2
 
 
 def line_line_intersection_array(a1, d1, a2, d2):

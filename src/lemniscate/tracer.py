@@ -54,8 +54,8 @@ from .curves import (
     BernoulliConfig,
     PolynomialLemniscate,
     field_residual,
-    lemniscate_field,
     lemniscate_field_array,
+    on_curve,
 )
 from .errors import EmptyTrace, OpenContour
 from .geometry import midpoint, xy
@@ -113,14 +113,12 @@ class TraceWindow:
     ny: int
 
     def __post_init__(self):
-        if not (self.xmax > self.xmin and self.ymax > self.ymin):
-            raise ValueError("window bounds must satisfy xmax > xmin and ymax > ymin")
         if self.nx < 8 or self.ny < 8:
             raise ValueError("window needs at least 8 cells per axis")
-        # finite cell sizes need finite bounds, so infinite ones are refused too
+        # a normal float is positive and finite, so this refuses empty, reversed, infinite and NaN bounds
         if not all(np.finfo(float).tiny <= d < math.inf for d in (self.dx, self.dy)):
             bounds = ",".join(map(repr, (self.xmin, self.xmax, self.ymin, self.ymax)))
-            raise ValueError(f"window {bounds} needs a finite width and height and cells of normal float size")
+            raise ValueError(f"window {bounds} needs xmax > xmin and ymax > ymin, with cells of normal float size")
 
     @property
     def dx(self) -> float:
@@ -138,12 +136,15 @@ class TraceWindow:
 def bernoulli_window(B: BernoulliConfig, grid: int, along: float, across: float) -> TraceWindow:
     """Axis-aligned window around the box about B's double point that
     reaches `along` each way on the focal axis and `across` each way
-    perpendicular to it."""
+    perpendicular to it; ValueError naming the foci where it rounds empty."""
     o = B.center
     u = B.axis_unit
     hx = along * abs(u.x) + across * abs(u.y)
     hy = along * abs(u.y) + across * abs(u.x)
-    return TraceWindow(o.x - hx, o.x + hx, o.y - hy, o.y + hy, grid, grid)
+    try:
+        return TraceWindow(o.x - hx, o.x + hx, o.y - hy, o.y + hy, grid, grid)
+    except ValueError as exc:
+        raise ValueError(f"the view about foci {B.f1}, {B.f2}: {exc}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,13 +245,9 @@ def _signed_area(points: np.ndarray) -> float:
 
 def _singular_points(L: PolynomialLemniscate) -> np.ndarray:
     # the only singularity handled, as a row: the Bernoulli double point,
-    # present exactly when a 2-focus lemniscate's radius equals the half
-    # distance; a field that overflows at the midpoint is far from zero
-    mid = midpoint(L.foci[0], L.foci[1]) if L.n == 2 else None
-    f = math.inf if mid is None else lemniscate_field(L, mid)
-    if f < math.inf and field_residual(L, f) <= 5e-10:
-        return xy(mid)[None]
-    return np.empty((0, 2))
+    # present exactly when a 2-focus lemniscate's radius equals the half distance
+    mid = xy(midpoint(*L.foci))[None] if L.n == 2 else np.empty((0, 2))
+    return mid[on_curve(L, mid)]
 
 
 def _uncertified(L, x0, x1, y0, y1):
@@ -453,13 +450,14 @@ def trace(L: PolynomialLemniscate, w: TraceWindow) -> list[Contour]:
     return contours
 
 
-def _coordinate_texts(contours) -> list[str]:
-    """`repr` of every coordinate of a non-empty contour list, in output order.
-    Each distinct bit pattern is formatted once, so -0.0 and 0.0 stay apart."""
-    values = np.concatenate([c.points.ravel() for c in contours])
+def _contours_text(contours, vertex: str, join: str, gap: str) -> str:
+    """Each vertex as the %-template vertex of the `repr` of its coordinates, joined by
+    join within a contour and by gap between contours. Each distinct bit pattern is
+    formatted once, so -0.0 and 0.0 stay apart."""
+    values = np.concatenate([np.empty(0)] + [c.points.ravel() for c in contours])  # no contours: no values
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
     texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
-    return texts[inverse].tolist()
+    return gap.join(join.join([vertex] * len(c.points)) for c in contours) % tuple(texts[inverse].tolist())
 
 
 def contours_to_csv(contours) -> str:
@@ -468,22 +466,19 @@ def contours_to_csv(contours) -> str:
     Coordinates use shortest round-trip float formatting so re-importing
     reproduces them exactly; each distinct coordinate is formatted once.
     """
-    if not contours:
-        return "\n"
-    lines = "\n\n".join("\n".join(["%s,%s"] * len(c.points)) for c in contours)
-    return lines % tuple(_coordinate_texts(contours)) + "\n"
+    return _contours_text(contours, "%s,%s", "\n", "\n\n") + "\n"
 
 
 def contours_from_csv(text: str) -> list[np.ndarray]:
     """Parse the CSV contour format back into (N, 2) arrays."""
     groups, rows = [], []
-    for line in text.splitlines() + [""]:
+    for number, line in enumerate(text.splitlines() + [""], 1):
         if line.strip():
             x, y = map(float, line.split(","))
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValueError(f"contour coordinates must be finite, got {line!r} on line {number}")
             rows.append((x, y))
         elif rows:
             groups.append(np.array(rows))
             rows = []
-    if not all(np.isfinite(g).all() for g in groups):
-        raise ValueError("contour coordinates must be finite")
     return groups

@@ -477,6 +477,38 @@ class TestErrorPaths:
             foci = "Point(x=-1.0, y=1e+300), Point(x=0.0, y=1e+300)"
             assert err == f"error: a stick rounds onto its focus at theta = {math.pi / 2!r}: foci {foci}\n"
 
+    @pytest.mark.parametrize(
+        "argv", [("linkage", "--format", "svg", "--grid", "32"), ("figure", "--preset", "threebar")], ids=["linkage", "figure"]
+    )
+    def test_view_window_that_rounds_empty_names_the_foci(self, capsys, argv):
+        # 0.8 c sqrt(2) added to 1e300 rounds back onto it: the view has no height
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, argv[0], "--foci=-1,1e300,0,1e300", *argv[1:])
+        assert code == 2 and out == ""
+        foci = "Point(x=-1.0, y=1e+300), Point(x=0.0, y=1e+300)"
+        assert err.startswith(f"error: the view about foci {foci}: window ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("linkage", "--foci=0,0,1,0,2,2"), "this command needs exactly two foci, got 3 in --foci=0,0,1,0,2,2"),
+            (("trace", "--window=1,2,3"), "expected 4 comma-separated numbers, got 3 in '1,2,3'"),
+        ],
+        ids=["two_foci", "window_numbers"],
+    )
+    def test_count_refusal_names_the_input(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and err == f"error: {message}\n"
+
+    def test_trace_of_foci_whose_midpoint_overflows(self, capsys):
+        # the double-point test needs the midpoint, which names both foci when it overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "trace", "--foci=1.7e308,0,1.7e308,2")
+        assert code == 2 and out == ""
+        assert err == "error: the midpoint of Point(x=1.7e+308, y=0.0) and Point(x=1.7e+308, y=2.0) overflows\n"
+
     def test_area_of_foci_whose_midpoint_overflows(self, capsys):
         code, out, _ = run_cli(capsys, "area", "--foci=1.7e308,0,1.7e308,2")
         assert code == 0 and json.loads(out)["area"] == 2.0

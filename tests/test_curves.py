@@ -3,6 +3,7 @@
 import math
 import random
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from lemniscate import (
     line_line_intersection,
     unit_hyperbola_foci,
 )
-from lemniscate.curves import hyperbola_gradient_array, lemniscate_field_array
+from lemniscate.curves import hyperbola_gradient_array, lemniscate_field_array, on_curve
 from lemniscate.errors import NotOnCurve, OutsideLobe, TooManyFoci
 from lemniscate.geometry import Line, row_point, xy
 
@@ -107,6 +108,31 @@ class TestField:
             got, want = lemniscate_field_array(L, x, y), self.seeded_field(L, x, y)
         assert np.isinf(got).sum() > 0 and np.isfinite(got).sum() > 0
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestOnCurve:
+    def test_double_point(self):
+        assert on_curve(CANON_L, [[0.0, 0.0]]).tolist() == [True]
+        assert on_curve(CANON_L, xy(CANON.center)).item()
+
+    @pytest.mark.parametrize(
+        "radius, on",
+        [(1.0 + 1e-10, True), (1.0 - 1e-10, True), (1.0 + 1e-9, False), (1.0 - 1e-9, False)],
+    )
+    def test_double_point_at_a_radius_off_by(self, radius, on):
+        # the residual at the midpoint is |1 - r^4| / (1 + r^4), about 2 |r - 1|
+        L = PolynomialLemniscate(CANON_L.foci, radius)
+        assert on_curve(L, np.zeros((1, 2))).tolist() == [on]
+
+    def test_rows_of_a_sweep(self):
+        points = np.array([xy(bernoulli_polar_point(CANON, t)) for t in (0.1, -0.5, 3.0)])
+        assert on_curve(CANON_L, points).tolist() == [True, True, True]
+        assert on_curve(CANON_L, points * 1.01).tolist() == [False, False, False]
+
+    def test_overflowing_field_is_off_the_curve_quietly(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert on_curve(CANON_L, [[1e300, -1.0], [1.7e308, 1.7e308], [-1e200, 1e200]]).tolist() == [False] * 3
 
 
 class TestGradient:
@@ -353,6 +379,17 @@ class TestTypeInvariants:
     def test_distinct_foci(self):
         with pytest.raises(ValueError):
             PolynomialLemniscate((Point(0, 0), Point(0, 0)), 1.0)
+
+    @pytest.mark.parametrize("focal_pair", [BernoulliConfig, EquilateralHyperbola])
+    def test_coincident_focal_pair_is_named(self, focal_pair):
+        with pytest.raises(ValueError, match=re.escape("foci must be distinct, got both at 1.5,-2.0")):
+            focal_pair(Point(1.5, -2.0), Point(1.5, -2.0))
+
+    def test_focal_pair_frame_is_shared(self):
+        B = BernoulliConfig(Point(-2.0, -1.0), Point(4.0, 7.0))
+        H = EquilateralHyperbola(B.f1, B.f2)
+        assert (B.center, B.axis_unit) == (H.center, H.axis_unit) == (Point(1.0, 3.0), Point(0.6, 0.8))
+        assert B != H and B == BernoulliConfig(B.f1, B.f2)
 
     def test_level_must_be_a_normal_float(self):
         four = tuple(Point(k, 0.0) for k in range(4))

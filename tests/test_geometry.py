@@ -21,7 +21,7 @@ from lemniscate import (
     reflect_across_line,
 )
 from lemniscate.errors import CenterSingular, Concentric, LineThroughCenter
-from lemniscate.geometry import midpoint, reflect_across_line_array, rows
+from lemniscate.geometry import line_circle_array, midpoint, reflect_across_line_array, rows, xy
 
 SQRT2 = math.sqrt(2.0)
 
@@ -33,6 +33,23 @@ angles = st.floats(min_value=0.0, max_value=math.pi, exclude_max=True, allow_nan
 
 def assert_close(p: Point, q: Point, tol=1e-12):
     assert p.distance_to(q) <= tol, f"{p} != {q}"
+
+
+def line_circle_by_points(l: Line, c: Circle) -> list[Point]:
+    # the Point arithmetic of line_circle_intersection before its array form
+    t0 = (c.center - l.anchor).dot(l.direction)
+    closest = l.point_at(t0)
+    h2 = c.radius * c.radius - (c.center - closest).norm_sq()
+    if h2 < -1e-12 * c.radius * c.radius:
+        return []
+    if h2 <= 0.0:
+        return [closest]
+    h = math.sqrt(h2)
+    return [l.point_at(t0 - h), l.point_at(t0 + h)]
+
+
+def bits(points: list[Point]) -> list[tuple[str, str]]:
+    return [(p.x.hex(), p.y.hex()) for p in points]
 
 
 class TestInvertPoint:
@@ -271,7 +288,43 @@ class TestLineCircle:
         line = Line(Point(5.0, 1.0), Point(-1.0, 0.0))
         pts = line_circle_intersection(line, Circle(Point(0.0, 1.0), 2.0))
         assert len(pts) == 2
-        assert line.param_of(pts[0]) < line.param_of(pts[1])
+        assert (pts[1] - pts[0]).dot(line.direction) > 0.0
+
+    @given(
+        coords, coords, angles, coords, coords,
+        st.floats(min_value=0.01, max_value=3.0),
+        st.sampled_from([None, -3, -1, 0, 1, 3]),
+    )
+    @settings(max_examples=500)
+    @example(0.0, 1.0 / SQRT2, 0.0, -1.0, 0.0, 1.0 / SQRT2, None)  # test_tangent's pair
+    def test_matches_point_arithmetic_bit_for_bit(self, ax, ay, angle, cx, cy, radius, ulps):
+        line = Line(Point(ax, ay), Point(math.cos(angle), math.sin(angle)))
+        center = Point(cx, cy)
+        if ulps is not None:  # near-tangent: the radius within a few ulps of the distance to the line
+            radius = abs((center - line.anchor).cross(line.direction))
+            assume(radius > 1e-3)
+            for _ in range(abs(ulps)):
+                radius = math.nextafter(radius, math.copysign(math.inf, ulps))
+        circle = Circle(center, radius)
+        assert bits(line_circle_intersection(line, circle)) == bits(line_circle_by_points(line, circle))
+
+    def test_array_rows_are_the_point_chords(self):
+        # a sweep of lines through one anchor outside the circle: secants and misses
+        rng = np.random.default_rng(5)
+        angle = np.concatenate((rng.uniform(0.0, math.pi, 200), [0.0]))
+        direction = rows(np.cos(angle), np.sin(angle))
+        center, radius = Point(1.3, -0.7), 0.9
+        a, b, h2 = line_circle_array(np.zeros(2), direction, xy(center), radius)
+        assert a.shape == b.shape == (201, 2) and h2.shape == (201,)
+        assert (h2 < 0.0).any() and (h2 > 0.0).any()
+        for k in range(len(angle)):
+            line = Line(Point(0.0, 0.0), Point(*direction[k].tolist()))
+            want = line_circle_by_points(line, Circle(center, radius))
+            got = [Point(*a[k].tolist()), Point(*b[k].tolist())]
+            if len(want) == 1:
+                want *= 2  # a touching line: both ends are the foot
+            if want:
+                assert bits(got) == bits(want)
 
 
 class TestLineLine:

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -31,7 +32,7 @@ from lemniscate.tracer import (
     _CHUNK,
     _SEGMENTS,
     _band,
-    _coordinate_texts,
+    _contours_text,
     _crossings,
     _dedupe,
     _signed_area,
@@ -643,6 +644,23 @@ class TestTraceErrors:
         with pytest.raises(ValueError):
             TraceWindow(-1, 1, -1, 1, 4, 16)
 
+    @pytest.mark.parametrize(
+        "bounds",
+        [(1.0, 0.0, 0.0, 1.0), (0.0, 1.0, math.nan, 1.0), (0.0, math.inf, 0.0, 1.0), (0.0, 1.0, 1.0, 1.0)],
+        ids=["reversed", "nan", "infinite", "empty"],
+    )
+    def test_one_window_refusal_names_the_bounds(self, bounds):
+        named = ",".join(map(repr, bounds))
+        with pytest.raises(ValueError, match=f"^window {re.escape(named)} needs xmax > xmin and ymax > ymin, "):
+            TraceWindow(*bounds, 16, 16)
+
+    def test_view_window_that_rounds_empty_names_the_foci(self):
+        # 0.8 c sqrt(2) added to 1e300 rounds back onto it: the view has no height
+        B = BernoulliConfig(Point(-1.0, 1e300), Point(0.0, 1e300))
+        foci = "Point(x=-1.0, y=1e+300), Point(x=0.0, y=1e+300)"
+        with pytest.raises(ValueError, match=f"^the view about foci {re.escape(foci)}: window "):
+            bernoulli_window(B, 32, 1.6 * math.sqrt(2.0), 0.8 * math.sqrt(2.0))
+
 
 class TestContourArea:
     def test_unit_square(self):
@@ -773,9 +791,14 @@ class TestCsv:
         # repeats share a text, and -0.0 keeps its sign beside 0.0
         rows = [(0.0, -0.0), (1.5, 0.0), (-0.0, 1.5), (5e-324, -1e300), (0.1, 1e300), (0.1, -0.0)]
         contours = [Contour(rows, True, 0.0), Contour([(-0.0, 0.0), (1.5, 5e-324)], False, 0.0)]
-        assert _coordinate_texts(contours) == [repr(v) for c in contours for v in c.points.ravel().tolist()]
+        expected = " | ".join(" ".join(f"{x!r}:{y!r}" for x, y in c.points.tolist()) for c in contours)
+        assert _contours_text(contours, "%s:%s", " ", " | ") == expected
         signed = [Contour([(-0.0, 0.0), (1.0, 1.0), (0.0, -0.0)], False, 0.0)]
-        assert _coordinate_texts(signed) == ["-0.0", "0.0", "1.0", "1.0", "0.0", "-0.0"]
+        assert _contours_text(signed, "%s:%s", " ", " | ") == "-0.0:0.0 1.0:1.0 0.0:-0.0"
+
+    def test_non_finite_coordinate_names_its_line(self):
+        with pytest.raises(ValueError, match=re.escape("must be finite, got 'nan,1' on line 4")):
+            contours_from_csv("0.0,0.0\n1.0,0.0\n\nnan,1\n2.0,2.0\n")
 
     def test_no_contours_is_one_newline(self):
         assert contours_to_csv([]) == "\n"
