@@ -240,8 +240,7 @@ def invert_between_array(B: BernoulliConfig, p) -> np.ndarray:
     Maps lemniscate points to equilateral-hyperbola points (same foci)
     and back; the double point itself maps to infinity (CenterSingular).
     """
-    inv = B.inversion
-    return invert_point_array(xy(inv.center), inv.radius, p)
+    return invert_point_array(xy(B.center), B.half_distance, p)
 
 
 def tangent_circle_at(state: ThreeBarState) -> Circle:

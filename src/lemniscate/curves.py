@@ -28,6 +28,7 @@ from .geometry import (
     row_dot,
     row_norm,
     row_point,
+    row_rotate,
     rows,
     xy,
 )
@@ -273,12 +274,8 @@ def bernoulli_polar_array(B: BernoulliConfig, theta) -> np.ndarray:
             f"cos(2*theta) = {float(cos2[outside][0])} < 0: "
             f"no curve point at theta = {float(theta[outside][0])}"
         )
-    c = B.half_distance
-    r = c * np.sqrt(2.0 * cos2)
-    u = B.axis_unit
-    ct, st = np.cos(theta), np.sin(theta)
-    o = B.center
-    return rows(o.x + r * (u.x * ct - u.y * st), o.y + r * (u.x * st + u.y * ct))
+    r = B.half_distance * np.sqrt(2.0 * cos2)
+    return xy(B.center) + r[..., None] * row_rotate(xy(B.axis_unit), theta)
 
 
 def bernoulli_area(B: BernoulliConfig) -> float:

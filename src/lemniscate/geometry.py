@@ -114,19 +114,12 @@ class Circle:
 
 
 @dataclass(frozen=True, slots=True)
-class InversionMap:
+class InversionMap(Circle):
     """Inversion in the circle with the given center and radius.
 
     Sends X to the point on the ray from the center through X whose
     distance from the center is radius**2 / |center X|.
     """
-
-    center: Point
-    radius: float
-
-    def __post_init__(self):
-        if not (self.radius > 0.0 and math.isfinite(self.radius)):
-            raise ValueError(f"inversion radius must be positive, got {self.radius}")
 
 
 def invert_point(inv: InversionMap, p: Point) -> Point:

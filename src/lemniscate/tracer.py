@@ -2,10 +2,10 @@
 
 Marching squares over a rectangular window, a bracket that places each
 crossing on the curve along its crossed edge, and deliberate splitting
-of contours at the Bernoulli double point where the two lobes cross. The case table's segments are
-directed with the interior (field negative) on their left, so each
-crossing has at most one successor and every contour comes out oriented
-by construction: a closed contour's signed shoelace area is positive.
+of contours at the Bernoulli double point where the two lobes cross.
+The case table is derived from one rule, the interior (field negative)
+on each segment's left, so each crossing has at most one successor and
+every closed contour comes out with a positive signed shoelace area.
 
 The field is evaluated only in a band of blocks that may hold the curve.
 The window's cells are split into blocks of 16 x 16, and each block is
@@ -58,38 +58,28 @@ from .curves import (
     on_curve,
 )
 from .errors import EmptyTrace, OpenContour
-from .geometry import midpoint, xy
+from .geometry import midpoint, row_norm, xy
 
 _REFINE_TOL = 5e-13
 _MAX_STEPS = 64
-
-# directed segments per marching-squares case, by cell edge name, with the
-# field negative on the left of each; case 15 - k is case k reversed
-_CASE_SEGMENTS = {
-    1: [("bottom", "left")],
-    2: [("right", "bottom")],
-    3: [("right", "left")],
-    4: [("top", "right")],
-    6: [("top", "bottom")],
-    7: [("top", "left")],
-}
-# the saddle case 5 with the field at the cell centre positive, and negative
-_SADDLE = ([("bottom", "left"), ("top", "right")], [("bottom", "right"), ("top", "left")])
 
 
 def _segment_table() -> np.ndarray:
     """_SEGMENTS[case, centre inside, segment] is the (start, end) pair of
     cell edges a segment joins, as 0 bottom, 1 top, 2 left, 3 right; -1
-    for none."""
-    names = ("bottom", "top", "left", "right")
+    for none. Corner k, counterclockwise from the bottom left, is bit k of
+    the case; edge k (bottom, right, top, left) joins corners k and k + 1.
+    A segment starts on each edge that leaves a negative corner and ends on
+    the next edge that enters one, or on the edge before it in a saddle
+    whose centre is not negative: where the centre is not negative, the
+    walk to the end runs clockwise. So the negative side is on its left."""
     table = np.full((16, 2, 2, 2), -1, dtype=np.intp)
-    for inside in (0, 1):
-        for code, segments in (_CASE_SEGMENTS | {5: _SADDLE[inside]}).items():
-            for s, pair in enumerate(segments):
-                ends = [names.index(e) for e in pair]
-                table[code, inside, s] = ends
-                # every sign flips in the complement, the centre's too
-                table[15 - code, 1 - inside, s] = ends[::-1]
+    ring = (0, 3, 1, 2) * 2  # edge k by its index in the table
+    for case, inside in np.ndindex(16, 2):
+        neg = [case >> k & 1 for k in range(4)] * 2
+        for s, k in enumerate([k for k in range(4) if neg[k] > neg[k + 1]]):
+            end = next(m for m in (k + 1, k + 2, k + 3)[:: 2 * inside - 1] if neg[m] < neg[m + 1])
+            table[case, inside, s] = ring[k], ring[end]
     return table
 
 
@@ -385,7 +375,7 @@ def _dedupe(pts: np.ndarray, tol: float, closed: bool = False) -> np.ndarray:
 
     Where the previous row is kept it is the last kept one, so the test
     against it decides; only the rows after a drop are walked."""
-    gap = np.hypot(pts[1:, 0] - pts[:-1, 0], pts[1:, 1] - pts[:-1, 1])
+    gap = row_norm(pts[1:] - pts[:-1])
     keep = np.ones(len(pts), dtype=bool)
     k = 0  # rows before k are decided
     for first in (np.flatnonzero(gap <= tol) + 1).tolist():
@@ -424,7 +414,7 @@ def trace(L: PolynomialLemniscate, w: TraceWindow) -> list[Contour]:
     coords = refine(L, *_edge_ends(w, xs, ys, ids))
     singular = _singular_points(L)
     if len(singular):
-        near = np.hypot(coords[:, None, 0] - singular[:, 0], coords[:, None, 1] - singular[:, 1]) <= w.cell_diagonal
+        near = row_norm(coords[:, None] - singular) <= w.cell_diagonal
         coords = np.where(near.any(axis=1)[:, None], singular[near.argmax(axis=1)], coords)
 
     contours = []
@@ -470,11 +460,15 @@ def contours_to_csv(contours) -> str:
 
 
 def contours_from_csv(text: str) -> list[np.ndarray]:
-    """Parse the CSV contour format back into (N, 2) arrays."""
+    """Parse the CSV contour format back into (N, 2) arrays; ValueError names
+    the first line that is not two finite comma-separated numbers."""
     groups, rows = [], []
     for number, line in enumerate(text.splitlines() + [""], 1):
         if line.strip():
-            x, y = map(float, line.split(","))
+            try:
+                x, y = map(float, line.split(","))
+            except ValueError:  # other than two fields, or a field that is not a number
+                raise ValueError(f"expected two comma-separated numbers, got {line!r} on line {number}") from None
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise ValueError(f"contour coordinates must be finite, got {line!r} on line {number}")
             rows.append((x, y))

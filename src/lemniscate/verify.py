@@ -58,7 +58,6 @@ from .geometry import (
 )
 from .tracer import bernoulli_window, contour_area, trace
 
-TAU = math.tau
 _LEMMA1_GROUP = 10  # samples per line in one inversion call of check_lemma1
 
 
@@ -80,8 +79,9 @@ def _worst(*residuals) -> float:
     return max((float(np.max(np.abs(r))) for r in residuals if np.size(r)), default=0.0)
 
 
-def _field(L, pts):
-    return lemniscate_field_array(L, pts[..., 0], pts[..., 1])
+def _off_curve(B: BernoulliConfig, *points) -> float:
+    """Largest |field of B's lemniscate| over the rows of the points arrays, over c**4."""
+    return _worst(*(lemniscate_field_array(B.lemniscate, p[..., 0], p[..., 1]) for p in points)) / B.half_distance**4
 
 
 def polar_angles(count: int, margin: float = 0.0) -> np.ndarray:
@@ -94,7 +94,7 @@ def polar_angles(count: int, margin: float = 0.0) -> np.ndarray:
 
 def sweep_angles(count: int, avoid_multiples_of: float | None = None, tol: float | None = None) -> np.ndarray:
     """(k + 1/2) * tau / count grid, less the values within tol of a multiple of avoid_multiples_of."""
-    t = (np.arange(count) + 0.5) * TAU / count
+    t = (np.arange(count) + 0.5) * math.tau / count
     if avoid_multiples_of is not None:
         r = t - avoid_multiples_of * np.round(t / avoid_multiples_of)
         t = t[np.abs(r) >= tol]
@@ -125,7 +125,7 @@ def check_threebar(B: BernoulliConfig, states) -> list[Check]:
         row_norm(states.a - states.b) - 2.0 * c,
     )
     return [
-        Check("threebar_field", _worst(_field(B.lemniscate, states.x)) / c**4, 1e-8),
+        Check("threebar_field", _off_curve(B, states.x), 1e-8),
         Check("threebar_trapezoid", _worst(trapezoid), 1e-9),
         Check("threebar_stick_lengths", _worst(*lengths) / c, 1e-10),
     ]
@@ -159,7 +159,7 @@ def check_hyperbola_inverse(B: BernoulliConfig, count: int = 1_000) -> Check:
     t = -3.0 + 6.0 * (np.arange(half) + 0.5) / half
     q = np.concatenate([hyperbola_point_array(H, t, branch) for branch in (1, -1)])
     x = invert_between_array(B, q)
-    return Check("hyperbola_inverse_direction", _worst(_field(B.lemniscate, x)) / B.half_distance**4, 1e-8)
+    return Check("hyperbola_inverse_direction", _off_curve(B, x), 1e-8)
 
 
 def check_sameside_locus(B: BernoulliConfig, count: int = 10_000) -> Check:
@@ -169,14 +169,13 @@ def check_sameside_locus(B: BernoulliConfig, count: int = 10_000) -> Check:
 
 
 def check_maclaurin(B: BernoulliConfig, count: int = 10_000) -> list[Check]:
-    L = B.lemniscate
     c = B.half_distance
     o = xy(B.center)
     phi = -math.pi / 4 + (np.arange(count) + 0.5) * (math.pi / 2) / count
     s = maclaurin_array(B, phi)
     chord = row_norm(s.a - s.b)
     return [
-        Check("maclaurin_field", _worst(_field(L, s.x), _field(L, s.x_prime)) / c**4, 1e-8),
+        Check("maclaurin_field", _off_curve(B, s.x, s.x_prime), 1e-8),
         Check(
             "maclaurin_chord_identity",
             _worst(row_norm(s.x - o) - chord, row_norm(s.x_prime - o) - chord) / c,
@@ -186,7 +185,6 @@ def check_maclaurin(B: BernoulliConfig, count: int = 10_000) -> list[Check]:
 
 
 def check_rightangle(B: BernoulliConfig, count: int = 10_000) -> list[Check]:
-    L = B.lemniscate
     o = xy(B.center)
     u = xy(B.axis_unit)
     c = B.half_distance
@@ -201,7 +199,7 @@ def check_rightangle(B: BernoulliConfig, count: int = 10_000) -> list[Check]:
         sticks.append(stick - c * SQRT2)
     lobe_margin = min(np.min(row_dot(st.x - o, u)), np.min(-row_dot(st.y - o, u)))
     return [
-        Check("rightangle_field", _worst(_field(L, st.x), _field(L, st.y)) / c**4, 1e-8),
+        Check("rightangle_field", _off_curve(B, st.x, st.y), 1e-8),
         Check("rightangle_right_angle", max(_worst(*right) / c**2, _worst(*sticks) / c), 1e-10),
         Check("rightangle_lobe_separation", max(0.0, -float(lobe_margin)) / c, 0.0),
     ]

@@ -29,7 +29,14 @@ from lemniscate.constructions import (
     tangent_circle_array,
     three_bar_array,
 )
-from lemniscate.curves import bernoulli_polar_array, bernoulli_polar_point, lemniscate_field_array
+from lemniscate.curves import (
+    bernoulli_polar_array,
+    bernoulli_polar_point,
+    hyperbola_gradient_array,
+    hyperbola_point_array,
+    lemniscate_field_array,
+    lemniscate_gradient_array,
+)
 from lemniscate.errors import (
     CenterSingular,
     DoublePoint,
@@ -469,3 +476,31 @@ class TestCoordinateMajor:
         assert len(points) == 23
         for v in points:
             assert v.shape[-1] == 2 and v[..., 0].flags.c_contiguous
+
+    def test_every_kernel_stores_both_columns_contiguously(self):
+        # the README convention: (N, 2) results are stored coordinate-major
+        theta = np.linspace(-0.7, 0.7, 64)
+        x = bernoulli_polar_array(TILTED, theta)
+        H = hyperbola_of(TILTED)
+        q = hyperbola_point_array(H, np.linspace(-2.0, 2.0, 64), -1)
+        sweeps = [
+            three_bar_array(TILTED, (np.arange(64) + 0.5) * math.tau / 64),
+            maclaurin_array(TILTED, theta),
+            right_angle_array(TILTED, np.linspace(-1.5, 1.5, 64)),
+        ]
+        points = {
+            "bernoulli_polar_array": x,
+            "hyperbola_point_array": q,
+            "hyperbola_gradient_array": hyperbola_gradient_array(H, q),
+            "lemniscate_gradient_array": lemniscate_gradient_array(TILTED.lemniscate, x[:, 0], x[:, 1]),
+            "invert_between_array": invert_between_array(TILTED, q),
+            "normal_by_angle_array": normal_by_angle_array(TILTED, x),
+        }
+        for s in sweeps:
+            for field, v in s._asdict().items():
+                if isinstance(v, np.ndarray) and v.ndim == 2:
+                    points[f"{type(s).__name__}.{field}"] = v
+        assert len(points) == 6 + 5 + 4 + 3
+        for name, v in points.items():
+            assert v.shape == (64, 2), name
+            assert v[..., 0].flags.c_contiguous and v[..., 1].flags.c_contiguous, name

@@ -355,6 +355,11 @@ def test_line_normalizes_direction():
         Line(Point(0, 0), Point(0.0, 0.0))
 
 
+def test_unit_of_the_zero_vector_is_refused():
+    with pytest.raises(ValueError, match="cannot normalize the zero vector"):
+        Point(0.0, 0.0).unit()
+
+
 def test_circle_radius_positive():
     with pytest.raises(ValueError):
         Circle(Point(0, 0), 0.0)

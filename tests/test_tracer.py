@@ -364,6 +364,21 @@ class TestOrientation:
             assert bilinear(mid + 0.25 * left) < 0.0
             assert bilinear(mid - 0.25 * left) > 0.0
 
+    def test_complement_case_reverses_every_segment(self):
+        # every sign flips in case 15 - k, the centre's too
+        for code in range(16):
+            for centre in (0, 1):
+                segments = {tuple(s) for s in _SEGMENTS[code, centre].tolist() if s[0] >= 0}
+                complement = {tuple(s) for s in _SEGMENTS[15 - code, 1 - centre].tolist() if s[0] >= 0}
+                assert complement == {(end, start) for start, end in segments}
+
+    def test_only_saddles_depend_on_the_centre(self):
+        for code in range(16):
+            if code not in (5, 10):
+                assert _SEGMENTS[code, 0].tolist() == _SEGMENTS[code, 1].tolist()
+        for code in (5, 10):
+            assert {tuple(s) for s in _SEGMENTS[code, 0].tolist()} != {tuple(s) for s in _SEGMENTS[code, 1].tolist()}
+
     def test_random_lemniscates_come_out_oriented(self):
         rng = random.Random(9)
         closed = opened = 0
@@ -799,6 +814,14 @@ class TestCsv:
     def test_non_finite_coordinate_names_its_line(self):
         with pytest.raises(ValueError, match=re.escape("must be finite, got 'nan,1' on line 4")):
             contours_from_csv("0.0,0.0\n1.0,0.0\n\nnan,1\n2.0,2.0\n")
+
+    @pytest.mark.parametrize(
+        "line", ["1,2,3", "1", "a,b", "1,"], ids=["three-fields", "one-field", "not-numbers", "empty-field"]
+    )
+    def test_malformed_line_names_its_text_and_number(self, line):
+        text = f"0.0,0.0\n1.0,0.0\n\n{line}\n2.0,2.0\n"
+        with pytest.raises(ValueError, match=re.escape(f"two comma-separated numbers, got {line!r} on line 4")):
+            contours_from_csv(text)
 
     def test_no_contours_is_one_newline(self):
         assert contours_to_csv([]) == "\n"
