@@ -9,6 +9,8 @@ verification failure, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import functools
 import json
 import math
@@ -274,11 +276,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# the parser is built on main's first call, not at import, and then reused
 _parser = functools.cache(build_parser)
 
 
+@functools.cache
+def _keep_freed_heap() -> None:
+    with contextlib.suppress(OSError, TypeError, AttributeError):  # no libc handle (Windows) or no mallopt (macOS)
+        mallopt = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.c_int, ctypes.c_int)(("mallopt", ctypes.CDLL(None)))
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+        mallopt(-3, 8 << 20)  # M_MMAP_THRESHOLD: setting either one freezes both where imports left them
+
+
 def main(argv=None) -> int:
+    """Run one command. The first call in a process builds the parser and, where libc has mallopt (glibc),
+    keeps up to 64 MiB of freed heap mapped for later commands (README, CLI); importing leaves malloc alone."""
+    _keep_freed_heap()
     args = _parser().parse_args(argv)
     try:
         return args.run(args)
