@@ -51,11 +51,6 @@ def _parse_foci(text: str) -> tuple[Point, ...]:
     return tuple(Point(values[k], values[k + 1]) for k in range(0, len(values), 2))
 
 
-def _parse_point(text: str) -> Point:
-    x, y = _parse_floats(text, 2)
-    return Point(x, y)
-
-
 def _bernoulli(args) -> BernoulliConfig:
     foci = _parse_foci(args.foci)
     if len(foci) != 2:
@@ -108,18 +103,15 @@ def _pt(p: Point | None):
 _JSON_VERTEX = "      [\n        %s,\n        %s\n      ]"
 
 
-def _json_doc(config: dict, contours=(), checks=None, **extra) -> str:
+def _json(foci, config: dict, contours=(), checks=None, **extra) -> str:
+    # every JSON answer: its config led by the foci
+    config = {"foci": [_pt(f) for f in foci]} | config
     text = json.dumps({"config": config, "contours": [], "checks": checks or {}} | extra, indent=2) + "\n"
     if not contours:
         return text
     lists = _contours_text(contours, _JSON_VERTEX, ",\n", "\n    ],\n    [\n")
     # config's lines are indented deeper, so the first match is the top-level key
     return text.replace('\n  "contours": [],', f'\n  "contours": [\n    [\n{lists}\n    ]\n  ],', 1)
-
-
-def _json(foci, config: dict, contours=(), checks=None, **extra) -> str:
-    # every JSON answer: its config led by the foci
-    return _json_doc({"foci": [_pt(f) for f in foci]} | config, contours, checks, **extra)
 
 
 def _cmd_trace(args) -> int:
@@ -146,7 +138,7 @@ def _cmd_mechanism(args) -> int:
 
 def _cmd_invert(args) -> int:
     B = _bernoulli(args)
-    p = _parse_point(args.point)
+    p = Point(*_parse_floats(args.point, 2))
     image = invert_between(B, p)
     # far is the image's offset from o, p - o inverted about the origin: a far p's image itself can round onto o
     v = p - B.center
@@ -160,7 +152,7 @@ def _cmd_invert(args) -> int:
 
 def _cmd_normal(args) -> int:
     B = _bernoulli(args)
-    x = _parse_point(args.point) if args.point else bernoulli_polar_point(B, math.radians(args.theta))
+    x = Point(*_parse_floats(args.point, 2)) if args.point else bernoulli_polar_point(B, math.radians(args.theta))
     line = normal_by_angle(B, x)
     fields = {"point": _pt(x), "anchor": _pt(line.anchor), "direction": _pt(line.direction)}
     return _answer(args, _json((B.f1, B.f2), {"theta_deg": args.theta}, **fields))

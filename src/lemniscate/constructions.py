@@ -57,10 +57,6 @@ from .geometry import (
 )
 
 
-SIDE_OPPOSITE = "opposite"
-SIDE_SAME = "same"
-
-
 def _row(states, k: int = 0):
     """Row k of a sweep's states as the state of one solve: parameters as
     floats, points as Points (None for a NaN row)."""
@@ -131,12 +127,12 @@ class RightAngleState(NamedTuple):
     y: Point | np.ndarray
 
 
-def three_bar_solve(B: BernoulliConfig, theta: float, side: str = SIDE_OPPOSITE) -> ThreeBarState:
+def three_bar_solve(B: BernoulliConfig, theta: float, side: str = "opposite") -> ThreeBarState:
     """Solve the three-stick linkage at crank angle theta (see three_bar_array)."""
     return _row(three_bar_array(B, [theta], side))
 
 
-def three_bar_array(B: BernoulliConfig, theta, side: str = SIDE_OPPOSITE) -> ThreeBarState:
+def three_bar_array(B: BernoulliConfig, theta, side: str = "opposite") -> ThreeBarState:
     """Solve the three-stick linkage at each crank angle, in closed form.
 
     theta is the angle of stick f1->a measured from the f1->f2 direction.
@@ -147,14 +143,14 @@ def three_bar_array(B: BernoulliConfig, theta, side: str = SIDE_OPPOSITE) -> Thr
     crank angle solves, unless a stick is too short for the floats about
     its focus (ValueError); at theta = 0 and pi, x is a vertex.
     """
-    if side not in (SIDE_OPPOSITE, SIDE_SAME):
-        raise ValueError(f"side must be '{SIDE_OPPOSITE}' or '{SIDE_SAME}', got {side!r}")
+    if side not in ("opposite", "same"):
+        raise ValueError(f"side must be 'opposite' or 'same', got {side!r}")
     theta = angle_array("theta", theta)
     B.center  # refuses foci whose midpoint overflows; the sums below would write inf and NaN
     c = B.half_distance
     f1, f2, u = xy(B.f1), xy(B.f2), xy(B.axis_unit)
     a = f1 + row_rotate(u, theta) * (c * SQRT2)
-    if side == SIDE_SAME:
+    if side == "same":
         b = a + (f2 - f1)
     else:
         b = reflect_across_line_array(0.5 * (a + f2), row_perp(row_unit(f2 - a)), f1)

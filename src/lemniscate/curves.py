@@ -193,15 +193,11 @@ def expand_coefficients(L: PolynomialLemniscate) -> CoefficientTable:
         factor[0, 2] = 1.0
         with np.errstate(over="ignore", invalid="ignore"):  # refused below
             acc = _mul2d(acc, factor)
-    # pad to a square (2n+1) x (2n+1) table for uniform indexing
-    size = 2 * L.n + 1
-    table = np.zeros((size, size))
-    table[: acc.shape[0], : acc.shape[1]] = acc
-    table[0, 0] -= L.level
-    if not np.isfinite(table).all():
+    acc[0, 0] -= L.level  # the product of n 3 x 3 factors is already (2n+1) x (2n+1)
+    if not np.isfinite(acc).all():
         foci = ", ".join(f"({f.x!r}, {f.y!r})" for f in L.foci)
         raise ValueError(f"the coefficients overflow a float at foci {foci} and radius {L.radius!r}")
-    return CoefficientTable(n=L.n, coeffs=table)
+    return CoefficientTable(n=L.n, coeffs=acc)
 
 
 @dataclass(frozen=True, slots=True)

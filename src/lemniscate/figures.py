@@ -241,7 +241,7 @@ def _draw_normal(scene, B, theta):
     x = bernoulli_polar_point(B, theta)
     normal = normal_by_angle(B, x)
     o = B.center
-    half_len = 0.7 * B.half_distance
+    half_len = 0.6 * B.half_distance  # up to 0.5c + 0.6c, inside the view's 0.8 sqrt(2) c
     _segment(scene, o, x, dashed=True)
     _segment(scene, normal.point_at(-half_len), normal.point_at(half_len), 1.2)
     _markers(scene, "O F1 X", o, B.f1, x)
@@ -301,13 +301,7 @@ def figure_scene(
 
 
 def _fmt(v: float) -> str:
-    if v == 0.0:
-        v = 0.0
-    return f"{v:.9g}"
-
-
-def _escape(text: str) -> str:
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return f"{v + 0.0:.9g}"  # -0.0 + 0.0 is 0.0
 
 
 _CURVE_COLOR = "#1a1a1a"
@@ -339,6 +333,13 @@ def emit_svg(scene: Scene) -> str:
         f'viewBox="0 0 {_fmt(_SVG_WIDTH)} {_fmt(height)}">',
     ]
 
+    def text(x: float, y: float, size: int, label: str) -> str:
+        label = label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+        return (
+            f'  <text x="{_fmt(x)}" y="{_fmt(y)}" font-family="sans-serif" '
+            f'font-size="{size}" fill="{_TEXT_COLOR}">{label}</text>'
+        )
+
     def stroke(color: str, style: Style) -> str:
         dash = ' stroke-dasharray="6 4"' if style.dashed else ""
         return f'stroke="{color}" stroke-width="{_fmt(max(style.stroke_width * scale, 0.75))}"{dash}'
@@ -365,16 +366,8 @@ def emit_svg(scene: Scene) -> str:
             cx, cy = to_px(xy(el.at))
             lines.append(f'  <circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="3.5" fill="{_CURVE_COLOR}"/>')
             if el.style.label:
-                lines.append(
-                    f'  <text x="{_fmt(cx + 6.0)}" y="{_fmt(cy - 6.0)}" '
-                    f'font-family="sans-serif" font-size="15" '
-                    f'fill="{_TEXT_COLOR}">{_escape(el.style.label)}</text>'
-                )
+                lines.append(text(cx + 6.0, cy - 6.0, 15, el.style.label))
         elif isinstance(el, TextElement):
-            cx, cy = to_px(xy(el.at))
-            lines.append(
-                f'  <text x="{_fmt(cx)}" y="{_fmt(cy)}" font-family="sans-serif" '
-                f'font-size="16" fill="{_TEXT_COLOR}">{_escape(el.style.label)}</text>'
-            )
+            lines.append(text(*to_px(xy(el.at)), 16, el.style.label))
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -14,6 +14,7 @@ one tolerance holds at any similarity placement of the foci. The CLI's
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -265,8 +266,6 @@ def _contact_slope(L, center, radius, x, c: float) -> np.ndarray:
 
 
 def check_lemma1(pair_count: int = 1_000) -> list[Check]:
-    import random
-
     rng = random.Random(42)
     u = np.array([(rng.random(), rng.random(), rng.random(), rng.random(), rng.choice((-1.0, 1.0)), rng.random())
                   for _ in range(pair_count)]).T
@@ -292,14 +291,12 @@ def check_lemma1(pair_count: int = 1_000) -> list[Check]:
     mirrored = reflect_across_line_array(anchor, direction, center)
     center_off = row_norm(invert_point_array(center, radius, mirrored) - image_center)
     return [
-        Check("line_inversion_on_circle", max(float(np.max(on_circle)), _worst(through_center)), 1e-9),
+        Check("line_inversion_on_circle", _worst(on_circle, through_center), 1e-9),
         Check("line_inversion_center", _worst(center_off), 1e-9),
     ]
 
 
 def check_coefficients() -> Check:
-    import random
-
     rng = random.Random(42)
     worst = 0.0
     for n in (1, 2, 3, 5):

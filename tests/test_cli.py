@@ -262,7 +262,8 @@ class TestJsonWriter:
         contours = [Contour(rows[:25], True, 0.0), Contour(rows[25:], False, 0.0)]
         config = {"foci": [[-1.0, 0.0], [1.0, 0.0]]}
         doc = {"config": config, "contours": [c.points.tolist() for c in contours], "checks": {"r": 0.0}}
-        assert cli._json_doc(config, contours, {"r": 0.0}) == json.dumps(doc, indent=2) + "\n"
+        foci = (Point(-1.0, 0.0), Point(1.0, 0.0))
+        assert cli._json(foci, {}, contours, {"r": 0.0}) == json.dumps(doc, indent=2) + "\n"
 
     def test_documents_without_contours(self, capsys):
         for argv in (["area"], ["expand"], ["verify", "--grid", "64", "--format", "json"]):
@@ -496,8 +497,10 @@ class TestErrorPaths:
         [
             (("linkage", "--foci=0,0,1,0,2,2"), "this command needs exactly two foci, got 3 in --foci=0,0,1,0,2,2"),
             (("trace", "--window=1,2,3"), "expected 4 comma-separated numbers, got 3 in '1,2,3'"),
+            (("invert", "--point=1,2,3"), "expected 2 comma-separated numbers, got 3 in '1,2,3'"),
+            (("normal", "--point=1"), "expected 2 comma-separated numbers, got 1 in '1'"),
         ],
-        ids=["two_foci", "window_numbers"],
+        ids=["two_foci", "window_numbers", "invert_point_numbers", "normal_point_numbers"],
     )
     def test_count_refusal_names_the_input(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)

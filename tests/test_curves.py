@@ -226,6 +226,17 @@ class TestExpand:
                 expected = math.comb(n, i // 2) if i % 2 == 0 else 0.0
                 assert table.coefficient(i, j) == pytest.approx(expected, abs=1e-9)
 
+    def test_table_is_square_and_zero_past_the_degree(self):
+        # the product of n quadratic factors is a (2n+1) x (2n+1) table with no term of degree above 2n
+        for n in range(1, 9):
+            rng = random.Random(100 + n)
+            foci = tuple(Point(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(n))
+            coeffs = expand_coefficients(PolynomialLemniscate(foci, 1.1)).coeffs
+            assert coeffs.shape == (2 * n + 1, 2 * n + 1)
+            i, j = np.indices(coeffs.shape)
+            past = coeffs[i + j > 2 * n]
+            assert (past == 0.0).all() and not np.signbit(past).any()
+
     def test_focus_count_guard(self):
         foci = tuple(Point(float(k), 0.0) for k in range(9))
         with pytest.raises(TooManyFoci):

@@ -128,7 +128,7 @@ class TestDefaultFrames:
         for dx, dy in ((5.0 * math.cos(t), 5.0 * math.sin(t)) for t in (math.radians(15 * k) for k in range(12)))
     ]
 
-    @pytest.mark.parametrize("preset", ["threebar", "maclaurin", "rightangle", "tangentcircle"])
+    @pytest.mark.parametrize("preset", ["threebar", "maclaurin", "rightangle", "tangentcircle", "normal"])
     def test_construction_stays_in_view_at_every_turn(self, preset):
         # each preset's frame turns with the focal axis, so nothing it draws leaves the view
         for config in self.TURNS:
@@ -276,8 +276,8 @@ _PINNED_PRESETS = {
         "8908ca4d2822937b7d606ce48cc6b3286a5f5c11684302f46b53dd440cd8da1d",
     ),
     "normal": (
-        "52b2b859132237411fb62231cf4b00b3a4daeb59bd2fe324941d4f92a4618371",
-        "5b6891ac3ed56367e5742a9b775c1e72746a0480aa2fc728bbac8a3b08f5b00a",
+        "ee9f5a39f6da07bda3f77c9253e960f8ebe4fd77a0ef8ecbe4ad9d5cc4942237",
+        "0fdf0782b758b4c771dd700fdfdbd5347f7c21ea86abfe4deeed5ae7ad907012",
     ),
 }
 _PINNED_SVG = [
@@ -292,7 +292,7 @@ _PINNED_SVG = [
             ("linkage", "theta", "37", "28fb824a0a9bd732aab3a3ff6194da875a481abe56e743c19a6efeb97a5918e6"),
             ("maclaurin", "phi", "12", "a7cbc862341f1b360e6da1d3e84e902166c4c950c712412e7b61b70e0b2869b5"),
             ("rightangle", "alpha", "20", "39c4dfc2b4768367436c76edc69dfe7e008dcb0aaaf82fb18bcb365345938cd3"),
-            ("normal", "theta", "-17", "d3d58f4db2965c638fd92ace56fb474a92c9c2496f8f758c1ad957b1ea1e1d8b"),
+            ("normal", "theta", "-17", "271b323e5c1a4b0a2c0190c19d286c3740118173f188ab97e1361c2fc8c6c421"),
         )
     ),
 ]
