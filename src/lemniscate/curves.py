@@ -129,6 +129,21 @@ def lemniscate_gradient_array(L: PolynomialLemniscate, x, y) -> np.ndarray:
     return rows(gx, gy)
 
 
+def _log_derivatives(L: PolynomialLemniscate, z) -> tuple[np.ndarray, np.ndarray]:
+    """g' = sum 1 / (z - f_k) and g'' = -sum 1 / (z - f_k)^2 of g = log prod (z - f_k)
+    at the complex points z, from the per-focus differences, one row of them per focus."""
+    inv = 1.0 / (z - np.array([complex(f.x, f.y) for f in L.foci])[:, None])
+    return inv.sum(axis=0), -(inv * inv).sum(axis=0)
+
+
+def _curvature(L: PolynomialLemniscate, z) -> np.ndarray:
+    """Curvature -Re(g'' conj(g')^2) / |g'|^3 of the level line through each complex point z,
+    positive toward the inside and NaN where g' = 0; no product of three derivatives is formed."""
+    g1, g2 = _log_derivatives(L, z)
+    with np.errstate(invalid="ignore"):  # 0 / 0 where g' = 0
+        return -(g2 * (np.conj(g1) / np.abs(g1)) ** 2).real / np.abs(g1)
+
+
 @dataclass(frozen=True, eq=False)
 class CoefficientTable:
     """Dense monomial coefficients of the expanded lemniscate field.

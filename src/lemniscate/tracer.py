@@ -53,6 +53,7 @@ import numpy as np
 from .curves import (
     BernoulliConfig,
     PolynomialLemniscate,
+    _curvature,
     field_residual,
     lemniscate_field_array,
     on_curve,
@@ -219,11 +220,21 @@ def refine(L: PolynomialLemniscate, a, b) -> np.ndarray:
     return out
 
 
-def contour_area(c: Contour) -> float:
-    """Absolute shoelace area of a closed contour's polygon."""
+def contour_area(c: Contour, curve: PolynomialLemniscate | None = None) -> float:
+    """Absolute area of a closed contour: its polygon's shoelace area, summed about its first vertex so
+    that where the contour lies cannot matter, plus, given the curve it lies on, the arc's segment k l^3 / 12
+    over each chord of length l, k the mean curvature at its ends (or the one end's, at a singular point)."""
     if not c.closed:
         raise OpenContour("area is only defined for closed contours")
-    return abs(_signed_area(c.points))
+    pts = c.points - c.points[0]
+    if curve is None:
+        return abs(_signed_area(pts))
+    z = c.points.view(complex)[:, 0]  # each row x, y as x + iy
+    k = _curvature(curve, z)
+    k[(z[:, None] == _singular_points(curve).view(complex)[:, 0]).any(axis=1)] = np.nan  # g' is 0 there up to rounding
+    after = np.concatenate((k[1:], k[:1]))
+    twice_mean = np.fmax(k, after) + np.fmin(k, after)  # the one end's k twice where the other is NaN
+    return abs(_signed_area(pts)) + float(np.sum(twice_mean * np.abs(np.diff(z, append=z[:1])) ** 3)) / 24.0
 
 
 def _signed_area(points: np.ndarray) -> float:
@@ -348,23 +359,20 @@ def _crossings(L, w, xs, ys, band):
 
 
 def _extract_chains(nxt):
-    """The chains of successors, as (rows, closed) with rows an intp array:
-    open chains from each crossing that no segment ends at, in id order,
-    then each cycle from its lowest id."""
+    """The chains of successors, as (rows, closed) with rows an intp array: open chains from each crossing
+    that no segment ends at, in id order, walked to -1, then each cycle from its lowest unvisited id."""
     heads = np.ones(len(nxt), dtype=bool)
     heads[nxt[nxt >= 0]] = False
-    nxt = nxt.tolist()
-    visited = [False] * len(nxt)
-    chains = []
-    for start in np.flatnonzero(heads).tolist() + list(range(len(nxt))):
-        if visited[start]:
-            continue
-        seq, cur = [], start
-        while cur >= 0 and not visited[cur]:
+    succ, left, chains = nxt.tolist(), np.ones(len(nxt), dtype=bool), []
+    opens = np.flatnonzero(heads).tolist()[::-1]  # popped in id order
+    while opens or left.any():
+        start, stop = (opens.pop(), -1) if opens else (int(left.argmax()),) * 2  # a cycle stops at its start
+        seq, cur = [start], succ[start]
+        while cur != stop:
             seq.append(cur)
-            visited[cur] = True
-            cur = nxt[cur]
-        chains.append((np.fromiter(seq, dtype=np.intp, count=len(seq)), cur == start))
+            cur = succ[cur]
+        chains.append((np.array(seq, dtype=np.intp), stop == start))
+        left[chains[-1][0]] = False
     return chains
 
 

@@ -1,14 +1,14 @@
 """Numerical verification sweeps over every identity the package encodes.
 
-Each check drives a construction through a dense parameter sweep and
-measures the worst residual against an independent arithmetic oracle
-(distance products, defining relations, finite differences, sampled
-memberships). A sweep is one call of the construction's array kernel,
-reduced with numpy. Residuals are scale-free: each is divided by the
+Each check drives a construction through a dense parameter sweep, one
+array kernel call reduced with numpy, and measures the worst residual
+against an independent arithmetic oracle (distance products, defining
+relations, finite differences, sampled memberships, and the exact area
+2c^2 against the traced area plus each chord's curvature segment, fourth
+order in the cell size). Residuals are scale-free: each is divided by the
 power of the half focal distance c that matches its dimension (c for
-lengths, c^2 for products of lengths, c^4 for the Bernoulli field), so
-one tolerance holds at any similarity placement of the foci. The CLI's
-`verify` subcommand runs everything and fails on any violation.
+lengths, c^2 for areas and products of lengths, c^4 for the Bernoulli
+field), so one tolerance holds at any similarity placement of the foci.
 """
 
 from __future__ import annotations
@@ -328,9 +328,8 @@ def check_unit_hyperbola() -> list[Check]:
 
 def check_area(B: BernoulliConfig, grid: int = 512) -> Check:
     c = B.half_distance
-    w = bernoulli_window(B, grid, 1.6 * c, 0.8 * c)
-    contours = trace(B.lemniscate, w)
-    total = sum(contour_area(c) for c in contours if c.closed)
+    contours = trace(B.lemniscate, bernoulli_window(B, grid, 1.6 * c, 0.8 * c))
+    total = sum(contour_area(k, B.lemniscate) for k in contours if k.closed)
     exact = bernoulli_area(B)
     return Check(f"area_grid_{grid}", abs(total - exact) / exact, 1e-3)
 

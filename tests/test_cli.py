@@ -657,9 +657,9 @@ class TestVerifyCommand:
     @pytest.mark.parametrize(
         "argv, digest",
         [
-            ((), "0daa8d428a6220d2bf4e6aa89b573ab5972e3d1442ad021360af1d95a6a3e2ff"),
-            (("--foci=-2,-1,4,7",), "92bc016ca067da28bd3775696f520aa0cf8ed7efec9bb5e0263323d769a043c8"),
-            (("--format", "json"), "f60f01281250dc2365ef89ceca77550850fca5599d53abddb07a0566c8d51d61"),
+            ((), "b53f9d9b39dcee81c10eb6538c6797dbcbc89a583b89e04962eb6a852d097669"),
+            (("--foci=-2,-1,4,7",), "f9e076e7218ac913443bb4032d0e907d9e67018f937b0be0f95bb3509b19a1dd"),
+            (("--format", "json"), "80931299107dd88ea306827a47bf3654bd7f01c8def0795f56c538e8f3ea21bd"),
         ],
         ids=["text", "text-placed", "json"],
     )

@@ -26,7 +26,14 @@ from lemniscate import (
     line_line_intersection,
     unit_hyperbola_foci,
 )
-from lemniscate.curves import hyperbola_gradient_array, lemniscate_field_array, on_curve
+from lemniscate.curves import (
+    _curvature,
+    _log_derivatives,
+    bernoulli_polar_array,
+    hyperbola_gradient_array,
+    lemniscate_field_array,
+    on_curve,
+)
 from lemniscate.errors import NotOnCurve, OutsideLobe, TooManyFoci
 from lemniscate.geometry import Line, row_point, xy
 
@@ -165,6 +172,47 @@ class TestGradient:
             fd = finite_difference_gradient(L, p)
             scale = max(1.0, g.norm())
             assert (g - fd).norm() <= 1e-5 * scale
+
+
+class TestCurvature:
+    @pytest.mark.parametrize("e", [-300, -40, 0, 40, 300])
+    def test_circle_is_one_over_its_radius(self, e):
+        # radius 5 * 2^e about a centre on the same binary scale, at the
+        # points (3, 4) * 2^e and their turns and reflections, all exact
+        s = 2.0**e
+        centre = Point(-7.0 * s, 3.0 * s)
+        circle = PolynomialLemniscate((centre,), 5.0 * s)
+        offsets = [(3, 4), (4, 3), (5, 0), (0, 5)]
+        offsets += [(sx * a, sy * b) for a, b in offsets for sx, sy in ((-1, 1), (1, -1), (-1, -1))]
+        z = np.array([complex(centre.x + a * s, centre.y + b * s) for a, b in offsets])
+        k = _curvature(circle, z)
+        assert np.all(np.abs(k * (5.0 * s) - 1.0) <= 4 * np.finfo(float).eps)
+
+    def test_log_derivatives_of_the_circle(self):
+        g1, g2 = _log_derivatives(PolynomialLemniscate((Point(1.0, 2.0),), 1.0), np.array([1.0 + 4.0j]))
+        # z - f = 2i: g' = 1 / 2i = -i / 2 and g'' = -1 / (2i)^2 = 1 / 4
+        assert g1.tolist() == [-0.5j] and g2.tolist() == [0.25 + 0j]
+
+    @pytest.mark.parametrize(
+        "f1, f2",
+        [((-1.0, 0.0), (1.0, 0.0)), ((-2.0, -1.0), (4.0, 7.0)), ((3e-4, 1e-4), (-1e-4, 5e-4)), ((2e3, -7e3), (-1e3, 9e3))],
+    )
+    def test_bernoulli_is_three_rho_over_a_squared(self, f1, f2):
+        # r^2 = a^2 cos 2 theta, a = c sqrt 2, has curvature 3 rho / a^2 at
+        # distance rho from the double point (classical)
+        B = BernoulliConfig(Point(*f1), Point(*f2))
+        theta = np.linspace(-0.7, 0.7, 281)
+        p = bernoulli_polar_array(B, np.concatenate((theta, theta + math.pi)))
+        rho = np.hypot(*(p - xy(B.center)).T)
+        k = _curvature(B.lemniscate, p[:, 0] + 1j * p[:, 1])
+        assert np.max(np.abs(k / (3.0 * rho / (2.0 * B.half_distance**2)) - 1.0)) <= 1e-14
+
+    def test_nan_where_the_log_derivative_vanishes(self):
+        # the canonical double point, where g' is exactly 0, quietly
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            k = _curvature(CANON_L, np.array([0.0, SQRT2 + 0j]))
+        assert math.isnan(k[0]) and k[1] == pytest.approx(3.0 * SQRT2 / 2.0, rel=1e-15)
 
 
 class TestExpand:
