@@ -132,7 +132,7 @@ def _cmd_mechanism(args) -> int:
     side = {"side": args.side} if "side" in args else {}
     state = args.solve(B, math.radians(getattr(args, args.angle)), **side)
     config = {f"{args.angle}_deg": getattr(args, args.angle), **side}
-    points = {name: _pt(v) for name, v in state._asdict().items() if name not in (args.angle, "side")}
+    points = {name: _pt(v) for name, v in state._asdict().items() if name != args.angle}
     return _answer(args, _json((B.f1, B.f2), config, points=points))
 
 

@@ -11,7 +11,9 @@ parameter array, or points as rows of an (N, 2) array, in; (N, 2) arrays
 out. The scalar functions are one-row calls of their kernel. Each of the
 three mechanisms has one state type, a NamedTuple that serves both: a
 sweep holds arrays of shape (N,) and (N, 2), one solve holds floats and
-Points. A kernel that meets an invalid parameter raises the
+Points. (Across the package, a type that only holds values is a
+NamedTuple; one that validates its input, wraps one array or is mutable
+is a dataclass.) A kernel that meets an invalid parameter raises the
 construction's GeometryError naming the first offending parameter, or
 ValueError for an angle that is not finite.
 """
@@ -62,8 +64,6 @@ def _row(states, k: int = 0):
     floats, points as Points (None for a NaN row)."""
 
     def value(v):
-        if isinstance(v, str):
-            return v
         if v.ndim == 1:
             return float(v[k])
         return None if np.isnan(v[k, 0]) else row_point(v[k])
@@ -91,7 +91,6 @@ class ThreeBarState(NamedTuple):
     x: Point | np.ndarray
     p: Point | np.ndarray | None
     q: Point | np.ndarray | None
-    side: str
 
     def state(self, k: int) -> ThreeBarState:
         """The solve at row k of a sweep."""
@@ -101,7 +100,7 @@ class ThreeBarState(NamedTuple):
         """The sweep's states at the given rows (an index or boolean mask)."""
         # taken along the points' axis, the point rows stay coordinate-major
         k = np.arange(len(self.theta))[rows]
-        return ThreeBarState(*(field.T.take(k, axis=-1).T for field in self[:-1]), self.side)
+        return ThreeBarState(*(field.T.take(k, axis=-1).T for field in self))
 
 
 class MaclaurinSample(NamedTuple):
@@ -163,7 +162,7 @@ def three_bar_array(B: BernoulliConfig, theta, side: str = "opposite") -> ThreeB
     x = 0.5 * (a + b)
     p = line_line_intersection_array(f1, row_unit(a - f1), f2, row_unit(b - f2))
     q = reflect_across_line_array(f1, u, p)
-    return ThreeBarState(theta, a, b, x, p, q, side)
+    return ThreeBarState(theta, a, b, x, p, q)
 
 
 def maclaurin_sample(B: BernoulliConfig, phi: float) -> MaclaurinSample:
@@ -243,7 +242,7 @@ def tangent_circle_at(state: ThreeBarState) -> Circle:
     """Circle centered at the stick-line intersection p through x and the
     double point; it touches the lemniscate at x (see tangent_circle_array)."""
     points = map(_rows, (state.a, state.b, state.x, state.p, state.q))
-    center, radius = tangent_circle_array(ThreeBarState(np.array([state.theta]), *points, state.side))
+    center, radius = tangent_circle_array(ThreeBarState(np.array([state.theta]), *points))
     return Circle(row_point(center[0]), float(radius[0]))
 
 

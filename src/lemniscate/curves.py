@@ -19,7 +19,6 @@ import numpy as np
 from .errors import NotOnCurve, OutsideLobe, TooManyFoci
 from .geometry import (
     SQRT2,
-    InversionMap,
     Line,
     Point,
     angle_array,
@@ -255,11 +254,6 @@ class BernoulliConfig(_FocalPair):
     @property
     def lemniscate(self) -> PolynomialLemniscate:
         return PolynomialLemniscate((self.f1, self.f2), self.half_distance)
-
-    @property
-    def inversion(self) -> InversionMap:
-        """Inversion in the circle centered at the double point through the foci."""
-        return InversionMap(self.center, self.half_distance)
 
 
 def bernoulli_polar_point(B: BernoulliConfig, theta: float) -> Point:

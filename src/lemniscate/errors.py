@@ -42,7 +42,7 @@ class OutOfReach(GeometryError):
 
 
 class UndefinedCenter(GeometryError):
-    """Tangent circle needs the stick-line intersection, which is undefined."""
+    """A construction needs the stick-line intersection, which is undefined."""
 
 
 class DoublePoint(GeometryError):

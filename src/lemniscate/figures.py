@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,13 +30,12 @@ from .curves import (
     hyperbola_point_array,
     hyperbola_tangent_at,
 )
-from .errors import UnknownPreset
+from .errors import UndefinedCenter, UnknownPreset
 from .geometry import SQRT2, Point, midpoint, xy
 from .tracer import TraceWindow, bernoulli_window, trace
 
 
-@dataclass(frozen=True)
-class Style:
+class Style(NamedTuple):
     """Stroke width in scene units, dash flag, and an optional label."""
 
     stroke_width: float = 0.0
@@ -52,28 +52,24 @@ class PolylineElement:
     style: Style
 
 
-@dataclass(frozen=True)
-class CircleElement:
+class CircleElement(NamedTuple):
     center: Point
     radius: float
     style: Style
 
 
-@dataclass(frozen=True)
-class SegmentElement:
+class SegmentElement(NamedTuple):
     a: Point
     b: Point
     style: Style
 
 
-@dataclass(frozen=True)
-class MarkerElement:
+class MarkerElement(NamedTuple):
     at: Point
     style: Style
 
 
-@dataclass(frozen=True)
-class TextElement:
+class TextElement(NamedTuple):
     at: Point
     style: Style
 
@@ -217,6 +213,8 @@ def _draw_rightangle(scene, B, alpha):
 def _draw_inversion(scene, B, theta):
     _add_hyperbola(scene, B)
     s = three_bar_solve(B, theta)
+    if s.q is None:
+        raise UndefinedCenter(f"stick lines are parallel at theta = {theta}; the inversion figure has no point Q")
     o = B.center
     _circle(scene, o, B.half_distance, dashed=True)
     _segment(scene, o, s.q if s.q.distance_to(o) >= s.x.distance_to(o) else s.x, dashed=True)

@@ -144,30 +144,21 @@ def invert_line(inv: InversionMap, l: Line) -> Circle:
 
 
 def circle_circle_intersection(c1: Circle, c2: Circle) -> list[Point]:
-    """Intersection points of two circles, 0 to 2 of them.
+    """Intersection points of two circles, 0 to 2 of them: the chord their radical line cuts from the smaller.
 
     Two-point results are ordered with the point on the positive side of
-    the center line (normal = direction rotated -90 degrees) first.
-    Tangency within rounding yields a single point; disjoint or nested
-    circles yield an empty list.
+    the center line (normal = direction rotated -90 degrees) first. A radical
+    line that touches the smaller circle within rounding yields a single
+    point; disjoint or nested circles yield an empty list.
     """
     d = c2.center - c1.center
     d2 = d.norm_sq()
     if d2 == 0.0:
         raise Concentric("concentric circles have no isolated intersections")
-    r1, r2 = c1.radius, c2.radius
     dist = math.sqrt(d2)
-    a = (d2 + r1 * r1 - r2 * r2) / (2.0 * dist)
-    h2 = r1 * r1 - a * a
-    if h2 < -_EPS * max(r1, r2) ** 2:
-        return []
     u = Point(d.x / dist, d.y / dist)
-    m = c1.center + u * a
-    if h2 <= 0.0:
-        return [m]
-    h = math.sqrt(h2)
-    n = Point(u.y, -u.x)
-    return [m + n * h, m - n * h]
+    a = (d2 + c1.radius * c1.radius - c2.radius * c2.radius) / (2.0 * dist)
+    return line_circle_intersection(Line(c1.center + u * a, u.perp()), c1 if c1.radius <= c2.radius else c2)
 
 
 def line_circle_intersection(l: Line, c: Circle) -> list[Point]:

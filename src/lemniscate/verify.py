@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,8 +62,7 @@ from .tracer import bernoulli_window, contour_area, trace
 _LEMMA1_GROUP = 10  # samples per line in one inversion call of check_lemma1
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """A named worst-case residual against its tolerance."""
 
     name: str
@@ -93,13 +92,9 @@ def polar_angles(count: int, margin: float = 0.0) -> np.ndarray:
     return np.stack((t, t + math.pi), axis=-1).ravel()[:count]
 
 
-def sweep_angles(count: int, avoid_multiples_of: float | None = None, tol: float | None = None) -> np.ndarray:
-    """(k + 1/2) * tau / count grid, less the values within tol of a multiple of avoid_multiples_of."""
-    t = (np.arange(count) + 0.5) * math.tau / count
-    if avoid_multiples_of is not None:
-        r = t - avoid_multiples_of * np.round(t / avoid_multiples_of)
-        t = t[np.abs(r) >= tol]
-    return t
+def sweep_angles(count: int) -> np.ndarray:
+    """The (k + 1/2) * tau / count grid."""
+    return (np.arange(count) + 0.5) * math.tau / count
 
 
 def check_defining_product(B: BernoulliConfig, count: int = 10_000) -> Check:
@@ -219,10 +214,11 @@ def check_tangent_circle(B: BernoulliConfig, count: int = 1_000) -> list[Check]:
     H = hyperbola_of(B)
     o = xy(B.center)
     c = B.half_distance
-    # pad the grid so at least `count` states survive after skipping the
-    # crank angles where the stick lines are parallel or x hits o; near
-    # those angles the tangent circle degenerates (radius to infinity)
-    states = three_bar_array(B, sweep_angles(count + count // 4, avoid_multiples_of=math.pi / 4, tol=5e-2))
+    # pad the grid so at least `count` states survive after skipping the crank angles within
+    # 5e-2 of a multiple of pi/4, where the stick lines are parallel or x hits o; near those
+    # angles the tangent circle degenerates (radius to infinity)
+    t = sweep_angles(count + count // 4)
+    states = three_bar_array(B, t[np.abs(t - math.pi / 4 * np.round(t / (math.pi / 4))) >= 5e-2])
     states = states.select(~np.isnan(states.p[:, 0]))
     center, radius = tangent_circle_array(states)
     radial = row_unit(states.x - center)

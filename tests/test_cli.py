@@ -396,6 +396,17 @@ class TestFigureCommand:
         code, out, _ = run_cli(capsys, command)
         assert code == 0 and json.loads(out)
 
+    @pytest.mark.parametrize("preset", ["threebar", "inversion", "tangentcircle"])
+    @pytest.mark.parametrize("degrees", ["0", "45", "-45", "180"])
+    def test_stick_figure_at_parallel_sticks_draws_or_refuses(self, capsys, preset, degrees):
+        # at these cranks the stick lines are parallel: p and q do not exist
+        code, out, err = run_cli(capsys, "figure", "--preset", preset, f"--theta={degrees}", "--grid", "32")
+        if code == 0:
+            assert out.startswith("<?xml") and err == ""
+        else:
+            assert code == 2 and out == ""
+            assert len(err.splitlines()) == 1 and err.startswith("error: ") and "theta" in err
+
     def test_unknown_preset_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["figure", "--preset", "spiral"])

@@ -127,6 +127,28 @@ class TestThreeBar:
             assert abs(lemniscate_field(tilted.lemniscate, st.x)) <= 1e-9
 
 
+class TestThreeBarStateFields:
+    """A solve and a sweep carry the same six fields; the branch is the caller's argument, not a field."""
+
+    FIELDS = ("theta", "a", "b", "x", "p", "q")
+
+    def test_solve(self):
+        st = three_bar_solve(B, 2.0, side="same")
+        assert st._fields == self.FIELDS and len(st) == 6
+
+    def test_sweep_select_and_tangent_circle(self):
+        states = three_bar_array(B, [1.0, 2.0, 3.0])
+        assert states._fields == self.FIELDS
+        picked = states.select([2, 0])
+        assert picked._fields == self.FIELDS
+        assert picked.theta.tolist() == [3.0, 1.0] and picked.q.shape == (2, 2)
+        one = states.state(1)
+        assert one == three_bar_solve(B, 2.0)
+        circle = tangent_circle_at(one)
+        center, radius = tangent_circle_array(states.select([1]))
+        assert (circle.center.x, circle.center.y, circle.radius) == (*center[0].tolist(), float(radius[0]))
+
+
 class TestMaclaurin:
     def test_axis_secant_reaches_vertices(self):
         s = maclaurin_sample(B, 0.0)

@@ -1,5 +1,6 @@
 """Scene composition and SVG emission tests."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -156,6 +157,35 @@ class TestDefaultFrames:
             # the loops meet at the double point, a vertex of both
             o = np.array([config.center.x, config.center.y])
             assert all((loop == o).all(axis=1).any() for loop in loops), config
+
+
+_RECORDS = [
+    Style(0.5, True, "F1"),
+    CircleElement(Point(0.0, 1.0), 2.0, Style()),
+    SegmentElement(Point(0.0, 0.0), Point(1.0, -1.0), Style(stroke_width=0.1)),
+    MarkerElement(Point(0.5, 0.5), Style(label="X")),
+    TextElement(Point(-0.5, 0.25), Style(label="|OX|")),
+]
+
+
+class TestRecords:
+    """The scene's value records are read-only, hashable, and keep the repr of the frozen dataclasses they were."""
+
+    @pytest.mark.parametrize("record", _RECORDS, ids=lambda r: type(r).__name__)
+    def test_fields_are_read_only(self, record):
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], None)
+
+    @pytest.mark.parametrize("record", _RECORDS, ids=lambda r: type(r).__name__)
+    def test_hashable_and_equal_to_a_copy(self, record):
+        copy = type(record)(*record)
+        assert copy == record and hash(copy) == hash(record)
+        assert len({record, copy}) == 1
+
+    @pytest.mark.parametrize("record", _RECORDS, ids=lambda r: type(r).__name__)
+    def test_repr_is_the_frozen_dataclass_repr(self, record):
+        as_dataclass = dataclasses.make_dataclass(type(record).__name__, record._fields, frozen=True)
+        assert repr(record) == repr(as_dataclass(*record))
 
 
 class TestSceneGuard:

@@ -1,6 +1,7 @@
 """Planar primitive tests: examples pinned by hand plus property sweeps."""
 
 import math
+import random
 import sys
 
 import numpy as np
@@ -241,6 +242,23 @@ class TestCircleCircle:
 
     def test_disjoint(self):
         assert circle_circle_intersection(Circle(Point(0, 0), 1.0), Circle(Point(4, 0), 1.0)) == []
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_chord_is_cut_from_the_smaller_circle(self, order):
+        # at a radius ratio of 1e5 each point lies on both circles to 1e-9 of the smaller
+        # radius, in either argument order; a gap of 1e-3 of it is no tangency
+        rng = random.Random(3)
+        small = Circle(Point(0.3, -0.7), 1.5)
+        for _ in range(200):
+            u = Point(math.cos(ang := rng.uniform(0.0, math.tau)), math.sin(ang))
+            big = Circle(small.center + u * (1e5 + rng.uniform(-1.4, 1.4)), 1e5)
+            pts = circle_circle_intersection(*(small, big)[::order])
+            assert len(pts) == 2
+            for p in pts:
+                for c in (small, big):
+                    assert abs(p.distance_to(c.center) - c.radius) <= 1e-9 * small.radius
+            apart = Circle(small.center + u * (1e5 + 1.5 * 1.001), 1e5)
+            assert circle_circle_intersection(*(small, apart)[::order]) == []
 
     def test_nested(self):
         assert circle_circle_intersection(Circle(Point(0, 0), 3.0), Circle(Point(0.5, 0), 1.0)) == []

@@ -2,6 +2,7 @@
 canonical one: every check is a theorem, so every check passes at any
 similarity placement once residuals are scale-free."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from lemniscate import BernoulliConfig, Point
 from lemniscate.verify import (
+    Check,
     check_area,
     check_inversion_pairing,
     format_report,
@@ -113,3 +115,12 @@ def test_peak_memory_stays_within_one_sweep():
     finally:
         tracemalloc.stop()
     assert peak < 3.0e6
+
+
+def test_check_is_a_read_only_hashable_record():
+    check = Check("defining_product", 2.5e-16, 1e-10)
+    with pytest.raises(AttributeError):
+        check.tolerance = 1.0
+    assert hash(check) == hash(Check(*check)) and check.passed
+    as_dataclass = dataclasses.make_dataclass("Check", Check._fields, frozen=True)
+    assert repr(check) == repr(as_dataclass(*check))
