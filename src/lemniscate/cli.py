@@ -33,7 +33,7 @@ from .constructions import (
 )
 from .errors import GeometryError
 from .figures import _BERNOULLI_PRESETS, FIGURE_PRESETS, curve_scene, emit_svg, figure_scene
-from .geometry import SQRT2, InversionMap, Point, invert_point
+from .geometry import SQRT2, Circle, Point, invert_point
 from .tracer import TraceWindow, _contours_text, _singular_points, bernoulli_window, contours_to_csv, trace
 
 
@@ -142,7 +142,7 @@ def _cmd_invert(args) -> int:
     image = invert_between(B, p)
     # far is the image's offset from o, p - o inverted about the origin: a far p's image itself can round onto o
     v = p - B.center
-    near, far = v.norm(), invert_point(InversionMap(Point(0.0, 0.0), B.half_distance), v).norm()
+    near, far = v.norm(), invert_point(Circle(Point(0.0, 0.0), B.half_distance), v).norm()
     if near == math.inf:  # |v| = m |v / m| with m the larger offset, and far * m stays finite
         m = max(abs(v.x), abs(v.y))
         near, far = math.hypot(v.x / m, v.y / m), far * m

@@ -64,15 +64,10 @@ def _row(states, k: int = 0):
     floats, points as Points (None for a NaN row)."""
 
     def value(v):
-        if v.ndim == 1:
-            return float(v[k])
-        return None if np.isnan(v[k, 0]) else row_point(v[k])
+        v = v[k].tolist()  # a float, or a row's [x, y]
+        return v if isinstance(v, float) else None if math.isnan(v[0]) else Point(*v)
 
     return type(states)(*map(value, states))
-
-
-def _rows(p: Point | None) -> np.ndarray:
-    return np.full((1, 2), np.nan) if p is None else xy(p)[None]
 
 
 class ThreeBarState(NamedTuple):
@@ -241,7 +236,7 @@ def invert_between_array(B: BernoulliConfig, p) -> np.ndarray:
 def tangent_circle_at(state: ThreeBarState) -> Circle:
     """Circle centered at the stick-line intersection p through x and the
     double point; it touches the lemniscate at x (see tangent_circle_array)."""
-    points = map(_rows, (state.a, state.b, state.x, state.p, state.q))
+    points = (np.full((1, 2), np.nan) if p is None else xy(p)[None] for p in state[1:])
     center, radius = tangent_circle_array(ThreeBarState(np.array([state.theta]), *points))
     return Circle(row_point(center[0]), float(radius[0]))
 

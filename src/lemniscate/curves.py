@@ -74,28 +74,22 @@ class PolynomialLemniscate:
 
 
 def lemniscate_field(L: PolynomialLemniscate, p: Point) -> float:
-    """Product of squared focal distances minus radius**(2n).
-
-    Zero exactly on the curve, negative inside a lobe, positive outside.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf, as float arithmetic does
-        return float(lemniscate_field_array(L, np.array((p.x,)), np.array((p.y,)))[0])
+    """Product of squared focal distances minus radius**(2n): 0 on the curve, < 0 inside a lobe, > 0 outside."""
+    return lemniscate_field_array(L, p.x, p.y)
 
 
 def lemniscate_gradient(L: PolynomialLemniscate, p: Point) -> Point:
-    """Analytic gradient of lemniscate_field at p."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = lemniscate_gradient_array(L, np.array((p.x,)), np.array((p.y,)))
-    return row_point(g[0])
+    """Analytic gradient of lemniscate_field at p: the array form's arithmetic on p's coordinates."""
+    return Point(*_gradient(L, p.x, p.y))
 
 
 def lemniscate_field_array(L: PolynomialLemniscate, x, y) -> np.ndarray:
-    """lemniscate_field at the points (x, y), broadcasting the coordinate
-    arrays; the scalar form is a one-row call of it."""
-    first, *rest = L.foci
-    acc = (x - first.x) ** 2 + (y - first.y) ** 2
-    for f in rest:
-        acc *= (x - f.x) ** 2 + (y - f.y) ** 2
+    """lemniscate_field at the points (x, y), broadcasting the coordinate arrays, or as a float at
+    float coordinates. Squares are d * d, as numpy evaluates an array's ** 2; a float's ** calls C pow."""
+    acc = 1.0
+    for f in L.foci:
+        dx, dy = x - f.x, y - f.y
+        acc *= dx * dx + dy * dy
     acc -= L.level
     return acc
 
@@ -116,16 +110,19 @@ def on_curve(L: PolynomialLemniscate, p) -> np.ndarray:
 
 def lemniscate_gradient_array(L: PolynomialLemniscate, x, y) -> np.ndarray:
     """lemniscate_gradient at the points (x, y) as rows (..., 2)."""
-    q = [(x - f.x) ** 2 + (y - f.y) ** 2 for f in L.foci]
+    return rows(*_gradient(L, x, y))
+
+
+def _gradient(L: PolynomialLemniscate, x, y):
+    """The gradient's components (gx, gy) at the points (x, y), arrays or floats, with d * d squares."""
+    d = [(x - f.x, y - f.y) for f in L.foci]
+    q = [dx * dx + dy * dy for dx, dy in d]
     gx = gy = 0.0
-    for i, f in enumerate(L.foci):
-        pref = 1.0
-        for j, qj in enumerate(q):
-            if j != i:
-                pref = pref * qj
-        gx = gx + pref * 2.0 * (x - f.x)
-        gy = gy + pref * 2.0 * (y - f.y)
-    return rows(gx, gy)
+    for i, (dx, dy) in enumerate(d):
+        pref = math.prod((qj for j, qj in enumerate(q) if j != i), start=1.0)
+        gx = gx + pref * 2.0 * dx
+        gy = gy + pref * 2.0 * dy
+    return gx, gy
 
 
 def _log_derivatives(L: PolynomialLemniscate, z) -> tuple[np.ndarray, np.ndarray]:
@@ -139,7 +136,7 @@ def _curvature(L: PolynomialLemniscate, z) -> np.ndarray:
     """Curvature -Re(g'' conj(g')^2) / |g'|^3 of the level line through each complex point z,
     positive toward the inside and NaN where g' = 0; no product of three derivatives is formed."""
     g1, g2 = _log_derivatives(L, z)
-    with np.errstate(invalid="ignore"):  # 0 / 0 where g' = 0
+    with np.errstate(invalid="ignore", over="ignore"):  # 0 / 0 where g' = 0; subnormal g' can overflow
         return -(g2 * (np.conj(g1) / np.abs(g1)) ** 2).real / np.abs(g1)
 
 

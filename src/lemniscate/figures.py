@@ -74,6 +74,10 @@ class TextElement(NamedTuple):
     style: Style
 
 
+class _OutsideView(ValueError):
+    """The scene guard's refusal: it names the stray point, so figure_scene adds the input."""
+
+
 @dataclass
 class Scene:
     """Drawable elements over a view window.
@@ -98,7 +102,7 @@ class Scene:
         pts = np.asarray(rows, dtype=float).reshape(-1, 2)
         outside = np.flatnonzero(~self._inside(pts))
         if outside.size:
-            raise ValueError(f"element reaches {Point(*pts[outside[0]].tolist())}, outside 2x the view window")
+            raise _OutsideView(f"element reaches {Point(*pts[outside[0]].tolist())}, outside 2x the view window")
 
     def add(self, element) -> None:
         if isinstance(element, PolylineElement):
@@ -294,7 +298,11 @@ def figure_scene(
     scene = curve_scene(B.lemniscate, bernoulli_window(B, grid, 1.6 * c * SQRT2, tall * c * SQRT2))
     if angle:
         given.setdefault(angle, math.radians(default))
-    draw(scene, B, **given)
+    try:
+        draw(scene, B, **given)
+    except _OutsideView as exc:  # near a degenerate angle an element runs off to a far point
+        at = "".join(f" at {k} = {v}" for k, v in given.items())
+        raise ValueError(f"the {preset} figure{at}: {exc}") from None
     return scene
 
 

@@ -113,17 +113,12 @@ class Circle:
             raise ValueError(f"circle radius must be positive, got {self.radius}")
 
 
-@dataclass(frozen=True, slots=True)
-class InversionMap(Circle):
-    """Inversion in the circle with the given center and radius.
-
-    Sends X to the point on the ray from the center through X whose
-    distance from the center is radius**2 / |center X|.
-    """
+InversionMap = Circle  # an inversion is its circle
 
 
-def invert_point(inv: InversionMap, p: Point) -> Point:
-    """Image of p under the inversion. Raises CenterSingular at the center."""
+def invert_point(inv: Circle, p: Point) -> Point:
+    """Image of p under the inversion in the circle inv: the point on the ray from the center
+    through p at distance radius**2 / |center p| from it. Raises CenterSingular at the center."""
     return row_point(invert_point_array(xy(inv.center), inv.radius, xy(p)))
 
 
@@ -132,7 +127,7 @@ def reflect_across_line(l: Line, p: Point) -> Point:
     return row_point(reflect_across_line_array(xy(l.anchor), xy(l.direction), xy(p)))
 
 
-def invert_line(inv: InversionMap, l: Line) -> Circle:
+def invert_line(inv: Circle, l: Line) -> Circle:
     """Image of a line not through the center: the circle on diameter
     from the center to the image of the line's closest point.
 

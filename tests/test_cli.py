@@ -397,9 +397,9 @@ class TestFigureCommand:
         assert code == 0 and json.loads(out)
 
     @pytest.mark.parametrize("preset", ["threebar", "inversion", "tangentcircle"])
-    @pytest.mark.parametrize("degrees", ["0", "45", "-45", "180"])
+    @pytest.mark.parametrize("degrees", ["0", "45", "-45", "180", "44.999999", "45.0000001"])
     def test_stick_figure_at_parallel_sticks_draws_or_refuses(self, capsys, preset, degrees):
-        # at these cranks the stick lines are parallel: p and q do not exist
+        # at these cranks the stick lines are parallel, so p and q do not exist, or nearly so
         code, out, err = run_cli(capsys, "figure", "--preset", preset, f"--theta={degrees}", "--grid", "32")
         if code == 0:
             assert out.startswith("<?xml") and err == ""

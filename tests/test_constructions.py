@@ -21,6 +21,7 @@ from lemniscate import (
     three_bar_solve,
 )
 from lemniscate.constructions import (
+    _row,
     hyperbola_of,
     invert_between_array,
     maclaurin_array,
@@ -147,6 +148,42 @@ class TestThreeBarStateFields:
         circle = tangent_circle_at(one)
         center, radius = tangent_circle_array(states.select([1]))
         assert (circle.center.x, circle.center.y, circle.radius) == (*center[0].tolist(), float(radius[0]))
+
+
+class TestRow:
+    """_row, a sweep's row as the state of one solve, converts each field in one step: the
+    same values and types as a per-field float() and Point(), and None for a NaN point row."""
+
+    @staticmethod
+    def by_fields(states, k):
+        def value(v):
+            if v.ndim == 1:
+                return float(v[k])
+            return None if np.isnan(v[k, 0]) else Point(float(v[k, 0]), float(v[k, 1]))
+
+        return type(states)(*map(value, states))
+
+    @pytest.mark.parametrize(
+        "sweep",
+        [
+            lambda: three_bar_array(B, [0.3, math.pi / 4, 2.0, math.pi]),
+            lambda: three_bar_array(B, [0.3, math.pi / 4], side="same"),
+            lambda: maclaurin_array(B, [-0.7, 0.0, math.pi / 4]),
+            lambda: right_angle_array(B, [-1.5, 0.0, 1.0]),
+        ],
+        ids=["threebar", "threebar-same", "maclaurin", "rightangle"],
+    )
+    def test_values_and_types(self, sweep):
+        states = sweep()
+        for k in range(len(states[0])):
+            got, want = _row(states, k), self.by_fields(states, k)
+            assert repr(got) == repr(want) and got == want
+            assert [type(v) for v in got] == [type(v) for v in want]
+            assert type(got[0]) is float and all(type(v) in (Point, type(None)) for v in got[1:])
+
+    def test_nan_point_row_is_none(self):
+        s = _row(three_bar_array(B, [math.pi / 4]))  # the stick lines are parallel
+        assert s.p is None and s.q is None and type(s.x) is Point
 
 
 class TestMaclaurin:

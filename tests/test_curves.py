@@ -32,6 +32,7 @@ from lemniscate.curves import (
     bernoulli_polar_array,
     hyperbola_gradient_array,
     lemniscate_field_array,
+    lemniscate_gradient_array,
     on_curve,
 )
 from lemniscate.errors import NotOnCurve, OutsideLobe, TooManyFoci
@@ -140,6 +141,45 @@ class TestOnCurve:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert on_curve(CANON_L, [[1e300, -1.0], [1.7e308, 1.7e308], [-1e200, 1e200]]).tolist() == [False] * 3
+
+
+class TestFloatArrayParity:
+    """lemniscate_field and lemniscate_gradient run their array forms' arithmetic on p's floats,
+    bit for bit, and an overflow or 0 * inf gives inf or NaN there with no warning."""
+
+    @staticmethod
+    def assert_parity(L, x, y):
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = lemniscate_field_array(L, x, y)
+            g = lemniscate_gradient_array(L, x, y)
+            ref = math.prod((np.square(x - c.x) + np.square(y - c.y) for c in L.foci), start=1.0) - L.level
+        assert f.tobytes() == ref.tobytes()  # the d * d squares are numpy's ** 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in range(len(x)):
+                p = Point(x[k], y[k])
+                assert np.float64(lemniscate_field(L, p)).tobytes() == f[k].tobytes()
+                if np.isfinite(g[k]).all():
+                    gp = lemniscate_gradient(L, p)
+                    assert np.array((gp.x, gp.y)).tobytes() == g[k].tobytes()
+                else:
+                    with pytest.raises(ValueError, match="coordinates must be finite"):
+                        lemniscate_gradient(L, p)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_seeded_points(self, n):
+        rng = np.random.default_rng(100 + n)
+        L = PolynomialLemniscate(tuple(Point(*rng.uniform(-2.0, 2.0, 2)) for _ in range(n)), rng.uniform(0.5, 2.0))
+        x, y = rng.uniform(-3.0, 3.0, (2, 400))
+        x[:4], y[:4] = (1e300, -1e160, 1e80, 3e38), (2.0, 1e160, -1e80, 1e38)  # products that overflow to inf
+        self.assert_parity(L, x, y)
+
+    def test_zero_times_inf_is_nan(self):
+        # on the first focus, with the second so far off that its factor overflows
+        L = PolynomialLemniscate((Point(0.0, 0.0), Point(1e300, 0.0)), 1.0)
+        x, y = np.array([0.0, 0.5]), np.array([0.0, 0.0])
+        assert np.isnan(lemniscate_field(L, Point(0.0, 0.0)))
+        self.assert_parity(L, x, y)
 
 
 class TestGradient:

@@ -385,6 +385,13 @@ def test_circle_radius_positive():
         InversionMap(Point(0, 0), -1.0)
 
 
+def test_an_inversion_is_its_circle():
+    assert InversionMap is Circle
+    inv = InversionMap(Point(1.0, 2.0), 3.0)
+    assert inv == Circle(Point(1.0, 2.0), 3.0) and repr(inv) == "Circle(center=Point(x=1.0, y=2.0), radius=3.0)"
+    assert invert_point(inv, Point(4.0, 2.0)) == Point(4.0, 2.0)  # on the circle: fixed
+
+
 class TestMidpoint:
     @given(*[st.floats(allow_nan=False, allow_infinity=False)] * 4)
     @example(5e-324, 0.0, -0.0, -5e-324)
