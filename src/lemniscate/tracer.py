@@ -8,20 +8,21 @@ on each segment's left, so each crossing has at most one successor and
 every closed contour comes out with a positive signed shoelace area.
 
 The field is evaluated only in a band of blocks that may hold the curve.
-The window's cells are split into blocks of 16 x 16, and each block is
-tested exactly: over the block's box the squared distance to focus k
-lies between dmin_k^2 (to the box's nearest point) and dmax_k^2 (to its
-farthest corner), so the products of those bounds bound the field's
-product term at every node. A block whose low bound exceeds the level by
-a relative 1e-9, or whose high bound falls short of it by as much, has
-every node on one side of the curve and is left out; the margin is far
-above the rounding of the bounds and of the field, so no node's computed
-sign can differ from the full grid's. Bounds that are not finite or not
-normal floats certify nothing. Each block kept is split into 4 x 4
-blocks of 4 x 4 cells, which the same test keeps or leaves out, so the
-work follows the curve. Unlike coarse sampling, the test cannot miss a
-lobe smaller than a block. The field's signs at the kept 4-cell blocks'
-nodes are computed per bounded chunk of blocks, with the full grid's
+Each block is tested exactly: over the block's box the squared distance
+to focus k lies between dmin_k^2 (to the box's nearest point) and
+dmax_k^2 (to its farthest corner), so the products of those bounds bound
+the field's product term at every node. A block whose low bound exceeds
+the level by a relative 1e-9, or whose high bound falls short of it by
+as much, has every node on one side of the curve and is left out; the
+margin is far above the rounding of the bounds and of the field, so no
+node's computed sign can differ from the full grid's. Bounds that are
+not finite or not normal floats certify nothing. The window's tiling by
+at most 32 x 32 blocks of 16, 64, 256 ... cells a side is tested first,
+then the 4 x 4 blocks inside each block kept, down to 4 x 4 cells, so
+work and memory follow the curve; a box inside a certified one is
+certified too. Unlike coarse sampling, the test cannot miss a lobe
+smaller than a block. The field's signs at the kept 4-cell blocks' nodes
+are computed per bounded chunk of blocks, with the full grid's
 element-wise arithmetic, so every sign, crossing and contour is what the
 full grid would give.
 
@@ -32,8 +33,8 @@ and the walk past a dropped near-duplicate vertex stay sequential; they
 are deterministic, so output is independent of how the array work is
 scheduled. Output works on each contour as one (N, 2) array.
 
-Every crossing is placed once, by one vectorised bracket over every
-crossed edge (refine): regula falsi with the Illinois modification,
+Every crossing is placed once, by a bracket vectorised over up to 4,096
+crossed edges (refine): regula falsi with the Illinois modification,
 started from the edge's end values, so a vertex never leaves its edge
 and no point, singular ones included, can make it fail. It stops at a
 scale-free residual, so the curve is traced alike at any similarity
@@ -85,11 +86,11 @@ def _segment_table() -> np.ndarray:
 
 
 _SEGMENTS = _segment_table()
-# cells per side of the blocks that the band tests first, and of the
-# blocks inside them that it keeps or leaves out whole, _CHUNK blocks at a time
-_BLOCK = 16
+# cells per side of the blocks that the band keeps or leaves out whole, _CHUNK
+# blocks at a time, and the rows that refine brackets at a time
 _SUB = 4
 _CHUNK = 1024
+_BATCH = 4 * _CHUNK
 
 
 @dataclass(frozen=True, slots=True)
@@ -176,47 +177,50 @@ def refine(L: PolynomialLemniscate, a, b) -> np.ndarray:
     bracket closes from both sides. A row stops once its scale-free
     residual |f| / (f + 2 level) is at most 5e-13, once no float lies
     strictly between the points of its bracket's ends, or after 64
-    steps. Every iterate lies on its segment, so nothing can fail.
+    steps. Every iterate lies on its segment, so nothing can fail. The
+    bracket runs on _BATCH rows at a time, after every row's ends pass.
     """
     a = np.asarray(a, dtype=float).reshape(-1, 2)
     b = np.asarray(b, dtype=float).reshape(-1, 2)
     with np.errstate(over="ignore"):  # refused below
-        flo = lemniscate_field_array(L, a[:, 0], a[:, 1])
-        fhi = lemniscate_field_array(L, b[:, 0], b[:, 1])
-    big = np.flatnonzero(~(np.isfinite(flo) & np.isfinite(fhi)))
+        fa = lemniscate_field_array(L, a[:, 0], a[:, 1])
+        fb = lemniscate_field_array(L, b[:, 0], b[:, 1])
+    big = np.flatnonzero(~(np.isfinite(fa) & np.isfinite(fb)))
     if big.size:
         raise ValueError(f"the field overflows a float at an end of segment {big[0]}")
-    same = np.flatnonzero((flo < 0.0) == (fhi < 0.0))
+    same = np.flatnonzero((fa < 0.0) == (fb < 0.0))
     if same.size:
         raise ValueError(f"the ends of segment {same[0]} do not straddle the curve")
     out = np.empty_like(a)
-    rows = np.arange(len(a))
-    ax, ay, dx, dy = a[:, 0], a[:, 1], b[:, 0] - a[:, 0], b[:, 1] - a[:, 1]
-    lo, hi = np.zeros(len(a)), np.ones(len(a))
-    neg = flo < 0.0  # the lo end keeps its sign
-    for step in range(_MAX_STEPS):
-        t = np.minimum(np.maximum(lo + (hi - lo) * (flo / (flo - fhi)), lo), hi)
-        x, y = ax + t * dx, ay + t * dy
-        f = lemniscate_field_array(L, x, y)
-        out[rows, 0], out[rows, 1] = x, y
-        low = (f < 0.0) == neg  # the step replaces the lo end
-        if step:
-            # Illinois: an end that stays a second time running has its value halved
-            fhi = np.where(low & was_low, 0.5 * fhi, fhi)
-            flo = np.where(~(low | was_low), 0.5 * flo, flo)
-        lo, flo = np.where(low, t, lo), np.where(low, f, flo)
-        hi, fhi = np.where(low, hi, t), np.where(low, fhi, f)
-        was_low = low
-        # (x, y) is now one end of the bracket and (u, v) the kept one; with no
-        # float strictly between them no later step can meet the target
-        kept = np.where(low, hi, lo)
-        u, v = ax + kept * dx, ay + kept * dy
-        go = ~(field_residual(L, f) <= _REFINE_TOL) & ((np.nextafter(x, u) != u) | (np.nextafter(y, v) != v))
-        state = (rows, ax, ay, dx, dy, lo, hi, flo, fhi, neg, was_low)
-        rows, ax, ay, dx, dy, lo, hi, flo, fhi, neg, was_low = (w[go] for w in state)
-        del state  # the uncompacted arrays are not kept through the next step
-        if not rows.size:
-            break
+    for run in range(0, len(a), _BATCH):
+        rows = np.arange(run, min(run + _BATCH, len(a)))
+        ax, ay, flo, fhi = a[rows, 0], a[rows, 1], fa[rows], fb[rows]
+        dx, dy, lo, hi = b[rows, 0] - ax, b[rows, 1] - ay, np.zeros(len(rows)), np.ones(len(rows))
+        neg = flo < 0.0  # the lo end keeps its sign
+        for step in range(_MAX_STEPS):
+            t = np.minimum(np.maximum(lo + (hi - lo) * (flo / (flo - fhi)), lo), hi)
+            x, y = ax + t * dx, ay + t * dy
+            f = lemniscate_field_array(L, x, y)
+            low = (f < 0.0) == neg  # the step replaces the lo end
+            if step:
+                # Illinois: an end that stays a second time running has its value halved
+                fhi = np.where(low & was_low, 0.5 * fhi, fhi)
+                flo = np.where(~(low | was_low), 0.5 * flo, flo)
+            lo, flo = np.where(low, t, lo), np.where(low, f, flo)
+            hi, fhi = np.where(low, hi, t), np.where(low, fhi, f)
+            was_low = low
+            # (x, y) is now one end of the bracket and (u, v) the kept one; with no
+            # float strictly between them no later step can meet the target
+            kept = np.where(low, hi, lo)
+            u, v = ax + kept * dx, ay + kept * dy
+            go = ~(field_residual(L, f) <= _REFINE_TOL) & ((np.nextafter(x, u) != u) | (np.nextafter(y, v) != v))
+            if not go.all() or step + 1 == _MAX_STEPS:  # a row stops; the others are written again later
+                out[rows, 0], out[rows, 1] = x, y
+                state = (rows, ax, ay, dx, dy, lo, hi, flo, fhi, neg, was_low)
+                rows, ax, ay, dx, dy, lo, hi, flo, fhi, neg, was_low = (w[go] for w in state)
+                del state  # the uncompacted arrays are not kept through the next step
+            if not rows.size:
+                break
     return out
 
 
@@ -275,28 +279,32 @@ def _band(L, w, xs, ys):
     """The blocks of _SUB x _SUB cells that may hold the curve, and the
     signs of the field on their nodes, in runs of at most _CHUNK blocks.
 
-    Blocks of _BLOCK cells are tested first, then the _SUB-cell blocks
-    inside the uncertified ones. Yields, per run, the node indices of each
-    kept block along x and along y, as columns (_SUB + 1, k) clamped at the
-    window edge, and the field's sign at those nodes, 1 where negative and
-    0 elsewhere, as int8 of shape (_SUB + 1, _SUB + 1, k).
+    The window's tiling by the smallest blocks of 16, 64, 256 ... cells
+    with at most 32 a side is tested first, then the 4 x 4 blocks in each
+    one kept, down to _SUB cells. Yields, per run, each kept block's node
+    indices along x and y as columns (_SUB + 1, k) clamped at the window
+    edge, and its nodes' signs (1 if negative) as int8 (_SUB + 1, _SUB + 1, k).
     """
-    bx, by = np.arange(0, w.nx, _BLOCK), np.arange(0, w.ny, _BLOCK)
-    bi, bj = np.nonzero(_uncertified(L, *_box(xs, bx[:, None], _BLOCK, w.nx), *_box(ys, by, _BLOCK, w.ny)))
-    # the 4 x 4 sub-blocks of each uncertified block, block axis last; those
-    # that start outside the window are dropped
-    sx = bx[bi] + np.arange(0, _BLOCK, _SUB)[:, None]
-    sy = by[bj] + np.arange(0, _BLOCK, _SUB)[:, None]
-    inside = (sx[:, None] < w.nx) & (sy[None] < w.ny)
-    a, b, k = np.nonzero(inside & _uncertified(L, *_box(xs, sx[:, None], _SUB, w.nx), *_box(ys, sy[None], _SUB, w.ny)))
+    size = next(_SUB * 4**k for k in range(1, 32) if 32 * _SUB * 4**k >= max(w.nx, w.ny))
+    # the kept blocks' origins, first one untested block that spans the window
+    ox, oy, span = np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp), 32 * size
+    while size >= _SUB:
+        # the blocks of size cells in each kept one that start in the window, block axis last
+        sx = ox + np.arange(0, min(span, w.nx), size)[:, None]
+        sy = oy + np.arange(0, min(span, w.ny), size)[:, None]
+        maybe = _uncertified(L, *_box(xs, sx[:, None], size, w.nx), *_box(ys, sy[None], size, w.ny))
+        a, b, k = np.nonzero((sx[:, None] < w.nx) & (sy[None] < w.ny) & maybe)
+        ox, oy, span, size = sx[a, k], sy[b, k], size, size // 4
+    del sx, sy, maybe, a, b, k  # not held through the runs
     nodes = np.arange(_SUB + 1)[:, None]
-    for run in range(0, len(k), _CHUNK):
+    for run in range(0, len(ox), _CHUNK):
         at = slice(run, run + _CHUNK)
-        ci, cj = np.minimum(sx[a[at], k[at]] + nodes, w.nx), np.minimum(sy[b[at], k[at]] + nodes, w.ny)
+        ci, cj = np.minimum(ox[at] + nodes, w.nx), np.minimum(oy[at] + nodes, w.ny)
         f = lemniscate_field_array(L, xs[ci][:, None], ys[cj][None])
         if np.isnan(f).any():  # a float cannot tell the side of the true, finite product
             raise ValueError(f"the field is 0 * inf at a grid node: foci {', '.join(map(str, L.foci))}")
         yield ci, cj, (f < 0.0).view(np.int8)
+        del f  # not held while the next run is evaluated
 
 
 def _box(v, start, cells, n):
@@ -419,7 +427,11 @@ def trace(L: PolynomialLemniscate, w: TraceWindow) -> list[Contour]:
 
     # one bracket places every crossing, then each crossing within a cell
     # diagonal of a singular point snaps onto the first one within reach
-    coords = refine(L, *_edge_ends(w, xs, ys, ids))
+    try:
+        coords = refine(L, *_edge_ends(w, xs, ys, ids))
+    except ValueError:  # the band's signs put each edge across the curve, so an end's field overflows
+        foci = ", ".join(map(str, L.foci))
+        raise ValueError(f"the field overflows a float next to the curve: foci {foci}, radius {L.radius!r}") from None
     singular = _singular_points(L)
     if len(singular):
         near = row_norm(coords[:, None] - singular) <= w.cell_diagonal

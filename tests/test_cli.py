@@ -607,6 +607,13 @@ class TestErrorPaths:
         assert code == 2 and out == ""
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
+    def test_overflowing_field_names_the_foci_and_radius(self, capsys):
+        # the refusal names the input, not a row of the tracer's list of crossed edges
+        code, out, err = run_cli(capsys, "trace", "--foci=0,0,1e150,0", "--radius", "1e75", "--grid", "64")
+        assert code == 2 and out == ""
+        foci = "Point(x=0.0, y=0.0), Point(x=1e+150, y=0.0)"
+        assert err == f"error: the field overflows a float next to the curve: foci {foci}, radius 1e+75\n"
+
     @pytest.mark.parametrize(
         "foci, radius, code",
         [

@@ -151,6 +151,18 @@ def raw_edges(L, w):
     return np.array(a), np.array(b)
 
 
+def two_level_band(L, w, xs, ys):
+    """The origins (i, j) of the 4-cell blocks that a band of two levels
+    keeps: the block test on the window's tiling by 16-cell blocks, then on
+    the 4 x 4 blocks inside each one kept."""
+    bx, by = np.arange(0, w.nx, 16), np.arange(0, w.ny, 16)
+    bi, bj = np.nonzero(tracer._uncertified(L, *tracer._box(xs, bx[:, None], 16, w.nx), *tracer._box(ys, by, 16, w.ny)))
+    sx, sy = bx[bi] + np.arange(0, 16, 4)[:, None], by[bj] + np.arange(0, 16, 4)[:, None]
+    test = tracer._uncertified(L, *tracer._box(xs, sx[:, None], 4, w.nx), *tracer._box(ys, sy[None], 4, w.ny))
+    a, b, k = np.nonzero((sx[:, None] < w.nx) & (sy[None] < w.ny) & test)
+    return set(zip(sx[a, k].tolist(), sy[b, k].tolist()))
+
+
 def scale_free_residual(L, contours):
     return max(float(field_residual(L, lemniscate_field_array(L, *c.points.T)).max()) for c in contours)
 
@@ -213,6 +225,24 @@ class TestRefine:
         with pytest.raises(ValueError, match="overflows a float at an end of segment 1$"):
             refine(L, [(1.40, 0.01), (1.40, 0.01)], [(1.44, 0.01), (1e100, 0.0)])
 
+    def test_batches_match_calls_of_1000_rows(self):
+        # 10,000 segments from a seeded point inside the curve to one outside, every
+        # other one reversed: the bracket runs on them in batches of at most 4,096
+        points = np.random.default_rng(29).uniform((-1.6, -0.8), (1.6, 0.8), size=(40_000, 2))
+        inside = lemniscate_field_array(L, *points.T) < 0.0
+        a, b = points[inside][:10_000].copy(), points[~inside][:10_000].copy()
+        a[::2], b[::2] = b[::2].copy(), a[::2].copy()
+        got = refine(L, a, b)
+        calls = np.concatenate([refine(L, a[k : k + 1000], b[k : k + 1000]) for k in range(0, 10_000, 1000)])
+        assert got.tobytes() == calls.tobytes()
+        # the ends are checked over every row first, so a refusal names the row in the whole list
+        b[9_000] = a[9_000]
+        with pytest.raises(ValueError, match="^the ends of segment 9000 "):
+            refine(L, a, b)
+        b[5_000] = (1e100, 0.0)
+        with pytest.raises(ValueError, match="overflows a float at an end of segment 5000$"):
+            refine(L, a, b)
+
 
 class TestTraceMemory:
     def test_peak_below_100_mb_at_grid_2048(self):
@@ -242,10 +272,11 @@ class TestTraceMemory:
             tracemalloc.stop()
         assert peak < 5.5e6
 
-    @pytest.mark.parametrize("grid, bound", [(2048, 2.0e6), (8192, 7.5e6)])
+    @pytest.mark.parametrize("grid, bound", [(2048, 2.0e6), (8192, 7.5e6), (16384, 10.0e6)])
     def test_peak_in_the_default_window(self, grid, bound):
         # the band's signs and segment ends are built _CHUNK blocks at a
-        # time, so the peak follows the output, 16 bytes a vertex
+        # time, its tests go coarse to fine and refine brackets 4,096 rows
+        # at a time, so the peak follows the output, 16 bytes a vertex
         w = bernoulli_window(B, grid, 1.6 * math.sqrt(2.0), 0.8 * math.sqrt(2.0))
         trace(L, bernoulli_window(B, 64, 1.6 * math.sqrt(2.0), 0.8 * math.sqrt(2.0)))
         tracemalloc.start()
@@ -295,6 +326,50 @@ class TestBand:
         ys = np.linspace(w.ymin, w.ymax, w.ny + 1)
         vals = np.concatenate([neg for _, _, neg in _band(L, w, xs, ys)], axis=-1)
         assert 0 < vals.size < 0.15 * 513 * 513
+
+    @pytest.mark.parametrize(
+        "nx, ny",
+        [(8, 8), (9, 31), (31, 9), (100, 100), (513, 1000), (1000, 513), (2048, 2048), (4096, 8), (9, 4096), (4096, 4096)],
+    )
+    def test_levels_keep_the_blocks_of_the_two_level_band(self, nx, ny):
+        # seeded lemniscates with 1 to 6 foci, and a Bernoulli pair at its
+        # double-point level, placed by a seeded similarity
+        rng = random.Random(nx * 10_007 + ny)
+        lems = [
+            PolynomialLemniscate(tuple(Point(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)), rng.uniform(0.3, 1.2))
+            for n in range(1, 7)
+        ]
+        c, turn, ox, oy = 10.0 ** rng.uniform(-3, 3), rng.uniform(0.0, math.pi), rng.uniform(-5, 5), rng.uniform(-5, 5)
+        u = Point(c * math.cos(turn), c * math.sin(turn))
+        double = BernoulliConfig(Point(ox * c - u.x, oy * c - u.y), Point(ox * c + u.x, oy * c + u.y)).lemniscate
+        for lem in lems + [double]:
+            s = c if lem is double else 1.0
+            cx, cy = sum(f.x for f in lem.foci) / lem.n, sum(f.y for f in lem.foci) / lem.n
+            w = TraceWindow(cx - 1.7 * s, cx + 1.6 * s, cy - 1.4 * s, cy + 1.5 * s, nx, ny)
+            xs = np.linspace(w.xmin, w.xmax, w.nx + 1)
+            ys = np.linspace(w.ymin, w.ymax, w.ny + 1)
+            kept = {(i, j) for ci, cj, _ in _band(lem, w, xs, ys) for i, j in zip(ci[0].tolist(), cj[0].tolist())}
+            assert kept
+            assert kept == two_level_band(lem, w, xs, ys)
+
+    @pytest.mark.parametrize(
+        "nx, ny, levels",
+        [(8, 8, 2), (512, 512, 2), (9, 512, 2), (513, 8, 3), (2048, 2048, 3), (8, 2049, 4), (8192, 8192, 4), (8193, 9, 5)],
+    )
+    def test_top_blocks_are_the_least_with_at_most_32_a_side(self, monkeypatch, nx, ny, levels):
+        # the top blocks have 16, 64, 256 ... cells a side, and each level
+        # down to 4 cells is one block test, so the count of tests gives the top size
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return uncertified(*args)
+
+        uncertified = tracer._uncertified
+        monkeypatch.setattr(tracer, "_uncertified", counting)
+        w = TraceWindow(-1.6, 1.6, -0.8, 0.8, nx, ny)
+        list(_band(L, w, np.linspace(w.xmin, w.xmax, nx + 1), np.linspace(w.ymin, w.ymax, ny + 1)))
+        assert len(calls) == levels
 
     def test_small_circle_inside_one_block(self):
         # a curve smaller than a block, away from every node, is still found
