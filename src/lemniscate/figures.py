@@ -31,7 +31,7 @@ from .curves import (
     hyperbola_tangent_at,
 )
 from .errors import UndefinedCenter, UnknownPreset
-from .geometry import SQRT2, Point, midpoint, xy
+from .geometry import SQRT2, Point, midpoint
 from .tracer import TraceWindow, bernoulli_window, trace
 
 
@@ -90,30 +90,30 @@ class Scene:
     viewbox: TraceWindow
     elements: list = field(default_factory=list)
 
-    def _inside(self, pts: np.ndarray) -> np.ndarray:
-        """Which rows of pts lie within twice the view window."""
+    def _inside(self, x, y):
+        """Whether (x, y), floats or arrays of coordinates, lies within twice the view window."""
         w = self.viewbox
         cx, hx = 0.5 * (w.xmin + w.xmax), w.xmax - w.xmin
         cy, hy = 0.5 * (w.ymin + w.ymax), w.ymax - w.ymin
-        x, y = pts[:, 0], pts[:, 1]
         return (cx - hx <= x) & (x <= cx + hx) & (cy - hy <= y) & (y <= cy + hy)
 
-    def _check(self, rows):
-        pts = np.asarray(rows, dtype=float).reshape(-1, 2)
-        outside = np.flatnonzero(~self._inside(pts))
-        if outside.size:
-            raise _OutsideView(f"element reaches {Point(*pts[outside[0]].tolist())}, outside 2x the view window")
+    def _check(self, *points) -> None:
+        """Refuse the first of the points, (x, y) pairs of floats, outside twice the view window."""
+        for x, y in points:
+            if not self._inside(x, y):
+                raise _OutsideView(f"element reaches {Point(x, y)}, outside 2x the view window")
 
     def add(self, element) -> None:
         if isinstance(element, PolylineElement):
-            self._check(element.points)
+            pts = np.asarray(element.points, dtype=float).reshape(-1, 2)
+            self._check(*pts[~self._inside(*pts.T)][:1].tolist())
         elif isinstance(element, CircleElement):
             c, r = element.center, element.radius
-            self._check([(c.x - r, c.y - r), (c.x + r, c.y + r)])
+            self._check((c.x - r, c.y - r), (c.x + r, c.y + r))
         elif isinstance(element, SegmentElement):
-            self._check([xy(element.a), xy(element.b)])
+            self._check((element.a.x, element.a.y), (element.b.x, element.b.y))
         elif isinstance(element, (MarkerElement, TextElement)):
-            self._check([xy(element.at)])
+            self._check((element.at.x, element.at.y))
         else:
             raise TypeError(f"not a scene element: {element!r}")
         self.elements.append(element)
@@ -152,7 +152,7 @@ def _circle(scene: Scene, center: Point, radius: float, dashed: bool = False) ->
 
 def _clip_runs(pts: np.ndarray, scene: Scene):
     """Split a polyline into maximal runs inside the scene's 2x bounds."""
-    inside = scene._inside(pts)
+    inside = scene._inside(*pts.T)
     cuts = np.flatnonzero(inside[1:] != inside[:-1]) + 1
     return [run for run, keep in zip(np.split(pts, cuts), inside[np.r_[0, cuts]]) if keep and len(run) >= 2]
 
@@ -328,9 +328,8 @@ def emit_svg(scene: Scene) -> str:
     scale = _SVG_WIDTH / (w.xmax - w.xmin)
     height = (w.ymax - w.ymin) * scale
 
-    def to_px(rows) -> np.ndarray:  # of a point (x, y) or of (N, 2) rows
-        rows = np.asarray(rows)
-        return np.stack(((rows[..., 0] - w.xmin) * scale, (w.ymax - rows[..., 1]) * scale), axis=-1)
+    def to_px(x, y):  # of floats or of arrays of coordinates
+        return (x - w.xmin) * scale, (w.ymax - y) * scale
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -352,28 +351,29 @@ def emit_svg(scene: Scene) -> str:
 
     for el in scene.elements:
         if isinstance(el, PolylineElement):
-            rows = to_px(el.points) + 0.0  # as _fmt: -0.0 + 0.0 is 0.0
+            points = np.asarray(el.points)
+            rows = np.stack(to_px(points[..., 0], points[..., 1]), axis=-1) + 0.0  # as _fmt: -0.0 + 0.0 is 0.0
             coords = " ".join(["%.9g,%.9g"] * len(rows)) % tuple(rows.ravel().tolist())
             tag = "polygon" if el.closed else "polyline"
             lines.append(f'  <{tag} points="{coords}" fill="none" {stroke(_CURVE_COLOR, el.style)}/>')
         elif isinstance(el, CircleElement):
-            cx, cy = to_px(xy(el.center))
+            cx, cy = to_px(el.center.x, el.center.y)
             lines.append(
                 f'  <circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(el.radius * scale)}" '
                 f'fill="none" {stroke(_AUX_COLOR, el.style)}/>'
             )
         elif isinstance(el, SegmentElement):
-            (x1, y1), (x2, y2) = to_px([xy(el.a), xy(el.b)])
+            (x1, y1), (x2, y2) = to_px(el.a.x, el.a.y), to_px(el.b.x, el.b.y)
             lines.append(
                 f'  <line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
                 f"{stroke(_STICK_COLOR, el.style)}/>"
             )
         elif isinstance(el, MarkerElement):
-            cx, cy = to_px(xy(el.at))
+            cx, cy = to_px(el.at.x, el.at.y)
             lines.append(f'  <circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="3.5" fill="{_CURVE_COLOR}"/>')
             if el.style.label:
                 lines.append(text(cx + 6.0, cy - 6.0, 15, el.style.label))
         elif isinstance(el, TextElement):
-            lines.append(text(*to_px(xy(el.at)), 16, el.style.label))
+            lines.append(text(*to_px(el.at.x, el.at.y), 16, el.style.label))
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -40,8 +40,8 @@ and no point, singular ones included, can make it fail. It stops at a
 scale-free residual, so the curve is traced alike at any similarity
 placement of the foci. Snapping then runs once per trace, over every
 crossing at once: each one within a cell diagonal of a singular point
-becomes that point. A closed chain that meets singular points twice or
-more is split at the vertices whose coordinates equal one.
+becomes the first such point. A closed chain that meets singular points
+twice or more is split at the vertices whose coordinates equal one.
 """
 
 from __future__ import annotations
@@ -161,7 +161,8 @@ class Contour:
         least = 3 if self.closed else 2
         if len(points) < least:
             raise ValueError(f"a {'closed' if self.closed else 'open'} contour needs at least {least} points")
-        if (points[1:] == points[:-1]).all(axis=1).any():
+        x, y = points.T
+        if ((x[1:] == x[:-1]) & (y[1:] == y[:-1])).any():
             raise ValueError("repeated consecutive contour point")
 
 
@@ -340,20 +341,22 @@ def _crossings(L, w, xs, ys, band):
     the ends are found run by run of the band, then one sort of them all
     ranks them, a run of equal ids being one crossing."""
     ends = [np.empty((0, 2), dtype=np.intp)]
+    # edge k of the cell at node (i, j) has id i * step[k] + j + base[k]
+    step = np.array((w.ny + 1, w.ny + 1, w.ny, w.ny))
+    base = np.array((0, 1, w.nx * (w.ny + 1), w.nx * (w.ny + 1) + w.ny))
     for ci, cj, neg in band:
         case = neg[:-1, :-1] + 2 * neg[1:, :-1] + 4 * neg[1:, 1:] + 8 * neg[:-1, 1:]
         # clamping repeats the last node of a short block: those cells are not cells
         real = (ci[:-1, None] < w.nx) & (cj[None, :-1] < w.ny)
-        a, b, k = np.nonzero((case > 0) & (case < 15) & real)
-        i, j, case = ci[a, k], cj[b, k], case[a, b, k]
+        cells = np.flatnonzero((case > 0) & (case < 15) & real)
+        ab, k = divmod(cells, ci.shape[1])
+        i, j, case = ci[ab // _SUB, k], cj[ab % _SUB, k], case.ravel()[cells]
         # a saddle cell's segments follow the sign at its centre
         inside = (case == 5) | (case == 10)
         inside[inside] = lemniscate_field_array(L, xs[i[inside]] + 0.5 * w.dx, ys[j[inside]] + 0.5 * w.dy) < 0.0
-        bottom = i * (w.ny + 1) + j
-        left = w.nx * (w.ny + 1) + i * w.ny + j
-        edges = np.stack((bottom, bottom + 1, left, left + w.ny), axis=-1)
-        seg = _SEGMENTS[case, inside.view(np.int8)]
-        ends.append(np.take_along_axis(edges, seg.reshape(len(case), 4), axis=1).reshape(-1, 2, 2)[seg[:, :, 0] >= 0])
+        seg = _SEGMENTS[case, inside.view(np.int8)]  # -1 picks a row that the mask drops
+        edges = i[:, None, None] * step[seg] + j[:, None, None] + base[seg]
+        ends.append(edges[seg[:, :, 0] >= 0])
     ends = np.concatenate(ends)
     order = np.argsort(ends, axis=None)
     ids = ends.ravel()[order]
@@ -432,20 +435,23 @@ def trace(L: PolynomialLemniscate, w: TraceWindow) -> list[Contour]:
     except ValueError:  # the band's signs put each edge across the curve, so an end's field overflows
         foci = ", ".join(map(str, L.foci))
         raise ValueError(f"the field overflows a float next to the curve: foci {foci}, radius {L.radius!r}") from None
-    singular = _singular_points(L)
-    if len(singular):
-        near = row_norm(coords[:, None] - singular) <= w.cell_diagonal
-        coords = np.where(near.any(axis=1)[:, None], singular[near.argmax(axis=1)], coords)
+    singular = _singular_points(L).tolist()
+    if singular:
+        x, y = coords.T.copy()  # each snap is decided on the refined coordinates,
+        for sx, sy in singular[::-1]:  # so the first point within reach is written last
+            coords[np.hypot(x - sx, y - sy) <= w.cell_diagonal] = sx, sy
 
     contours = []
     for rows, closed in _extract_chains(nxt):
-        pts = coords[rows]
-        on = (pts[:, None] == singular).all(axis=2).any(axis=1)
-        # a closed chain meets a singular point at each singular vertex unlike
-        # the one before it, around the cycle; met twice or more, it splits
-        # into one loop from each meeting to the next
-        meets = np.flatnonzero(on & (pts != np.roll(pts, 1, axis=0)).any(axis=1))
-        split = closed and len(meets) >= 2
+        pts, meets = coords[rows], []
+        if closed and singular:
+            # a closed chain meets a singular point at each singular vertex unlike
+            # the one before it, around the cycle (row -1 before row 0); met twice
+            # or more, it splits into one loop from each meeting to the next
+            x, y = pts.T
+            on = np.flatnonzero(np.logical_or.reduce([(x == sx) & (y == sy) for sx, sy in singular]))
+            meets = on[(x[on] != x[on - 1]) | (y[on] != y[on - 1])]
+        split = len(meets) >= 2
         for piece in np.split(np.roll(pts, -meets[0], axis=0), meets[1:] - meets[0]) if split else [pts]:
             piece = _dedupe(piece, 1e-12 * w.cell_diagonal, closed)
             if len(piece) < (3 if closed else 2):
@@ -455,9 +461,15 @@ def trace(L: PolynomialLemniscate, w: TraceWindow) -> list[Contour]:
     if not contours:
         raise EmptyTrace(f"every traced chain collapses within 1e-12 of a cell diagonal at grid {w.nx}x{w.ny}")
 
-    # by each contour's leftmost-lowest point
-    contours.sort(key=lambda c: tuple(c.points[np.lexsort(c.points.T[::-1])[0]].tolist()))
+    contours.sort(key=_leftmost_lowest)
     return contours
+
+
+def _leftmost_lowest(c: Contour) -> tuple[float, float]:
+    """The key that orders traced contours: the least x of c's vertices, then the least y of those at it."""
+    x, y = c.points.T
+    least = x.min()
+    return least, y[x == least].min()
 
 
 def _contours_text(contours, vertex: str, join: str, gap: str) -> str:

@@ -23,7 +23,15 @@ from lemniscate import (
 )
 from lemniscate.cli import main
 from lemniscate.errors import UnknownPreset
-from lemniscate.figures import CircleElement, MarkerElement, PolylineElement, SegmentElement, TextElement, _fmt
+from lemniscate.figures import (
+    CircleElement,
+    MarkerElement,
+    PolylineElement,
+    SegmentElement,
+    TextElement,
+    _fmt,
+    _OutsideView,
+)
 
 B = BernoulliConfig(Point(-1.0, 0.0), Point(1.0, 0.0))
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -214,6 +222,76 @@ class TestSceneGuard:
         scene = Scene(TraceWindow(-1, 1, -1, 1, 16, 16))
         scene.add(MarkerElement(Point(1.9, -1.9), Style()))
         assert len(scene.elements) == 1
+
+    OUTSIDE = "element reaches Point(x={}, y={}), outside 2x the view window"
+
+    @pytest.mark.parametrize(
+        "element, message",
+        [
+            # the second corner: the first, (-1.5, -1.75), lies within 2x the window
+            (CircleElement(Point(0.5, 0.25), 2.0, Style()), OUTSIDE.format(2.5, 2.25)),
+            (CircleElement(Point(-0.5, 0.25), 2.0, Style()), OUTSIDE.format(-2.5, -1.75)),
+            (CircleElement(Point(0.0, 0.5), 3, Style()), OUTSIDE.format(-3.0, -2.5)),
+            (SegmentElement(Point(0.0, 0.0), Point(0.0, -7.0), Style()), OUTSIDE.format(0.0, -7.0)),
+            (SegmentElement(Point(3.0, 1.0), Point(0.0, -7.0), Style()), OUTSIDE.format(3.0, 1.0)),
+            (MarkerElement(Point(10.0, 0.0), Style(label="F1")), OUTSIDE.format(10.0, 0.0)),
+            (TextElement(Point(3.5, 3.5), Style(label="far")), OUTSIDE.format(3.5, 3.5)),
+            (
+                PolylineElement(np.array([(0.0, 0.0), (1.5, 0.5), (-0.0, 2.0000000000000004), (9, 9)]), False, Style()),
+                OUTSIDE.format(-0.0, 2.0000000000000004),
+            ),
+            # a point that is not finite is refused by Point, naming it, before the guard's message
+            (
+                PolylineElement(np.array([(0.0, 0.0), (np.nan, 0.5), (9.0, 9.0)]), False, Style()),
+                "coordinates must be finite, got (nan, 0.5)",
+            ),
+            (CircleElement(Point(-1e308, 0.5), 1.7e308, Style()), "coordinates must be finite, got (-inf, -1.7e+308)"),
+            (CircleElement(Point(0.0, 0.5), math.nan, Style()), "coordinates must be finite, got (nan, nan)"),
+        ],
+        ids=[
+            "circle_second_corner",
+            "circle_first_corner",
+            "circle_int_radius",
+            "segment_end",
+            "segment_start",
+            "marker",
+            "label",
+            "polyline_row",
+            "polyline_nan_row",
+            "circle_infinite_corner",
+            "circle_nan_radius",
+        ],
+    )
+    def test_refusal_names_the_first_point_outside(self, element, message):
+        scene = Scene(TraceWindow(-1, 1, -1, 1, 16, 16))
+        with pytest.raises(ValueError) as refused:
+            scene.add(element)
+        assert str(refused.value) == message
+        assert isinstance(refused.value, _OutsideView) == message.startswith("element reaches")
+        assert not scene.elements
+
+    @pytest.mark.parametrize(
+        "preset, degrees, message",
+        [
+            (
+                "inversion",
+                44.999999,
+                "the inversion figure at theta = 0.7853981459441558: "
+                "element reaches Point(x=28647889.688825395, y=-28647889.688825384), outside 2x the view window",
+            ),
+            (
+                "tangentcircle",
+                45.0000001,
+                "the tangentcircle figure at theta = 0.7853981651427776: "
+                "element reaches Point(x=-691621177.7084846, y=-691621177.7084844), outside 2x the view window",
+            ),
+        ],
+        ids=["inversion", "tangentcircle"],
+    )
+    def test_figure_refusal_names_the_preset_and_angle(self, preset, degrees, message):
+        with pytest.raises(ValueError) as refused:
+            figure_scene(preset, B, theta=math.radians(degrees), grid=32)
+        assert str(refused.value) == message
 
 
 class TestEmitSvg:

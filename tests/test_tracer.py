@@ -1,6 +1,7 @@
 """Tracer tests: extraction topology, refinement, area, CSV round trip."""
 
 import hashlib
+import itertools
 import math
 import random
 import re
@@ -29,6 +30,7 @@ from lemniscate import (
 from lemniscate import tracer
 from lemniscate.curves import field_residual, lemniscate_field_array
 from lemniscate.errors import EmptyTrace, GeometryError, OpenContour
+from lemniscate.geometry import row_norm
 from lemniscate.tracer import (
     _CHUNK,
     _SEGMENTS,
@@ -36,7 +38,9 @@ from lemniscate.tracer import (
     _contours_text,
     _crossings,
     _dedupe,
+    _edge_ends,
     _extract_chains,
+    _leftmost_lowest,
     _signed_area,
     bernoulli_window,
 )
@@ -580,6 +584,125 @@ class TestTraceBernoulli:
     def test_open_contour_when_clipped(self):
         contours = trace(L, TraceWindow(-0.5, 2.0, -0.9, 0.9, 128, 128))
         assert any(not c.closed for c in contours)
+
+
+def lexsort_key(c):
+    """The key traced contours were sorted by before trace read x and y as
+    columns: the leftmost-lowest row, found by np.lexsort."""
+    return tuple(c.points[np.lexsort(c.points.T[::-1])[0]].tolist())
+
+
+def tied_contours(seed):
+    """12 seeded open contours whose coordinates come from five values,
+    -0.0 and 0.0 among them, so that many share their least x and some
+    their leftmost-lowest point."""
+    rng = np.random.default_rng(seed)
+    values = np.array([-1.5, -0.0, 0.0, 0.25, 1.0])
+    contours = []
+    while len(contours) < 12:
+        pts = values[rng.integers(0, len(values), (int(rng.integers(2, 7)), 2))]
+        pts = pts[np.r_[True, (pts[1:] != pts[:-1]).any(axis=1)]]
+        if len(pts) >= 2:
+            contours.append(Contour(pts, False, 0.0))
+    return contours
+
+
+class TestContourOrder:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_orders_as_the_lexsort_key(self, seed):
+        contours = tied_contours(seed)
+        by_lexsort = sorted(range(12), key=lambda k: lexsort_key(contours[k]))
+        assert sorted(range(12), key=lambda k: _leftmost_lowest(contours[k])) == by_lexsort
+
+    def test_seeded_sets_hold_every_kind_of_tie(self):
+        ties = {"x": 0, "zero signs": 0, "keys": 0}
+        for seed in range(30):
+            contours = tied_contours(seed)
+            keys = [lexsort_key(c) for c in contours]
+            ties["x"] += len({x for x, _ in keys}) < len(keys)
+            ties["zero signs"] += len({math.copysign(1.0, x) for x, _ in keys if x == 0.0}) == 2
+            ties["keys"] += len(set(keys)) < len(keys)
+        assert min(ties.values()) >= 5, ties
+
+    def test_zero_signs_and_equal_keys_keep_their_order(self):
+        # a and b share the key (0, 1) with x of either sign; c and d share
+        # (0, -1), c's least x being both -0.0 and 0.0; the sort is stable
+        a = Contour([(0.0, 1.0), (2.0, 0.0)], False, 0.0)
+        b = Contour([(-0.0, 1.0), (1.0, 3.0)], False, 0.0)
+        c = Contour([(3.0, 0.0), (0.0, -1.0), (-0.0, 2.0)], False, 0.0)
+        d = Contour([(1.0, 1.0), (-0.0, -1.0)], False, 0.0)
+        for order in itertools.permutations([a, b, c, d]):
+            got = sorted(order, key=_leftmost_lowest)
+            assert [id(k) for k in got] == [id(k) for k in sorted(order, key=lexsort_key)]
+            assert [k for k in got if k in (a, b)] == [k for k in order if k in (a, b)]
+
+
+def reference_assembly(lem, w, singular):
+    """trace's steps after its crossings are placed, with the expressions
+    over rows it used before it read x and y as columns: the snap of each
+    crossing onto the first singular row within a cell diagonal, the split
+    of closed chains at singular points, the dedupe and the order."""
+    xs = np.linspace(w.xmin, w.xmax, w.nx + 1)
+    ys = np.linspace(w.ymin, w.ymax, w.ny + 1)
+    ids, nxt = _crossings(lem, w, xs, ys, _band(lem, w, xs, ys))
+    coords = refine(lem, *_edge_ends(w, xs, ys, ids))
+    near = row_norm(coords[:, None] - singular) <= w.cell_diagonal
+    coords = np.where(near.any(axis=1)[:, None], singular[near.argmax(axis=1)], coords)
+    out = []
+    for rows, closed in _extract_chains(nxt):
+        pts = coords[rows]
+        on = (pts[:, None] == singular).all(axis=2).any(axis=1)
+        meets = np.flatnonzero(on & (pts != np.roll(pts, 1, axis=0)).any(axis=1))
+        split = closed and len(meets) >= 2
+        for piece in np.split(np.roll(pts, -meets[0], axis=0), meets[1:] - meets[0]) if split else [pts]:
+            piece = _dedupe(piece, 1e-12 * w.cell_diagonal, closed)
+            if len(piece) >= (3 if closed else 2):
+                out.append(Contour(piece, closed, 0.0))
+    return sorted(out, key=lexsort_key)
+
+
+class TestSnapToSingularRows:
+    """Only the Bernoulli double point is a singular point today; these
+    stand in two rows, as a trace that snaps to every critical point on
+    the level will return."""
+
+    @staticmethod
+    def assert_matches_reference(monkeypatch, lem, w, singular):
+        monkeypatch.setattr(tracer, "_singular_points", lambda _: singular)
+        got = trace(lem, w)
+        want = reference_assembly(lem, w, singular)
+        assert [(c.points.tobytes(), c.closed) for c in got] == [(c.points.tobytes(), c.closed) for c in want]
+        return got
+
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_first_row_within_reach_decided_on_refined_coordinates(self, monkeypatch, first):
+        # of the arc's crossings, s1 reaches p alone and s2 reaches p and q,
+        # while s1 and s2 reach each other, so a crossing snapped to one row
+        # would be within reach of the other
+        w = TraceWindow(0.25, 1.5, -1.25, 1.25, 16, 16)
+        (arc,) = trace(CIRCLE, w)
+        d = w.cell_diagonal
+        p, q = arc.points[15], arc.points[16]
+        s1 = p + 0.7 * d * p / np.hypot(*p)  # off the unit circle, away from its centre
+        s2 = 0.5 * (p + q)
+        assert np.flatnonzero(np.hypot(*(arc.points - s1).T) <= d).tolist() == [15]
+        assert np.flatnonzero(np.hypot(*(arc.points - s2).T) <= d).tolist() == [15, 16]
+        assert np.hypot(*(s1 - s2)) <= d
+        singular = np.array([s1, s2] if first == 0 else [s2, s1])
+        (got,) = self.assert_matches_reference(monkeypatch, CIRCLE, w, singular)
+        # q snaps to s2, and p to the first row: to s2 as well when s2 comes first
+        assert not got.closed and (got.points == s2).all(axis=1).sum() == 1
+        assert (got.points == s1).all(axis=1).any() == (first == 0)
+
+    def test_closed_chain_splits_at_two_rows(self, monkeypatch):
+        w = TraceWindow(-1.5, 1.5, -1.5, 1.5, 16, 16)
+        (circle,) = trace(CIRCLE, w)
+        n = len(circle.points)
+        singular = np.array([1.001 * circle.points[0], 0.999 * circle.points[n // 2]])
+        got = self.assert_matches_reference(monkeypatch, CIRCLE, w, singular)
+        # one loop from each meeting to the next, each starting at its row
+        assert len(got) == 2 and all(c.closed for c in got)
+        assert sorted(c.points[0].tolist() for c in got) == sorted(singular.tolist())
 
 
 def pinned_batch():

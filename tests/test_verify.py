@@ -4,6 +4,7 @@ similarity placement once residuals are scale-free."""
 
 import dataclasses
 import math
+import random
 import tracemalloc
 import warnings
 
@@ -13,9 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lemniscate import BernoulliConfig, Point
+from lemniscate import verify
 from lemniscate.verify import (
     Check,
     check_area,
+    check_coefficients,
     check_inversion_pairing,
     format_report,
     run_verification,
@@ -135,3 +138,17 @@ def test_check_is_a_read_only_hashable_record():
     assert hash(check) == hash(Check(*check)) and check.passed
     as_dataclass = dataclasses.make_dataclass("Check", Check._fields, frozen=True)
     assert repr(check) == repr(as_dataclass(*check))
+
+
+def test_coefficient_check_draws_through_random_alone(monkeypatch):
+    # Python keeps random()'s sequence for a seed across versions, but not how uniform or choice use it
+    class RandomAlone(random.Random):
+        def uniform(self, a, b):
+            raise AssertionError("uniform")
+
+        def choice(self, seq):
+            raise AssertionError("choice")
+
+    expected = check_coefficients()
+    monkeypatch.setattr(verify.random, "Random", RandomAlone)
+    assert check_coefficients() == expected and expected.passed
