@@ -105,7 +105,9 @@ class Scene:
 
     def add(self, element) -> None:
         if isinstance(element, PolylineElement):
-            pts = np.asarray(element.points, dtype=float).reshape(-1, 2)
+            pts = np.asarray(element.points, dtype=float)
+            if pts.shape[1:] != (2,):
+                raise ValueError(f"polyline points must be (N, 2) rows, got shape {pts.shape}")
             self._check(*pts[~self._inside(*pts.T)][:1].tolist())
         elif isinstance(element, CircleElement):
             c, r = element.center, element.radius

@@ -9,6 +9,9 @@ order in the cell size). Residuals are scale-free: each is divided by the
 power of the half focal distance c that matches its dimension (c for
 lengths, c^2 for areas and products of lengths, c^4 for the Bernoulli
 field), so one tolerance holds at any similarity placement of the foci.
+Each residual array is reduced to its worst value as soon as it is
+formed, and a sweep that two checks share keeps only the fields a later
+check reads, so the peak is one kernel's own sweep.
 """
 
 from __future__ import annotations
@@ -81,7 +84,7 @@ def _worst(*residuals) -> float:
 
 def _off_curve(B: BernoulliConfig, *points) -> float:
     """Largest |field of B's lemniscate| over the rows of the points arrays, over c**4."""
-    return _worst(*(lemniscate_field_array(B.lemniscate, p[..., 0], p[..., 1]) for p in points)) / B.half_distance**4
+    return max(_worst(lemniscate_field_array(B.lemniscate, p[..., 0], p[..., 1])) for p in points) / B.half_distance**4
 
 
 def polar_angles(count: int, margin: float = 0.0) -> np.ndarray:
@@ -114,16 +117,16 @@ def check_threebar(B: BernoulliConfig, states) -> list[Check]:
     # isosceles trapezoid f1-a-f2-b: the legs f1a, f2b are equal by
     # construction, so the testable content is that the bases a->f2
     # and b->f1 are parallel
-    trapezoid = row_cross(row_unit(f2 - states.a), row_unit(f1 - states.b))
-    lengths = (
-        row_norm(states.a - f1) - c * SQRT2,
-        row_norm(states.b - f2) - c * SQRT2,
-        row_norm(states.a - states.b) - 2.0 * c,
+    trapezoid = _worst(row_cross(row_unit(f2 - states.a), row_unit(f1 - states.b)))
+    lengths = max(
+        _worst(row_norm(states.a - f1) - c * SQRT2),
+        _worst(row_norm(states.b - f2) - c * SQRT2),
+        _worst(row_norm(states.a - states.b) - 2.0 * c),
     )
     return [
         Check("threebar_field", _off_curve(B, states.x), 1e-8),
-        Check("threebar_trapezoid", _worst(trapezoid), 1e-9),
-        Check("threebar_stick_lengths", _worst(*lengths) / c, 1e-10),
+        Check("threebar_trapezoid", trapezoid, 1e-9),
+        Check("threebar_stick_lengths", lengths / c, 1e-10),
     ]
 
 
@@ -135,7 +138,7 @@ def check_inversion_pairing(B: BernoulliConfig, states) -> list[Check]:
     keep = ~np.isnan(states.p[:, 0])  # parallel stick lines leave NaN rows, dropped from each residual
     ox = states.x - o
     oq = states.q - o
-    membership = _worst(hyperbola_residual_array(H, states.p)[keep], hyperbola_residual_array(H, states.q)[keep])
+    membership = max(_worst(hyperbola_residual_array(H, r)[keep]) for r in (states.p, states.q))
     pairing = _worst((row_norm(ox) * row_norm(oq) - c2)[keep])
     with np.errstate(invalid="ignore"):  # x can sit on o only in a parallel row: 0/0, then dropped
         ray = max(
@@ -174,7 +177,7 @@ def check_maclaurin(B: BernoulliConfig, count: int = 10_000) -> list[Check]:
         Check("maclaurin_field", _off_curve(B, s.x, s.x_prime), 1e-8),
         Check(
             "maclaurin_chord_identity",
-            _worst(row_norm(s.x - o) - chord, row_norm(s.x_prime - o) - chord) / c,
+            max(_worst(row_norm(s.x - o) - chord), _worst(row_norm(s.x_prime - o) - chord)) / c,
             1e-10,
         ),
     ]
@@ -187,16 +190,15 @@ def check_rightangle(B: BernoulliConfig, count: int = 10_000) -> list[Check]:
     alpha = -math.pi / 2 + (np.arange(count) + 0.5) * math.pi / count
     st = right_angle_array(B, alpha)
     crank2 = row_norm(st.a - o) ** 2
-    right = []
-    sticks = []
+    right = sticks = 0.0
     for tip in (st.x, st.y):
         stick = row_norm(st.a - tip)
-        right.append(row_norm(tip - o) ** 2 + crank2 - stick**2)
-        sticks.append(stick - c * SQRT2)
+        right = max(right, _worst(row_norm(tip - o) ** 2 + crank2 - stick**2))
+        sticks = max(sticks, _worst(stick - c * SQRT2))
     lobe_margin = min(np.min(row_dot(st.x - o, u)), np.min(-row_dot(st.y - o, u)))
     return [
         Check("rightangle_field", _off_curve(B, st.x, st.y), 1e-8),
-        Check("rightangle_right_angle", max(_worst(*right) / c**2, _worst(*sticks) / c), 1e-10),
+        Check("rightangle_right_angle", max(right / c**2, sticks / c), 1e-10),
         Check("rightangle_lobe_separation", max(0.0, -float(lobe_margin)) / c, 0.0),
     ]
 
@@ -341,8 +343,9 @@ def run_verification(
 ) -> list[Check]:
     """Run every sweep at the given sample counts and collect the checks."""
     checks = [check_defining_product(B, sweep)]
-    states = threebar_states(B, sweep)
+    states = threebar_states(B, sweep)._replace(theta=None)  # read by neither check
     checks += check_threebar(B, states)
+    states = states._replace(a=None, b=None)  # check_inversion_pairing reads x, p and q alone
     checks += check_inversion_pairing(B, states)
     del states  # not held through the trace in check_area
     checks.append(check_hyperbola_inverse(B, dense))

@@ -218,6 +218,20 @@ class TestSceneGuard:
             scene.add(PolylineElement(rows, False, Style()))
         assert not scene.elements
 
+    def test_refuses_polyline_points_that_are_not_rows(self):
+        # reshaped to (-1, 2), the (2, 3) array would pass as three rows inside the window, and
+        # emit_svg would draw its first two columns as the vertices
+        scene = Scene(TraceWindow(-1, 1, -1, 1, 16, 16))
+        for points, shape in (
+            (np.array([[0.0, 0.5, 1.0], [0.0, 0.25, 0.5]]), "(2, 3)"),
+            (np.array([0.0, 0.5, 1.0, 0.25]), "(4,)"),
+        ):
+            with pytest.raises(ValueError) as refused:
+                scene.add(PolylineElement(points, False, Style()))
+            assert str(refused.value) == f"polyline points must be (N, 2) rows, got shape {shape}"
+            assert not isinstance(refused.value, _OutsideView)
+        assert not scene.elements
+
     def test_accepts_within_double_window(self):
         scene = Scene(TraceWindow(-1, 1, -1, 1, 16, 16))
         scene.add(MarkerElement(Point(1.9, -1.9), Style()))

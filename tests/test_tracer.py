@@ -28,7 +28,7 @@ from lemniscate import (
     trace,
 )
 from lemniscate import tracer
-from lemniscate.curves import field_residual, lemniscate_field_array
+from lemniscate.curves import _log_derivatives, field_residual, lemniscate_field_array
 from lemniscate.errors import EmptyTrace, GeometryError, OpenContour
 from lemniscate.geometry import row_norm
 from lemniscate.tracer import (
@@ -169,6 +169,25 @@ def two_level_band(L, w, xs, ys):
 
 def scale_free_residual(L, contours):
     return max(float(field_residual(L, lemniscate_field_array(L, *c.points.T)).max()) for c in contours)
+
+
+def vertex_floor(L, points):
+    """The bound on each vertex's field_residual that floats allow:
+    5e-13 + 2 |g'(z)| max(ulp(x), ulp(y)), with g' = sum 1 / (z - f_k).
+    One float step dz moves log|p| by about |g'| |dz|, and refine stops
+    where its bracket's ends are adjacent floats; the 2 is margin. A vertex
+    snapped onto a singular point, where g' = 0, is held to on_curve's 5e-10,
+    the tolerance by which the snap takes that point."""
+    x, y = points[:, 0], points[:, 1]
+    g1, _ = _log_derivatives(L, x + 1j * y)
+    floor = 5e-13 + 2.0 * np.abs(g1) * np.maximum(np.spacing(np.abs(x)), np.spacing(np.abs(y)))
+    snapped = (points[:, None] == tracer._singular_points(L)).all(axis=2).any(axis=1)
+    return np.where(snapped, 5e-10, floor)
+
+
+def assert_vertex_contract(L, contours):
+    for c in contours:
+        assert (field_residual(L, lemniscate_field_array(L, *c.points.T)) <= vertex_floor(L, c.points)).all()
 
 
 def scaled(L, s):
@@ -473,6 +492,7 @@ class TestOrientation:
                 contours = trace(lem, w)
             except EmptyTrace:
                 continue
+            assert_vertex_contract(lem, contours)
             for c in contours:
                 if c.closed:
                     closed += 1
@@ -751,6 +771,7 @@ class TestPinnedBatch:
             except (GeometryError, ValueError) as exc:
                 digest.update(f"{type(exc).__name__}: {exc}".encode())
                 continue
+            assert_vertex_contract(L, contours)
             for c in contours:
                 digest.update(c.points.tobytes() + bytes([c.closed]) + np.float64(c.max_residual).tobytes())
         assert digest.hexdigest() == "f12b5be6bbea136fea44beacf8b1aedbea090cc137407ff781e43f44d032c518"
@@ -765,6 +786,7 @@ class TestPinnedBatch:
         assert sum(ci.shape[1] for ci, _, _ in _band(lem, w, xs, ys)) > 3 * _CHUNK
         contours = trace(lem, w)
         assert [c.closed for c in contours] == [True] * 5
+        assert_vertex_contract(lem, contours)
         digest = hashlib.sha256()
         for c in contours:
             digest.update(c.points.tobytes() + bytes([c.closed]) + np.float64(c.max_residual).tobytes())
@@ -835,6 +857,32 @@ class TestTraceScale:
         contours = trace(config.lemniscate, w)
         assert len(contours) == 2 and all(c.closed for c in contours)
         assert sum(len(c.points) for c in contours) > 100
+
+
+class TestVertexContract:
+    @pytest.mark.parametrize("c, offset", [(1e-6, 1e2), (1e-3, 1e3)])
+    def test_holds_where_floats_run_out(self, c, offset):
+        # most vertices exceed 5e-13 here, yet each meets the floor; 4 ulps
+        # further out in x, most do not, so the floor is not slack
+        config = BernoulliConfig(Point(offset - c, 0.0), Point(offset + c, 0.0))
+        L = config.lemniscate
+        contours = trace(L, bernoulli_window(config, 512, 1.6 * c * math.sqrt(2.0), 0.8 * c * math.sqrt(2.0)))
+        assert_vertex_contract(L, contours)
+        points = np.concatenate([k.points for k in contours])
+        assert (field_residual(L, lemniscate_field_array(L, *points.T)) > 5e-13).mean() > 0.5
+        moved = points.copy()
+        moved[:, 0] += 4.0 * np.sign(moved[:, 0] - offset) * np.spacing(np.abs(moved[:, 0]))
+        assert (field_residual(L, lemniscate_field_array(L, *moved.T)) > vertex_floor(L, moved)).mean() > 0.5
+
+    def test_a_snapped_singular_vertex_is_held_to_on_curve(self):
+        # 1e-10 off the double point's level, the snap still takes the double
+        # point, whose residual 2e-10 is far above the float floor there
+        config = BernoulliConfig(Point(-1.0, 0.0), Point(1.0, 0.0))
+        L = PolynomialLemniscate(config.lemniscate.foci, 1.0 + 1e-10)
+        contours = trace(L, TraceWindow(-1.6, 1.6, -0.8, 0.8, 64, 64))
+        assert all([0.0, 0.0] in k.points.tolist() for k in contours)
+        assert 1e-10 < scale_free_residual(L, contours) <= 5e-10
+        assert_vertex_contract(L, contours)
 
 
 class TestTraceErrors:
@@ -938,6 +986,7 @@ class TestContourArea:
             coarse = trace(lem, TraceWindow(-2.5, 2.5, -2.5, 2.5, 512, 512))
             fine = trace(lem, TraceWindow(-2.5, 2.5, -2.5, 2.5, 4096, 4096))
             assert all(k.closed for k in coarse + fine) and len(coarse) == len(fine)
+            assert_vertex_contract(lem, coarse + fine)
             reference = sum(contour_area(k, lem) for k in fine)
             assert sum(contour_area(k, lem) for k in coarse) == pytest.approx(reference, rel=2e-7)
 
