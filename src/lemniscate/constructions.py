@@ -75,9 +75,9 @@ class ThreeBarState(NamedTuple):
     for one solve, theta (N,) and points (N, 2) for a sweep.
 
     Sticks f1->a and f2->b have length c*sqrt(2), the coupler a->b has
-    length 2c, and x is the coupler midpoint. p is the intersection of
-    the stick lines (None, or a NaN row, where they are parallel) and q
-    its mirror image in the focal axis.
+    length 2c, and x is the coupler midpoint. p is the intersection of the
+    stick lines and q its mirror image in the focal axis: None, or NaN rows,
+    where the lines are parallel, as on the whole same-side branch (no solve).
     """
 
     theta: float | np.ndarray
@@ -133,9 +133,10 @@ def three_bar_array(B: BernoulliConfig, theta, side: str = "opposite") -> ThreeB
     The crossed (opposite-side) branch traces the lemniscate: f1-a-f2-b
     is an isosceles trapezoid, so b is f1 reflected in the perpendicular
     bisector of a-f2. The parallelogram (same-side) branch, b = a + f2 - f1,
-    traces a circle of radius c*sqrt(2) about the double point. Every
-    crank angle solves, unless a stick is too short for the floats about
-    its focus (ValueError); at theta = 0 and pi, x is a vertex.
+    traces a circle of radius c*sqrt(2) about the double point; its stick
+    lines are always parallel, so its p and q are NaN rows, with no solve.
+    Every crank angle solves, unless a stick is too short for the floats
+    about its focus (ValueError); at theta = 0 and pi, x is a vertex.
     """
     if side not in ("opposite", "same"):
         raise ValueError(f"side must be 'opposite' or 'same', got {side!r}")
@@ -155,6 +156,9 @@ def three_bar_array(B: BernoulliConfig, theta, side: str = "opposite") -> ThreeB
         first = float(theta.ravel()[bad[0]])
         raise ValueError(f"a stick rounds onto its focus at theta = {first}: foci {B.f1}, {B.f2}")
     x = 0.5 * (a + b)
+    if side == "same":  # the sticks are parallel: p and q do not exist, so nothing is solved for them
+        nan = np.full(theta.shape, np.nan)
+        return ThreeBarState(theta, a, b, x, rows(nan, nan), rows(nan, nan))
     p = line_line_intersection_array(f1, row_unit(a - f1), f2, row_unit(b - f2))
     q = reflect_across_line_array(f1, u, p)
     return ThreeBarState(theta, a, b, x, p, q)

@@ -78,13 +78,15 @@ class Check(NamedTuple):
 
 
 def _worst(*residuals) -> float:
-    """Largest absolute value over the residual arrays (0 when all are empty)."""
-    return max((float(np.max(np.abs(r))) for r in residuals if np.size(r)), default=0.0)
+    """Largest absolute value over the residual arrays and floats: 0 if all are empty, NaN if any holds one."""
+    worst = [abs(r) if isinstance(r, float) else float(np.max(np.abs(r), initial=0.0)) for r in residuals]
+    return math.nan if any(map(math.isnan, worst)) else max(worst, default=0.0)
 
 
 def _off_curve(B: BernoulliConfig, *points) -> float:
     """Largest |field of B's lemniscate| over the rows of the points arrays, over c**4."""
-    return max(_worst(lemniscate_field_array(B.lemniscate, p[..., 0], p[..., 1])) for p in points) / B.half_distance**4
+    fields = [_worst(lemniscate_field_array(B.lemniscate, p[..., 0], p[..., 1])) for p in points]  # one at a time
+    return _worst(*fields) / B.half_distance**4
 
 
 def polar_angles(count: int, margin: float = 0.0) -> np.ndarray:
@@ -118,7 +120,7 @@ def check_threebar(B: BernoulliConfig, states) -> list[Check]:
     # construction, so the testable content is that the bases a->f2
     # and b->f1 are parallel
     trapezoid = _worst(row_cross(row_unit(f2 - states.a), row_unit(f1 - states.b)))
-    lengths = max(
+    lengths = _worst(
         _worst(row_norm(states.a - f1) - c * SQRT2),
         _worst(row_norm(states.b - f2) - c * SQRT2),
         _worst(row_norm(states.a - states.b) - 2.0 * c),
@@ -138,10 +140,10 @@ def check_inversion_pairing(B: BernoulliConfig, states) -> list[Check]:
     keep = ~np.isnan(states.p[:, 0])  # parallel stick lines leave NaN rows, dropped from each residual
     ox = states.x - o
     oq = states.q - o
-    membership = max(_worst(hyperbola_residual_array(H, r)[keep]) for r in (states.p, states.q))
+    membership = _worst(*[_worst(hyperbola_residual_array(H, r)[keep]) for r in (states.p, states.q)])
     pairing = _worst((row_norm(ox) * row_norm(oq) - c2)[keep])
     with np.errstate(invalid="ignore"):  # x can sit on o only in a parallel row: 0/0, then dropped
-        ray = max(
+        ray = _worst(
             _worst(row_cross(row_unit(ox), row_unit(oq))[keep]),
             _worst(np.maximum(0.0, -row_dot(ox, oq))[keep]) / c2,
         )
@@ -177,7 +179,7 @@ def check_maclaurin(B: BernoulliConfig, count: int = 10_000) -> list[Check]:
         Check("maclaurin_field", _off_curve(B, s.x, s.x_prime), 1e-8),
         Check(
             "maclaurin_chord_identity",
-            max(_worst(row_norm(s.x - o) - chord), _worst(row_norm(s.x_prime - o) - chord)) / c,
+            _worst(_worst(row_norm(s.x - o) - chord), _worst(row_norm(s.x_prime - o) - chord)) / c,
             1e-10,
         ),
     ]
@@ -193,13 +195,13 @@ def check_rightangle(B: BernoulliConfig, count: int = 10_000) -> list[Check]:
     right = sticks = 0.0
     for tip in (st.x, st.y):
         stick = row_norm(st.a - tip)
-        right = max(right, _worst(row_norm(tip - o) ** 2 + crank2 - stick**2))
-        sticks = max(sticks, _worst(stick - c * SQRT2))
-    lobe_margin = min(np.min(row_dot(st.x - o, u)), np.min(-row_dot(st.y - o, u)))
+        right = _worst(right, _worst(row_norm(tip - o) ** 2 + crank2 - stick**2))
+        sticks = _worst(sticks, _worst(stick - c * SQRT2))
+    crossing = _worst(_worst(np.maximum(0.0, -row_dot(st.x - o, u))), _worst(np.maximum(0.0, row_dot(st.y - o, u))))
     return [
         Check("rightangle_field", _off_curve(B, st.x, st.y), 1e-8),
-        Check("rightangle_right_angle", max(right / c**2, sticks / c), 1e-10),
-        Check("rightangle_lobe_separation", max(0.0, -float(lobe_margin)) / c, 0.0),
+        Check("rightangle_right_angle", _worst(right / c**2, sticks / c), 1e-10),
+        Check("rightangle_lobe_separation", crossing / c, 0.0),
     ]
 
 
@@ -265,8 +267,13 @@ def _contact_slope(L, center, radius, x, c: float) -> np.ndarray:
 
 def check_lemma1(pair_count: int = 1_000) -> list[Check]:
     rng = random.Random(42)
-    u = np.array([(rng.random(), rng.random(), rng.random(), rng.random(), rng.choice((-1.0, 1.0)), rng.random())
-                  for _ in range(pair_count)]).T
+    draw, bits, u = rng.random, rng.getrandbits, []
+    for _ in range(pair_count):
+        head = (draw(), draw(), draw(), draw())
+        while (k := bits(2)) > 1:  # the sign as choice((-1.0, 1.0)) draws it on CPython 3.10 and 3.11
+            pass
+        u.append((*head, (-1.0, 1.0)[k], draw()))
+    u = np.array(u).T
     # the floats of random.uniform(a, b), a + (b - a) * random(), where b - a is 2, 1.5, pi and 2.9
     cx, cy, radius, ang = -1.0 + 2.0 * u[0], -1.0 + 2.0 * u[1], 0.5 + 1.5 * u[2], 0.0 + math.pi * u[3]
     offset = u[4] * (0.1 + 2.9 * u[5])
@@ -306,7 +313,7 @@ def check_coefficients() -> Check:
         x, y = np.array([(-3.0 + 6.0 * rng.random(), -3.0 + 6.0 * rng.random()) for _ in range(100)]).T
         f = lemniscate_field_array(L, x, y)
         magnitude = (f + L.level) + L.level  # product term plus level, both >= 0
-        worst = max(worst, _worst((table.evaluate_array(x, y) - f) / np.maximum(1.0, magnitude)))
+        worst = _worst(worst, _worst((table.evaluate_array(x, y) - f) / np.maximum(1.0, magnitude)))
     return Check("coefficient_pointwise", worst, 1e-9)
 
 

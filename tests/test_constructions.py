@@ -20,6 +20,7 @@ from lemniscate import (
     tangent_circle_at,
     three_bar_solve,
 )
+from lemniscate import constructions
 from lemniscate.constructions import (
     _row,
     hyperbola_of,
@@ -79,6 +80,32 @@ class TestThreeBar:
         assert st.x.distance_to(O) == pytest.approx(SQRT2, abs=1e-12)
         # parallelogram branch: stick lines parallel, no p
         assert st.p is None and st.q is None
+
+    @pytest.mark.parametrize("c", [1e-3, 1.0, 1e3])
+    def test_same_side_solves_no_intersection(self, monkeypatch, c):
+        # the parallelogram's stick lines are parallel at every angle, so p and q are NaN rows
+        # with nothing solved for them, at any distance of the foci from the origin
+        calls = []
+
+        def recorded(kernel):
+            def call(*args):
+                calls.append(kernel.__name__)
+                return kernel(*args)
+
+            return call
+
+        for kernel in (constructions.line_line_intersection_array, constructions.reflect_across_line_array):
+            monkeypatch.setattr(constructions, kernel.__name__, recorded(kernel))
+        theta = (np.arange(64) + 0.5) * math.tau / 64
+        for shift in (0.0, 1e3, 1e6, 1e9, 1e12):
+            center, half = Point(shift * c, shift * c), Point(0.6 * c, 0.8 * c)  # tilted, half-distance c
+            st = three_bar_array(BernoulliConfig(center - half, center + half), theta, "same")
+            for v in (st.p, st.q):
+                assert v.shape == (64, 2) and np.isnan(v).all()
+                assert v[..., 0].flags.c_contiguous and v[..., 1].flags.c_contiguous
+        assert calls == []
+        three_bar_array(B, theta)
+        assert set(calls) == {"line_line_intersection_array", "reflect_across_line_array"}
 
     def test_stick_lengths_and_midpoint(self):
         for k in range(200):
