@@ -268,12 +268,12 @@ def _contact_slope(L, center, radius, x, c: float) -> np.ndarray:
 def check_lemma1(pair_count: int = 1_000) -> list[Check]:
     rng = random.Random(42)
     draw, bits, u = rng.random, rng.getrandbits, []
-    for _ in range(pair_count):
-        head = (draw(), draw(), draw(), draw())
+    for _ in range(pair_count):  # six draws a pair, in one flat list
+        u += draw(), draw(), draw(), draw()
         while (k := bits(2)) > 1:  # the sign as choice((-1.0, 1.0)) draws it on CPython 3.10 and 3.11
             pass
-        u.append((*head, (-1.0, 1.0)[k], draw()))
-    u = np.array(u).T
+        u += (-1.0, 1.0)[k], draw()
+    u = np.array(u).reshape(-1, 6).T
     # the floats of random.uniform(a, b), a + (b - a) * random(), where b - a is 2, 1.5, pi and 2.9
     cx, cy, radius, ang = -1.0 + 2.0 * u[0], -1.0 + 2.0 * u[1], 0.5 + 1.5 * u[2], 0.0 + math.pi * u[3]
     offset = u[4] * (0.1 + 2.9 * u[5])

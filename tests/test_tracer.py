@@ -266,6 +266,19 @@ class TestRefine:
         with pytest.raises(ValueError, match="overflows a float at an end of segment 5000$"):
             refine(L, a, b)
 
+    @pytest.mark.parametrize("batch", [1, 7, 64])
+    def test_rows_do_not_depend_on_their_batch_or_order(self, monkeypatch, batch):
+        # one trace's crossed edges, shuffled: each row's bracket is its own,
+        # however the rows are batched and compacted around it
+        w = bernoulli_window(B, 128, 1.6 * math.sqrt(2.0), 0.8 * math.sqrt(2.0))
+        xs = np.linspace(w.xmin, w.xmax, w.nx + 1)
+        ys = np.linspace(w.ymin, w.ymax, w.ny + 1)
+        a, b = _edge_ends(w, xs, ys, _crossings(L, w, xs, ys, _band(L, w, xs, ys))[0])
+        expected = refine(L, a, b)
+        shuffle = np.random.default_rng(batch).permutation(len(a))
+        monkeypatch.setattr(tracer, "_BATCH", batch)
+        assert refine(L, a[shuffle], b[shuffle]).tobytes() == expected[shuffle].tobytes()
+
 
 class TestTraceMemory:
     def test_peak_below_100_mb_at_grid_2048(self):
@@ -295,11 +308,13 @@ class TestTraceMemory:
             tracemalloc.stop()
         assert peak < 5.5e6
 
-    @pytest.mark.parametrize("grid, bound", [(2048, 2.0e6), (8192, 7.5e6), (16384, 10.0e6)])
+    @pytest.mark.parametrize("grid, bound", [(2048, 1.5e6), (8192, 7.5e6), (16384, 6.5e6)])
     def test_peak_in_the_default_window(self, grid, bound):
         # the band's signs and segment ends are built _CHUNK blocks at a
-        # time, its tests go coarse to fine and refine brackets 4,096 rows
-        # at a time, so the peak follows the output, 16 bytes a vertex
+        # time, its tests go coarse to fine over 4,096 kept blocks at a time,
+        # and refine brackets 4,096 rows at a time, dropping a step's
+        # temporaries before it compacts its state one array at a time; so
+        # the peak follows the output, 16 bytes a vertex (1.27, 3.38 and 5.32 MB)
         w = bernoulli_window(B, grid, 1.6 * math.sqrt(2.0), 0.8 * math.sqrt(2.0))
         trace(L, bernoulli_window(B, 64, 1.6 * math.sqrt(2.0), 0.8 * math.sqrt(2.0)))
         tracemalloc.start()
@@ -311,8 +326,47 @@ class TestTraceMemory:
             tracemalloc.stop()
         assert peak < bound
 
+    def test_refine_holds_one_copy_of_its_state(self):
+        # a bracket of 4,096 rows drops each step's temporaries before it
+        # compacts its eleven state arrays one at a time: 0.87 MB above its
+        # inputs, against 0.98 MB when the compacted copies are all built first
+        points = np.random.default_rng(29).uniform((-1.6, -0.8), (1.6, 0.8), size=(20_000, 2))
+        inside = lemniscate_field_array(L, *points.T) < 0.0
+        a, b = points[inside][:4096].copy(), points[~inside][:4096].copy()
+        refine(L, a, b)
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            refine(L, a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.92e6
+
 
 class TestBand:
+    @pytest.mark.parametrize("grid", [64, 128, 257, 512])
+    @pytest.mark.parametrize("lem", [L, SEEDED[2]], ids=["bernoulli", "five_foci"])
+    def test_certifying_in_runs_traces_alike(self, monkeypatch, lem, grid):
+        # up to grid 512 the band has two levels; with 5 kept blocks a run it
+        # certifies the second in several runs, and refine brackets 5 rows at a time
+        w = TraceWindow(-2.0, 2.0, -2.0, 2.0, grid, grid)
+        expected = trace(lem, w)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return uncertified(*args)
+
+        uncertified = tracer._uncertified
+        monkeypatch.setattr(tracer, "_uncertified", counting)
+        monkeypatch.setattr(tracer, "_BATCH", 5)
+        got = trace(lem, w)
+        assert len(calls) > 2  # one test of the top block, then more than one run of the level below
+        assert [(c.points.tobytes(), c.closed, c.max_residual) for c in got] == [
+            (c.points.tobytes(), c.closed, c.max_residual) for c in expected
+        ]
+
     @pytest.mark.parametrize(
         "lem, window",
         [
@@ -381,18 +435,26 @@ class TestBand:
     )
     def test_top_blocks_are_the_least_with_at_most_32_a_side(self, monkeypatch, nx, ny, levels):
         # the top blocks have 16, 64, 256 ... cells a side, and each level
-        # down to 4 cells is one block test, so the count of tests gives the top size
-        calls = []
+        # down to 4 cells is tested, so the sizes tested give the top size
+        sizes, runs = [], []
 
-        def counting(*args):
-            calls.append(args)
-            return uncertified(*args)
+        def sizing(v, start, cells, n):
+            sizes.append(cells)
+            return box(v, start, cells, n)
 
-        uncertified = tracer._uncertified
+        def counting(L, x0, x1, y0, y1):
+            runs.append(x0.shape[-1])  # the kept blocks whose sub-blocks this run tests
+            return uncertified(L, x0, x1, y0, y1)
+
+        box, uncertified = tracer._box, tracer._uncertified
+        monkeypatch.setattr(tracer, "_box", sizing)
         monkeypatch.setattr(tracer, "_uncertified", counting)
         w = TraceWindow(-1.6, 1.6, -0.8, 0.8, nx, ny)
         list(_band(L, w, np.linspace(w.xmin, w.xmax, nx + 1), np.linspace(w.ymin, w.ymax, ny + 1)))
-        assert len(calls) == levels
+        assert sorted(set(sizes)) == [4 * 4**k for k in range(levels)]
+        # a level tests at most _BATCH kept blocks a run; in this window that is one run a level up to 2049 a side
+        assert max(runs) <= tracer._BATCH
+        assert len(runs) == levels or max(nx, ny) > 2049
 
     def test_small_circle_inside_one_block(self):
         # a curve smaller than a block, away from every node, is still found
