@@ -32,7 +32,7 @@ from .curves import (
 )
 from .errors import UndefinedCenter, UnknownPreset
 from .geometry import SQRT2, Point, midpoint
-from .tracer import TraceWindow, bernoulli_window, trace
+from .tracer import TraceWindow, bernoulli_window, trace, trace_levels
 
 
 class Style(NamedTuple):
@@ -125,16 +125,16 @@ def _stroke(w: TraceWindow) -> float:
     return 0.006 * (w.xmax - w.xmin)
 
 
-def _add_lemniscate(scene: Scene, L: PolynomialLemniscate, width: float = 1.0) -> None:
+def _add_contours(scene: Scene, contours, width: float = 1.0) -> None:
     sw = width * _stroke(scene.viewbox)
-    for contour in trace(L, scene.viewbox):
+    for contour in contours:
         scene.add(PolylineElement(contour.points, contour.closed, Style(stroke_width=sw)))
 
 
 def curve_scene(L: PolynomialLemniscate, w: TraceWindow) -> Scene:
     """The traced curve alone, over the view window w."""
     scene = Scene(w)
-    _add_lemniscate(scene, L)
+    _add_contours(scene, trace(L, w))
     return scene
 
 
@@ -184,8 +184,8 @@ def _scene_family3(grid):
     w = TraceWindow(-half, half, -half, half, grid, grid)
     scene = Scene(w)
     ratio = (1.4 / 0.7) ** (1.0 / 8.0)
-    for k in range(9):
-        _add_lemniscate(scene, PolynomialLemniscate(foci, circumradius * 0.7 * ratio**k), 0.7)
+    for contours in trace_levels([PolynomialLemniscate(foci, circumradius * 0.7 * ratio**k) for k in range(9)], w):
+        _add_contours(scene, contours, 0.7)
     _markers(scene, "F1 F2 F3", *foci)
     return scene
 

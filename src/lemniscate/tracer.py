@@ -37,20 +37,27 @@ crossed edges (refine): regula falsi with the Illinois modification,
 started from the edge's end values, so a vertex never leaves its edge
 and no point, singular ones included, can make it fail. It stops at a
 scale-free residual, so the curve is traced alike at any similarity
-placement of the foci. Snapping then runs once per trace, over every
+placement of the foci. Snapping then runs once per level, over every
 crossing at once: each one within a cell diagonal of a singular point
 becomes the first such point. A closed chain that meets singular points
 twice or more is split at the vertices whose coordinates equal one.
 
+Curves about one set of foci are traced in one pass (trace_levels): one
+band and one sort for every level, each level's edge ids after the last
+one's, then refine over as many whole levels as 4,096 rows hold.
+
 No stage holds more than one batch of working arrays, so a trace of the
-Bernoulli curve in the CLI's default window peaks at 1.27, 5.32 and
-10.7 MB (tracemalloc) at grids 2048, 16384 and 32768.
+Bernoulli curve in the CLI's default window peaks at 0.87, 1.26, 5.32
+and 10.7 MB (tracemalloc) at grids 1024, 2048, 16384 and 32768, and
+family3's nine levels at grid 512 at 1.22 MB.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -183,6 +190,7 @@ def refine(L: PolynomialLemniscate, a, b) -> np.ndarray:
     strictly between the points of its bracket's ends, or after 64
     steps. Every iterate lies on its segment, so nothing can fail. The
     bracket runs on _BATCH rows at a time, after every row's ends pass.
+    L may also hold one level per row (see trace_levels).
     """
     a = np.asarray(a, dtype=float).reshape(-1, 2)
     b = np.asarray(b, dtype=float).reshape(-1, 2)
@@ -195,7 +203,7 @@ def refine(L: PolynomialLemniscate, a, b) -> np.ndarray:
     same = np.flatnonzero((fa < 0.0) == (fb < 0.0))
     if same.size:
         raise ValueError(f"the ends of segment {same[0]} do not straddle the curve")
-    out = np.empty_like(a)
+    out, per_row = np.empty_like(a), isinstance(L.level, np.ndarray)
     for run in range(0, len(a), _BATCH):
         rows = np.arange(run, min(run + _BATCH, len(a)))
         ax, ay, flo, fhi = a[rows, 0], a[rows, 1], fa[rows], fb[rows]
@@ -204,7 +212,8 @@ def refine(L: PolynomialLemniscate, a, b) -> np.ndarray:
         for step in range(_MAX_STEPS):
             t = np.minimum(np.maximum(lo + (hi - lo) * (flo / (flo - fhi)), lo), hi)
             x, y = ax + t * dx, ay + t * dy
-            f = lemniscate_field_array(L, x, y)
+            P = _levels(L, rows) if per_row else L
+            f = lemniscate_field_array(P, x, y)
             low = (f < 0.0) == neg  # the step replaces the lo end
             if step:
                 # Illinois: an end that stays a second time running has its value halved
@@ -217,11 +226,11 @@ def refine(L: PolynomialLemniscate, a, b) -> np.ndarray:
             # float strictly between them no later step can meet the target
             kept = np.where(low, hi, lo)
             u, v = ax + kept * dx, ay + kept * dy
-            go = ~(field_residual(L, f) <= _REFINE_TOL) & ((np.nextafter(x, u) != u) | (np.nextafter(y, v) != v))
+            go = ~(field_residual(P, f) <= _REFINE_TOL) & ((np.nextafter(x, u) != u) | (np.nextafter(y, v) != v))
             if not go.all() or step + 1 == _MAX_STEPS:  # a row stops; the others are written again later
                 out[rows, 0], out[rows, 1] = x, y
                 state = [rows, ax, ay, dx, dy, lo, hi, flo, fhi, neg, was_low]
-                del t, x, y, f, kept, u, v, rows, ax, ay, dx, dy, lo, hi, flo, fhi, neg, was_low  # state alone holds them
+                del t, x, y, f, kept, u, v, P, rows, ax, ay, dx, dy, lo, hi, flo, fhi, neg, was_low  # state holds them
                 for k in range(len(state)):  # compacted in turn, so at most one array is held twice
                     state[k] = state[k][go]
                 rows, ax, ay, dx, dy, lo, hi, flo, fhi, neg, was_low = state
@@ -291,31 +300,40 @@ def _band(L, w, xs, ys):
     one kept, _BATCH kept ones at a time, down to _SUB cells. Yields, per
     run, each kept block's node indices along x and y as columns
     (_SUB + 1, k) clamped at the window edge, and its nodes' signs (1 if
-    negative) as int8 (_SUB + 1, _SUB + 1, k).
+    negative) as int8 (_SUB + 1, _SUB + 1, k); where L.level is an array,
+    a family's, its blocks' level indices (k,) too.
     """
     size = next(_SUB * 4**k for k in range(1, 32) if 32 * _SUB * 4**k >= max(w.nx, w.ny))
-    # the kept blocks' origins, first one untested block that spans the window
-    ox, oy, span = np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp), 32 * size
+    # the kept blocks' origins and a family's level indices, first one untested block a level spanning the window
+    n = len(L.level) if isinstance(L.level, np.ndarray) else 0
+    blocks = [np.zeros(max(n, 1), dtype=np.intp)] * 2 + ([np.arange(n)] if n else [])
+    span = 32 * size
     while size >= _SUB:
-        kept = [(ox[:0], oy[:0])]  # no origins, for a level with no kept block
-        for run in range(0, len(ox), _BATCH):
+        kept = [[v[:0] for v in blocks]]  # no blocks, for a size with no kept block
+        for run in range(0, len(blocks[0]), _BATCH):
+            ox, oy, *lv = [v[run : run + _BATCH] for v in blocks]
             # the blocks of size cells that start in the window in each of _BATCH kept ones, block axis last
-            sx = ox[run : run + _BATCH] + np.arange(0, min(span, w.nx), size)[:, None]
-            sy = oy[run : run + _BATCH] + np.arange(0, min(span, w.ny), size)[:, None]
-            maybe = _uncertified(L, *_box(xs, sx[:, None], size, w.nx), *_box(ys, sy[None], size, w.ny))
+            sx = ox + np.arange(0, min(span, w.nx), size)[:, None]
+            sy = oy + np.arange(0, min(span, w.ny), size)[:, None]
+            maybe = _uncertified(_levels(L, *lv), *_box(xs, sx[:, None], size, w.nx), *_box(ys, sy[None], size, w.ny))
             a, b, k = np.nonzero((sx[:, None] < w.nx) & (sy[None] < w.ny) & maybe)
-            kept.append((sx[a, k], sy[b, k]))
-        (ox, oy), span, size = map(np.concatenate, zip(*kept)), size, size // 4
-    del kept, sx, sy, maybe, a, b, k  # not held through the runs
+            kept.append([sx[a, k], sy[b, k], *(v[k] for v in lv)])
+        blocks, span, size = list(map(np.concatenate, zip(*kept))), size, size // 4
+    del kept, ox, oy, lv, sx, sy, maybe, a, b, k  # not held through the runs
     nodes = np.arange(_SUB + 1)[:, None]
-    for run in range(0, len(ox), _CHUNK):
-        at = slice(run, run + _CHUNK)
-        ci, cj = np.minimum(ox[at] + nodes, w.nx), np.minimum(oy[at] + nodes, w.ny)
-        f = lemniscate_field_array(L, xs[ci][:, None], ys[cj][None])
+    for run in range(0, len(blocks[0]), _CHUNK):
+        ox, oy, *lv = [v[run : run + _CHUNK] for v in blocks]
+        ci, cj = np.minimum(ox + nodes, w.nx), np.minimum(oy + nodes, w.ny)
+        f = lemniscate_field_array(_levels(L, *lv), xs[ci][:, None], ys[cj][None])
         if np.isnan(f).any():  # a float cannot tell the side of the true, finite product
             raise ValueError(f"the field is 0 * inf at a grid node: foci {', '.join(map(str, L.foci))}")
-        yield ci, cj, (f < 0.0).view(np.int8)
+        yield ci, cj, (f < 0.0).view(np.int8), *lv
         del f  # not held while the next run is evaluated
+
+
+def _levels(L, lv=None):
+    """L, or its foci at the levels of its array that lv indexes, which the field takes as it takes a curve."""
+    return L if lv is None else SimpleNamespace(foci=L.foci, level=L.level[lv])
 
 
 def _box(v, start, cells, n):
@@ -354,7 +372,7 @@ def _crossings(L, w, xs, ys, band):
     # edge k of the cell at node (i, j) has id i * step[k] + j + base[k]
     step = np.array((w.ny + 1, w.ny + 1, w.ny, w.ny))
     base = np.array((0, 1, w.nx * (w.ny + 1), w.nx * (w.ny + 1) + w.ny))
-    for ci, cj, neg in band:
+    for ci, cj, neg, *lv in band:
         case = neg[:-1, :-1] + 2 * neg[1:, :-1] + 4 * neg[1:, 1:] + 8 * neg[:-1, 1:]
         # clamping repeats the last node of a short block: those cells are not cells
         real = (ci[:-1, None] < w.nx) & (cj[None, :-1] < w.ny)
@@ -363,10 +381,14 @@ def _crossings(L, w, xs, ys, band):
         i, j, case = ci[ab // _SUB, k], cj[ab % _SUB, k], case.ravel()[cells]
         # a saddle cell's segments follow the sign at its centre
         inside = (case == 5) | (case == 10)
-        inside[inside] = lemniscate_field_array(L, xs[i[inside]] + 0.5 * w.dx, ys[j[inside]] + 0.5 * w.dy) < 0.0
+        P = _levels(L, *(v[k[inside]] for v in lv))
+        inside[inside] = lemniscate_field_array(P, xs[i[inside]] + 0.5 * w.dx, ys[j[inside]] + 0.5 * w.dy) < 0.0
         seg = _SEGMENTS[case, inside.view(np.int8)]  # -1 picks a row that the mask drops
         edges = i[:, None, None] * step[seg] + j[:, None, None] + base[seg]
+        for v in lv:  # a family's ids are level-major: level l's follow the (nx + 1) ny + nx (ny + 1) ids a level
+            edges += (v[k] * (base[2] + (w.nx + 1) * w.ny))[:, None, None]
         ends.append(edges[seg[:, :, 0] >= 0])
+        del case, real, cells, ab, k, i, j, inside, P, seg, edges, lv  # not held while the band evaluates the next run
     ends = np.concatenate(ends)
     order = np.argsort(ends, axis=None)
     ids = ends.ravel()[order]
@@ -432,20 +454,65 @@ def trace(L: PolynomialLemniscate, w: TraceWindow) -> list[Contour]:
     collapses onto a point, and ValueError when the field overflows a
     float at an end of a crossed edge or is 0 * inf at a grid node.
     """
-    xs = np.linspace(w.xmin, w.xmax, w.nx + 1)
-    ys = np.linspace(w.ymin, w.ymax, w.ny + 1)
-    with np.errstate(over="ignore", invalid="ignore"):  # +inf is the right sign, outside; NaN is refused
-        ids, nxt = _crossings(L, w, xs, ys, _band(L, w, xs, ys))
-    if not ids.size:
-        raise EmptyTrace("no sign change in the window")
+    return trace_levels([L], w)[0]
 
-    # one bracket places every crossing, then each crossing within a cell
-    # diagonal of a singular point snaps onto the first one within reach
+
+def trace_levels(curves, w: TraceWindow) -> list[list[Contour]]:
+    """What trace gives for each of curves that share their foci, in one pass.
+
+    The band and the crossings run once over every level, each level's edge
+    ids after the last one's; refine then runs over as many whole levels as
+    _BATCH rows hold, or one. The contours, and a refusal, are those of
+    tracing the curves one by one, in order. ValueError names the first
+    curve whose foci are not the first one's.
+    """
+    curves = list(curves)
+    for k, L in enumerate(curves):
+        if L.foci != curves[0].foci:
+            raise ValueError(f"curve {k + 1} has foci {', '.join(map(str, L.foci))}, not those of curve 1")
+    if not curves:
+        return []
     try:
-        coords = refine(L, *_edge_ends(w, xs, ys, ids))
-    except ValueError:  # the band's signs put each edge across the curve, so an end's field overflows
-        foci = ", ".join(map(str, L.foci))
-        raise ValueError(f"the field overflows a float next to the curve: foci {foci}, radius {L.radius!r}") from None
+        F = SimpleNamespace(foci=curves[0].foci, level=np.array([c.level for c in curves])) if curves[1:] else curves[0]
+        xs, ys = np.linspace(w.xmin, w.xmax, w.nx + 1), np.linspace(w.ymin, w.ymax, w.ny + 1)
+        with np.errstate(over="ignore", invalid="ignore"):  # +inf is the right sign, outside; NaN is refused
+            ids, nxt = _crossings(F, w, xs, ys, _band(F, w, xs, ys))
+        grid = w.nx * (w.ny + 1) + (w.nx + 1) * w.ny  # edge ids a level (see _crossings)
+        # level k's rows are bounds[k]:bounds[k + 1]
+        bounds = np.searchsorted(ids, grid * np.arange(len(curves) + 1)).tolist() if len(curves) > 1 else [0, len(ids)]
+        out, first = [], 0
+        while first < len(curves):  # as many whole levels as _BATCH rows hold, or one
+            last = max(first + 1, bisect.bisect(bounds, bounds[first] + _BATCH) - 1)
+            L, edges = curves[first], ids[bounds[first] : bounds[last]]  # shifted in place to one level's ids
+            if last > first + 1:  # a level per row
+                counts = np.diff(bounds[first : last + 1])
+                L = SimpleNamespace(foci=F.foci, level=np.repeat(F.level[first:last], counts))
+                edges -= np.repeat(np.arange(first, last) * grid, counts)
+            elif first:  # level 0 alone shifts nothing
+                edges -= first * grid
+            try:
+                coords = refine(L, *_edge_ends(w, xs, ys, edges))
+            except ValueError:  # the band's signs put each edge across the curve, so an end's field overflows
+                foci, r = ", ".join(map(str, F.foci)), curves[first].radius
+                raise ValueError(f"the field overflows a float next to the curve: foci {foci}, radius {r!r}") from None
+            for k in range(first, last):  # each level's rows in the run's
+                at = slice(bounds[k] - bounds[first], bounds[k + 1] - bounds[first])
+                out.append(_contours(curves[k], w, coords[at], nxt[bounds[k] : bounds[k + 1]], bounds[k]))
+            first, coords = last, None  # not held through the next run
+        return out
+    except (EmptyTrace, ValueError):
+        if len(curves) == 1:
+            raise
+    return [trace(L, w) for L in curves]  # a family refuses as its first curve that refuses alone
+
+
+def _contours(L, w, coords, nxt, first):
+    """L's contours from the coordinates of its crossings and their successors nxt, rows from first on."""
+    if not len(nxt):
+        raise EmptyTrace("no sign change in the window")
+    if first:
+        nxt = np.where(nxt < 0, -1, nxt - first)
+    # each crossing within a cell diagonal of a singular point snaps onto the first one within reach
     singular = _singular_points(L).tolist()
     if singular:
         x, y = coords.T.copy()  # each snap is decided on the refined coordinates,

@@ -43,6 +43,7 @@ from lemniscate.tracer import (
     _leftmost_lowest,
     _signed_area,
     bernoulli_window,
+    trace_levels,
 )
 
 B = BernoulliConfig(Point(-1.0, 0.0), Point(1.0, 0.0))
@@ -65,6 +66,13 @@ def equilateral_foci():
         Point(r * math.cos(a), r * math.sin(a))
         for a in (math.pi / 2, math.pi / 2 + 2 * math.pi / 3, math.pi / 2 + 4 * math.pi / 3)
     )
+
+
+def family3(grid):
+    """The family3 figure's nine curves and its window at grid."""
+    ratio = (1.4 / 0.7) ** (1.0 / 8.0)
+    curves = [PolynomialLemniscate(equilateral_foci(), 1.0 / math.sqrt(3.0) * 0.7 * ratio**k) for k in range(9)]
+    return curves, TraceWindow(-1.15, 1.15, -1.15, 1.15, grid, grid)
 
 
 def reference_bracket(L, a, b):
@@ -308,13 +316,15 @@ class TestTraceMemory:
             tracemalloc.stop()
         assert peak < 5.5e6
 
-    @pytest.mark.parametrize("grid, bound", [(2048, 1.5e6), (8192, 7.5e6), (16384, 6.5e6)])
+    @pytest.mark.parametrize("grid, bound", [(1024, 0.95e6), (2048, 1.5e6), (8192, 7.5e6), (16384, 6.5e6)])
     def test_peak_in_the_default_window(self, grid, bound):
         # the band's signs and segment ends are built _CHUNK blocks at a
-        # time, its tests go coarse to fine over 4,096 kept blocks at a time,
-        # and refine brackets 4,096 rows at a time, dropping a step's
+        # time, and a run's cell arrays are dropped before the next is
+        # evaluated; its tests go coarse to fine over 4,096 kept blocks at a
+        # time, and refine brackets 4,096 rows at a time, dropping a step's
         # temporaries before it compacts its state one array at a time; so
-        # the peak follows the output, 16 bytes a vertex (1.27, 3.38 and 5.32 MB)
+        # the peak follows the output, 16 bytes a vertex (0.87, 1.26, 3.38
+        # and 5.32 MB; 1.08 MB at 1024 while a run's cell arrays lived on)
         w = bernoulli_window(B, grid, 1.6 * math.sqrt(2.0), 0.8 * math.sqrt(2.0))
         trace(L, bernoulli_window(B, 64, 1.6 * math.sqrt(2.0), 0.8 * math.sqrt(2.0)))
         tracemalloc.start()
@@ -325,6 +335,21 @@ class TestTraceMemory:
         finally:
             tracemalloc.stop()
         assert peak < bound
+
+    def test_nine_levels_in_one_pass(self):
+        # family3's nine levels share one band (1.12 MB) and refine whole
+        # levels, 4,096 rows at most, at a time: 1.22 MB, against 1.70 MB
+        # when all nine levels go to refine as one call
+        curves, w = family3(512)
+        trace_levels(curves, w)
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            trace_levels(curves, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3e6
 
     def test_refine_holds_one_copy_of_its_state(self):
         # a bracket of 4,096 rows drops each step's temporaries before it
@@ -985,6 +1010,89 @@ class TestTraceErrors:
         foci = "Point(x=-1.0, y=1e+300), Point(x=0.0, y=1e+300)"
         with pytest.raises(ValueError, match=f"^the view about foci {re.escape(foci)}: window "):
             bernoulli_window(B, 32, 1.6 * math.sqrt(2.0), 0.8 * math.sqrt(2.0))
+
+
+def one_by_one(trace_all, curves, w):
+    """What trace_all gives for curves in w, each contour as its points' bytes, closed and
+    max_residual; or the type and message of its refusal."""
+    try:
+        return [[(c.points.tobytes(), c.closed, c.max_residual) for c in level] for level in trace_all(curves, w)]
+    except (EmptyTrace, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def trace_each(curves, w):
+    return [trace(L, w) for L in curves]
+
+
+def seeded_family(seed):
+    """2 to 6 random foci in [-1, 1]^2 and 2 to 12 radii about one another; with two foci,
+    the Bernoulli curve's radius lies between two of them."""
+    rng = random.Random(seed)
+    foci = tuple(Point(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(rng.randint(2, 6)))
+    scale = BernoulliConfig(*foci).half_distance if len(foci) == 2 else rng.uniform(0.6, 1.0)
+    radii = sorted(scale * rng.uniform(0.7, 1.4) for _ in range(rng.randint(2, 12 - (len(foci) == 2))))
+    if len(foci) == 2:
+        radii.insert(rng.randint(1, len(radii) - 1), scale)
+    return [PolynomialLemniscate(foci, r) for r in radii]
+
+
+class TestTraceLevels:
+    @pytest.mark.parametrize("grid", [8, 33, 64, 512, 1024])
+    def test_family3_traces_as_its_curves_one_by_one(self, grid, monkeypatch):
+        curves, w = family3(grid)
+        want, runs = one_by_one(trace_each, curves, w), []
+        monkeypatch.setattr(tracer, "refine", lambda L, a, b: runs.append(len(a)) or refine(L, a, b))
+        assert one_by_one(trace_levels, curves, w) == want
+        # whole levels, as many as a batch holds, go to refine as one run
+        assert len(runs) < len(curves) and max(runs) <= tracer._BATCH
+
+    @pytest.mark.parametrize("batch", [None, 5, 64])
+    def test_seeded_families_trace_as_their_curves_one_by_one(self, batch, monkeypatch):
+        if batch:
+            monkeypatch.setattr(tracer, "_BATCH", batch)
+        w = TraceWindow(-2.0, 2.0, -1.5, 1.5, 40, 32)
+        for seed in (0, 2, 4, 7, 9, 17, 19, 36):  # 2 to 6 foci, 2 to 12 radii, and two families of 2 foci
+            curves = seeded_family(seed)
+            got = one_by_one(trace_levels, curves, w)
+            assert isinstance(got, list) and got == one_by_one(trace_each, curves, w), seed
+
+    @pytest.mark.parametrize("grid", [64, 65])
+    def test_the_bernoulli_level_splits_alone(self, grid):
+        # the double point's level splits into two lobes, snapped at the
+        # midpoint; its neighbours, a hair off that level, are traced as
+        # alone. At grid 65 the double point is the centre of a saddle cell,
+        # whose segments follow the sign there at each level's own value
+        B = BernoulliConfig(Point(-0.3, 0.2), Point(0.9, -0.4))
+        curves = [PolynomialLemniscate((B.f1, B.f2), B.half_distance * s) for s in (1.001, 1.0, 0.999, 1.001)]
+        w = bernoulli_window(B, grid, 1.6 * B.half_distance * math.sqrt(2.0), 0.8 * B.half_distance * math.sqrt(2.0))
+        assert [len(level) for level in trace_levels(curves, w)] == [1, 2, 2, 1]
+        assert one_by_one(trace_levels, curves, w) == one_by_one(trace_each, curves, w)
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+    def test_a_family_refuses_as_its_first_curve_that_refuses_alone(self, order):
+        # radius 1 traces; 1e-8 gives ovals about foci on grid nodes that
+        # collapse onto them; 5 gives a curve outside the window
+        foci = (Point(0.0, 0.0), Point(1.0, 0.0))
+        curves = [PolynomialLemniscate(foci, (1.0, 1e-8, 5.0)[k]) for k in order]
+        w = TraceWindow(-1.0, 3.0, -2.0, 2.0, 64, 64)
+        got = one_by_one(trace_levels, curves, w)
+        assert got == one_by_one(trace_each, curves, w)
+        refusal = {1: "every traced chain collapses", 2: "no sign change"}[next(k for k in order if k)]
+        assert got[0] is EmptyTrace and got[1].startswith(refusal)
+
+    @pytest.mark.parametrize("radii", [(1e75, 1e74), (1e74, 1e75)])
+    def test_an_overflow_names_the_first_curve_whose_field_overflows(self, radii):
+        curves = [PolynomialLemniscate((Point(0.0, 0.0), Point(1e150, 0.0)), r) for r in radii]
+        w = TraceWindow(-2e75, 2e75, -2e75, 2e75, 64, 64)
+        got = one_by_one(trace_levels, curves, w)
+        assert got == one_by_one(trace_each, curves, w)
+        assert got[0] is ValueError and got[1].endswith(f"radius {radii[0]!r}")
+
+    def test_foci_must_be_shared(self):
+        other = PolynomialLemniscate((Point(-1.0, 0.0), Point(1.0, 1e-9)), 1.0)
+        with pytest.raises(ValueError, match=r"^curve 3 has foci Point\(x=-1.0, y=0.0\), Point\(x=1.0, y=1e-09\), "):
+            trace_levels([L, L, other], TraceWindow(-2, 2, -1, 1, 16, 16))
 
 
 class TestContourArea:
