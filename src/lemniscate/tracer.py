@@ -25,7 +25,7 @@ smaller than a block. The field's signs at the kept 4-cell blocks' nodes
 are computed per chunk of 1,024 blocks, with the full grid's element-wise
 arithmetic, so every sign, crossing and contour is what the full grid gives.
 
-Crossed edges carry integer ids in the full grid's order; one sort of
+Crossed edges carry integer ids in the full grid's order; np.unique over
 the segment ends ranks them and links each crossing to its successor.
 Only the walk along successors, the loop over chains and their pieces,
 and the walk past a dropped near-duplicate vertex stay sequential; they
@@ -47,8 +47,8 @@ band and one sort for every level, each level's edge ids after the last
 one's, then refine over as many whole levels as 4,096 rows hold.
 
 No stage holds more than one batch of working arrays, so a trace of the
-Bernoulli curve in the CLI's default window peaks at 0.87, 1.26, 5.32
-and 10.7 MB (tracemalloc) at grids 1024, 2048, 16384 and 32768, and
+Bernoulli curve in the CLI's default window peaks at 0.87, 1.25, 5.52
+and 11.0 MB (tracemalloc) at grids 1024, 2048, 16384 and 32768, and
 family3's nine levels at grid 512 at 1.22 MB.
 """
 
@@ -115,6 +115,8 @@ class TraceWindow:
     ny: int
 
     def __post_init__(self):
+        if not all(isinstance(n, (int, np.integer)) for n in (self.nx, self.ny)):
+            raise ValueError(f"window cell counts must be integers, got nx={self.nx!r}, ny={self.ny!r}")
         if self.nx < 8 or self.ny < 8:
             raise ValueError("window needs at least 8 cells per axis")
         # a normal float is positive and finite, so this refuses empty, reversed, infinite and NaN bounds
@@ -192,8 +194,9 @@ def refine(L: PolynomialLemniscate, a, b) -> np.ndarray:
     bracket runs on _BATCH rows at a time, after every row's ends pass.
     L may also hold one level per row (see trace_levels).
     """
-    a = np.asarray(a, dtype=float).reshape(-1, 2)
-    b = np.asarray(b, dtype=float).reshape(-1, 2)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape[1:] != (2,) or a.shape != b.shape:
+        raise ValueError(f"segment ends must be (M, 2) rows of one M, got shapes {a.shape} and {b.shape}")
     with np.errstate(over="ignore"):  # refused below
         fa = lemniscate_field_array(L, a[:, 0], a[:, 1])
         fb = lemniscate_field_array(L, b[:, 0], b[:, 1])
@@ -347,8 +350,7 @@ def _edge_ends(w, xs, ys, ids):
     two arrays of rows (M, 2)."""
     along_y = ids >= w.nx * (w.ny + 1)
     k = ids - along_y * (w.nx * (w.ny + 1))
-    i = np.where(along_y, k // w.ny, k // (w.ny + 1))
-    j = np.where(along_y, k % w.ny, k % (w.ny + 1))
+    i, j = np.divmod(k, np.where(along_y, w.ny, w.ny + 1))
     a = np.stack((xs[i], ys[j]), axis=-1)
     b = np.stack((xs[i + ~along_y], ys[j + along_y]), axis=-1)
     return a, b
@@ -366,8 +368,8 @@ def _crossings(L, w, xs, ys, band):
     cell end on each of its crossed edges, so the segment ends are the
     crossed edges. Every segment has the field negative on its left, so
     each crossed edge starts at most one segment and ends at most one:
-    the ends are found run by run of the band, then one sort of them all
-    ranks them, a run of equal ids being one crossing."""
+    the ends are found run by run of the band, then np.unique ranks them
+    all, equal ids being one crossing."""
     ends = [np.empty((0, 2), dtype=np.intp)]
     # edge k of the cell at node (i, j) has id i * step[k] + j + base[k]
     step = np.array((w.ny + 1, w.ny + 1, w.ny, w.ny))
@@ -389,14 +391,8 @@ def _crossings(L, w, xs, ys, band):
             edges += (v[k] * (base[2] + (w.nx + 1) * w.ny))[:, None, None]
         ends.append(edges[seg[:, :, 0] >= 0])
         del case, real, cells, ab, k, i, j, inside, P, seg, edges, lv  # not held while the band evaluates the next run
-    ends = np.concatenate(ends)
-    order = np.argsort(ends, axis=None)
-    ids = ends.ravel()[order]
-    del ends  # the unsorted ends are not held through the ranking
-    first = np.diff(ids, prepend=-1) != 0
-    rank = np.empty_like(order)
-    rank[order] = np.cumsum(first) - 1
-    ids = ids[first]
+    ends = np.concatenate(ends, axis=None)  # the per-run list is not held through the ranking
+    ids, rank = np.unique(ends, return_inverse=True)
     nxt = np.full(len(ids), -1, dtype=np.intp)
     nxt[rank[0::2]] = rank[1::2]
     return ids, nxt

@@ -219,11 +219,10 @@ def check_tangent_circle(B: BernoulliConfig, count: int = 1_000) -> list[Check]:
     o = xy(B.center)
     c = B.half_distance
     # pad the grid so at least `count` states survive after skipping the crank angles within
-    # 5e-2 of a multiple of pi/4, where the stick lines are parallel or x hits o; near those
-    # angles the tangent circle degenerates (radius to infinity)
+    # 5e-2 of a multiple of pi/4, where the stick lines are parallel (the only NaN p) or x
+    # hits o; near those angles the tangent circle degenerates (radius to infinity)
     t = sweep_angles(count + count // 4)
     states = three_bar_array(B, t[np.abs(t - math.pi / 4 * np.round(t / (math.pi / 4))) >= 5e-2])
-    states = states.select(~np.isnan(states.p[:, 0]))
     center, radius = tangent_circle_array(states)
     radial = row_unit(states.x - center)
     grad = row_unit(lemniscate_gradient_array(L, states.x[:, 0], states.x[:, 1]))

@@ -87,6 +87,11 @@ class TestFigureScene:
         with pytest.raises(ValueError, match=f"--{angle} does not apply"):
             figure_scene(preset, B, grid=32, **{angle: 0.3})
 
+    @pytest.mark.parametrize("preset", ["lemniscate", "family3"])
+    def test_grid_must_be_an_integer(self, preset):
+        with pytest.raises(ValueError, match=r"window cell counts must be integers, got nx=16\.0, ny=16\.0$"):
+            figure_scene(preset, B, grid=16.0)
+
     def test_parameter_changes_scene(self):
         a = emit_svg(figure_scene("threebar", B, theta=1.0, grid=64))
         b = emit_svg(figure_scene("threebar", B, theta=1.2, grid=64))

@@ -256,6 +256,21 @@ class TestRefine:
         with pytest.raises(ValueError, match="overflows a float at an end of segment 1$"):
             refine(L, [(1.40, 0.01), (1.40, 0.01)], [(1.44, 0.01), (1e100, 0.0)])
 
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (np.ones((2, 3)), np.ones((2, 3))),
+            ([(1.40, 0.01)], [(1.44, 0.01), (1.44, 0.02)]),
+            ((1.40, 0.01), (1.44, 0.01)),
+        ],
+        ids=["coordinate-major", "row-counts-differ", "one-dimensional"],
+    )
+    def test_ends_must_be_rows_of_one_length(self, a, b):
+        # a (2, 3) array is three points stored coordinate-major, and reshaped it would be three others
+        shapes = f"got shapes {np.shape(a)} and {np.shape(b)}"
+        with pytest.raises(ValueError, match=f"^segment ends must be \\(M, 2\\) rows of one M, {re.escape(shapes)}$"):
+            refine(L, a, b)
+
     def test_batches_match_calls_of_1000_rows(self):
         # 10,000 segments from a seeded point inside the curve to one outside, every
         # other one reversed: the bracket runs on them in batches of at most 4,096
@@ -323,8 +338,8 @@ class TestTraceMemory:
         # evaluated; its tests go coarse to fine over 4,096 kept blocks at a
         # time, and refine brackets 4,096 rows at a time, dropping a step's
         # temporaries before it compacts its state one array at a time; so
-        # the peak follows the output, 16 bytes a vertex (0.87, 1.26, 3.38
-        # and 5.32 MB; 1.08 MB at 1024 while a run's cell arrays lived on)
+        # the peak follows the output, 16 bytes a vertex (0.87, 1.25, 3.38
+        # and 5.52 MB; at 16384 np.unique's ranking of the segment ends sets it)
         w = bernoulli_window(B, grid, 1.6 * math.sqrt(2.0), 0.8 * math.sqrt(2.0))
         trace(L, bernoulli_window(B, 64, 1.6 * math.sqrt(2.0), 0.8 * math.sqrt(2.0)))
         tracemalloc.start()
@@ -993,6 +1008,19 @@ class TestTraceErrors:
             TraceWindow(1, -1, 0, 1, 16, 16)
         with pytest.raises(ValueError):
             TraceWindow(-1, 1, -1, 1, 4, 16)
+
+    @pytest.mark.parametrize("nx, ny", [(8.5, 8), (16.0, 16), (16, np.float64(16.0))])
+    def test_cell_counts_must_be_integers(self, nx, ny):
+        # np.linspace would refuse them inside trace with a bare TypeError
+        with pytest.raises(ValueError, match=f"^window cell counts must be integers, got nx={re.escape(repr(nx))}, "):
+            TraceWindow(-2, 2, -1, 1, nx, ny)
+
+    def test_numpy_integer_cell_counts(self):
+        got = trace(L, TraceWindow(-1.6, 1.6, -0.8, 0.8, np.int64(64), np.int32(48)))
+        expected = trace(L, TraceWindow(-1.6, 1.6, -0.8, 0.8, 64, 48))
+        assert [c.points.tobytes() for c in got] == [c.points.tobytes() for c in expected]
+        with pytest.raises(ValueError, match="^window needs at least 8 cells per axis$"):
+            TraceWindow(-2, 2, -1, 1, np.int64(4), 16)
 
     @pytest.mark.parametrize(
         "bounds",

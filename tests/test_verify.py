@@ -23,6 +23,7 @@ from lemniscate.verify import (
     check_lemma1,
     check_maclaurin,
     check_rightangle,
+    check_tangent_circle,
     format_report,
     run_verification,
     threebar_states,
@@ -118,6 +119,28 @@ def test_inversion_pairing_drops_parallel_rows(B):
         got = check_inversion_pairing(B, states)
     assert got == check_inversion_pairing(B, states.select(~parallel))
     assert all(c.passed for c in got)
+
+
+def test_tangent_circle_sweep_skips_every_parallel_row(monkeypatch):
+    # check_tangent_circle reads every state it solves: the crank angles it skips, within
+    # 5e-2 of a multiple of pi/4, hold every angle where the stick lines are parallel (p NaN)
+    class Swept(Exception):
+        pass
+
+    def stop(states):
+        parallel.append(int(np.isnan(states.p).any(axis=-1).sum()))
+        raise Swept
+
+    parallel = []
+    monkeypatch.setattr(verify, "tangent_circle_array", stop)
+    rng = random.Random(35)
+    for _ in range(200):
+        c = 10.0 ** rng.uniform(-13.0, 13.0)
+        B = placed(c, rng.uniform(0.0, math.tau), rng.uniform(-1e9, 1e9) * c, rng.uniform(-1e9, 1e9) * c)
+        for count in (10, 100, 1_000):
+            with pytest.raises(Swept):
+                check_tangent_circle(B, count)
+    assert parallel == [0] * 600
 
 
 def test_peak_memory_stays_within_one_sweep():
