@@ -59,12 +59,12 @@ from .geometry import (
 )
 
 
-def _row(states, k: int = 0):
-    """Row k of a sweep's states as the state of one solve: parameters as
+def _row(states):
+    """Row 0 of a sweep's states as the state of one solve: parameters as
     floats, points as Points (None for a NaN row)."""
 
     def value(v):
-        v = v[k].tolist()  # a float, or a row's [x, y]
+        v = v[0].tolist()  # a float, or a row's [x, y]
         return v if isinstance(v, float) else None if math.isnan(v[0]) else Point(*v)
 
     return type(states)(*map(value, states))
@@ -86,16 +86,6 @@ class ThreeBarState(NamedTuple):
     x: Point | np.ndarray
     p: Point | np.ndarray | None
     q: Point | np.ndarray | None
-
-    def state(self, k: int) -> ThreeBarState:
-        """The solve at row k of a sweep."""
-        return _row(self, k)
-
-    def select(self, rows) -> ThreeBarState:
-        """The sweep's states at the given rows (an index or boolean mask)."""
-        # taken along the points' axis, the point rows stay coordinate-major
-        k = np.arange(len(self.theta))[rows]
-        return ThreeBarState(*(field.T.take(k, axis=-1).T for field in self))
 
 
 class MaclaurinSample(NamedTuple):

@@ -12,7 +12,7 @@ and positive outside.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,12 +37,13 @@ from .geometry import (
 class PolynomialLemniscate:
     """Locus where the product of distances to the foci equals radius**n.
 
-    The stored field is the product of *squared* distances minus
-    radius**(2n), an algebraic curve of degree at most 2n.
+    The field, a polynomial of degree at most 2n, is the product of *squared*
+    distances minus the level radius**(2n), stored as the radius is validated.
     """
 
     foci: tuple[Point, ...]
     radius: float
+    level: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         foci = tuple(self.foci)
@@ -62,15 +63,11 @@ class PolynomialLemniscate:
                 f"lemniscate radius must be positive with radius**(2n) a normal float, "
                 f"got radius {self.radius} at n = {len(foci)}"
             )
+        object.__setattr__(self, "level", level)
 
     @property
     def n(self) -> int:
         return len(self.foci)
-
-    @property
-    def level(self) -> float:
-        """The constant the product of squared distances is held at."""
-        return self.radius ** (2 * self.n)
 
 
 def lemniscate_field(L: PolynomialLemniscate, p: Point) -> float:
@@ -240,17 +237,16 @@ class BernoulliConfig(_FocalPair):
     passes through the midpoint of the foci (its double point).
     """
 
+    lemniscate: PolynomialLemniscate = field(init=False, repr=False, compare=False)
+
     def __post_init__(self):
         _FocalPair.__post_init__(self)
-        self.lemniscate  # refuses a c**4 that is not a normal float
+        # refuses a c**4 that is not a normal float
+        object.__setattr__(self, "lemniscate", PolynomialLemniscate((self.f1, self.f2), self.half_distance))
 
     @property
     def half_distance(self) -> float:
         return 0.5 * self.f1.distance_to(self.f2)
-
-    @property
-    def lemniscate(self) -> PolynomialLemniscate:
-        return PolynomialLemniscate((self.f1, self.f2), self.half_distance)
 
 
 def bernoulli_polar_point(B: BernoulliConfig, theta: float) -> Point:

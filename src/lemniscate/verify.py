@@ -238,7 +238,7 @@ def check_tangent_circle(B: BernoulliConfig, count: int = 1_000) -> list[Check]:
     return [
         Check("tangent_circle_alignment", _worst(row_cross(radial, grad)), 1e-8),
         Check("tangent_circle_through_o", _worst(radius - row_norm(center - o)) / c, 1e-9),
-        Check("tangent_circle_center_rebuild", _worst(rebuilt_off[~np.isnan(rebuilt_off)]) / c, 1e-8),
+        Check("tangent_circle_center_rebuild", _worst(rebuilt_off) / c, 1e-8),
         Check("tangent_contact_slope_deficit", _worst(slope_deficit), 1e-9),
     ]
 

@@ -56,6 +56,17 @@ L = B.lemniscate
 O = Point(0.0, 0.0)
 
 
+def rows_at(states, k):
+    """A sweep's states at the rows k (an index or a boolean mask), the point rows
+    taken along the points' axis so that they stay coordinate-major."""
+    return type(states)(*(v.T[..., k].T for v in states))
+
+
+def one_row(states, k):
+    """Row k of a sweep as a one-row sweep."""
+    return type(states)(*(v[k : k + 1] for v in states))
+
+
 class TestThreeBar:
     def test_pinned_state(self):
         # radical-line solve by hand at theta = pi/2
@@ -165,15 +176,10 @@ class TestThreeBarStateFields:
         assert st._fields == self.FIELDS and len(st) == 6
 
     def test_sweep_select_and_tangent_circle(self):
-        states = three_bar_array(B, [1.0, 2.0, 3.0])
+        states = three_bar_array(B, [2.0])
         assert states._fields == self.FIELDS
-        picked = states.select([2, 0])
-        assert picked._fields == self.FIELDS
-        assert picked.theta.tolist() == [3.0, 1.0] and picked.q.shape == (2, 2)
-        one = states.state(1)
-        assert one == three_bar_solve(B, 2.0)
-        circle = tangent_circle_at(one)
-        center, radius = tangent_circle_array(states.select([1]))
+        circle = tangent_circle_at(three_bar_solve(B, 2.0))
+        center, radius = tangent_circle_array(states)
         assert (circle.center.x, circle.center.y, circle.radius) == (*center[0].tolist(), float(radius[0]))
 
 
@@ -203,7 +209,7 @@ class TestRow:
     def test_values_and_types(self, sweep):
         states = sweep()
         for k in range(len(states[0])):
-            got, want = _row(states, k), self.by_fields(states, k)
+            got, want = _row(one_row(states, k)), self.by_fields(states, k)
             assert repr(got) == repr(want) and got == want
             assert [type(v) for v in got] == [type(v) for v in want]
             assert type(got[0]) is float and all(type(v) in (Point, type(None)) for v in got[1:])
@@ -463,7 +469,7 @@ class TestKernelParity:
             rows = three_bar_array(config, theta, side)
             for k in range(200):
                 st = three_bar_solve(config, float(theta[k]), side)
-                assert st == rows.state(k)
+                assert st == _row(one_row(rows, k))
                 for name in ("a", "b", "x", "p", "q"):
                     assert _same_point(getattr(st, name), getattr(rows, name)[k])
 
@@ -498,7 +504,7 @@ class TestKernelParity:
     def test_tangent_circle(self, config):
         theta = (np.arange(200) + 0.5) * math.tau / 200
         rows = three_bar_array(config, theta)
-        rows = rows.select(~np.isnan(rows.p[:, 0]))
+        rows = rows_at(rows, ~np.isnan(rows.p[:, 0]))
         centers, radii = tangent_circle_array(rows)
         for k in range(len(rows.theta)):
             circle = tangent_circle_at(three_bar_solve(config, float(rows.theta[k])))
@@ -552,14 +558,13 @@ class TestCoordinateMajor:
         opposite = three_bar_array(TILTED, theta)
         sweeps = [
             opposite,
-            opposite.select(~np.isnan(opposite.p[:, 0])),
             three_bar_array(TILTED, theta, "same"),
             maclaurin_array(TILTED, np.linspace(-0.7, 0.7, 64)),
             right_angle_array(TILTED, np.linspace(-1.5, 1.5, 64)),
         ]
         points = [v for s in sweeps for v in s if isinstance(v, np.ndarray) and v.ndim == 2]
         points.append(bernoulli_polar_array(TILTED, np.linspace(-0.7, 0.7, 64)))
-        assert len(points) == 23
+        assert len(points) == 18
         for v in points:
             assert v.shape[-1] == 2 and v[..., 0].flags.c_contiguous
 

@@ -504,6 +504,27 @@ class TestTypeInvariants:
         with pytest.raises(ValueError, match="at n = 2"):
             BernoulliConfig(Point(-1e-100, 0.0), Point(1e-100, 0.0))
 
+    def test_stored_level_and_curve_leave_the_records_as_they_were(self):
+        # each is computed once, where the constructor validates it, and takes no part in the
+        # constructor's arguments, equality, hashing or repr
+        L = PolynomialLemniscate((Point(0.0, 0.0), Point(3.0, 4.0)), 1.5)
+        assert L == PolynomialLemniscate(L.foci, 1.5) and hash(L) == hash(PolynomialLemniscate(L.foci, 1.5))
+        assert repr(L) == f"PolynomialLemniscate(foci={L.foci!r}, radius=1.5)"
+        with pytest.raises(TypeError):
+            PolynomialLemniscate(L.foci, 1.5, 5.0625)
+        B = BernoulliConfig(*L.foci)
+        assert B.lemniscate is B.lemniscate and B.lemniscate == PolynomialLemniscate(L.foci, 2.5)
+        assert B == BernoulliConfig(*L.foci) and hash(B) == hash(BernoulliConfig(*L.foci))
+        assert repr(B) == f"BernoulliConfig(f1={B.f1!r}, f2={B.f2!r})"
+
+    def test_stored_level_is_radius_to_the_2n_bit_for_bit(self):
+        rng = random.Random(36)
+        for _ in range(2_000):
+            n = rng.randint(1, 8)
+            radius = 10.0 ** rng.uniform(-30.0 / n, 30.0 / n)
+            foci = tuple(Point(float(k), 0.0) for k in range(n))
+            assert PolynomialLemniscate(foci, radius).level == radius ** (2 * n)
+
     def test_bernoulli_radius_is_half_distance(self):
         B = BernoulliConfig(Point(0.0, 0.0), Point(3.0, 4.0))
         assert B.half_distance == 2.5
