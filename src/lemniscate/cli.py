@@ -38,7 +38,10 @@ from .tracer import TraceWindow, _contours_text, _singular_points, bernoulli_win
 
 
 def _parse_floats(text: str, count: int | None = None):
-    parts = [float(v) for v in text.split(",") if v.strip() != ""]
+    try:
+        parts = [float(v) for v in text.split(",")]
+    except ValueError:  # an empty or non-numeric field
+        raise ValueError(f"expected comma-separated numbers, got {text!r}") from None
     if count is not None and len(parts) != count:
         raise ValueError(f"expected {count} comma-separated numbers, got {len(parts)} in {text!r}")
     return parts
@@ -47,7 +50,7 @@ def _parse_floats(text: str, count: int | None = None):
 def _parse_foci(text: str) -> tuple[Point, ...]:
     values = _parse_floats(text)
     if len(values) < 2 or len(values) % 2 != 0:
-        raise ValueError("--foci expects an even number of coordinates: x1,y1,x2,y2,...")
+        raise ValueError(f"--foci expects an even number of coordinates x1,y1,x2,y2,..., got {len(values)} in {text!r}")
     return tuple(Point(values[k], values[k + 1]) for k in range(0, len(values), 2))
 
 
@@ -70,7 +73,7 @@ def _lemniscate(args) -> PolynomialLemniscate:
 
 
 def _window(args, L: PolynomialLemniscate) -> TraceWindow:
-    if args.window:
+    if args.window is not None:  # an empty --window= is refused, not read as the default
         xmin, xmax, ymin, ymax = _parse_floats(args.window, 4)
         return TraceWindow(xmin, xmax, ymin, ymax, args.grid, args.grid)
     if L.n == 2 and len(_singular_points(L)):  # through the double point it snaps to: the lemniscate figure's frame
@@ -171,7 +174,7 @@ def _cmd_expand(args) -> int:
 
 
 def _figure(args) -> int:  # figure --preset, and the SVG form of a construction command
-    B = _bernoulli(args)
+    B = None if args.preset == "family3" else _bernoulli(args)
     params = {k: math.radians(v) for k in ("theta", "phi", "alpha") if (v := getattr(args, k, None)) is not None}
     if args.grid is not None:  # else the preset's default grid
         params["grid"] = args.grid

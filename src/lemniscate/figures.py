@@ -270,7 +270,7 @@ FIGURE_PRESETS = ("family3", *_BERNOULLI_PRESETS)
 
 def figure_scene(
     preset: str,
-    B: BernoulliConfig,
+    B: BernoulliConfig | None,
     *,
     theta: float | None = None,
     phi: float | None = None,
@@ -284,7 +284,7 @@ def figure_scene(
     inversion, tangentcircle), secant phi 30 (maclaurin), crank alpha 60
     (rightangle), polar angle theta 30 (normal). Any other angle raises
     ValueError. The `family3` preset has its own fixed foci, draws no
-    angle, and ignores B.
+    angle, and ignores B, which may then be None.
     """
     if preset not in FIGURE_PRESETS:
         raise UnknownPreset(f"unknown preset {preset!r}; choose from {FIGURE_PRESETS}")

@@ -43,8 +43,8 @@ becomes the first such point. A closed chain that meets singular points
 twice or more is split at the vertices whose coordinates equal one.
 
 Curves about one set of foci are traced in one pass (trace_levels): one
-band and one sort for every level, each level's edge ids after the last
-one's, then refine over as many whole levels as 4,096 rows hold.
+band and one sort, each level's edge ids after the last one's, then one
+rebase of ids and successors to each level's own, and refine by levels.
 
 No stage holds more than one batch of working arrays, so a trace of the
 Bernoulli curve in the CLI's default window peaks at 0.87, 1.25, 5.52
@@ -456,11 +456,11 @@ def trace(L: PolynomialLemniscate, w: TraceWindow) -> list[Contour]:
 def trace_levels(curves, w: TraceWindow) -> list[list[Contour]]:
     """What trace gives for each of curves that share their foci, in one pass.
 
-    The band and the crossings run once over every level, each level's edge
-    ids after the last one's; refine then runs over as many whole levels as
-    _BATCH rows hold, or one. The contours, and a refusal, are those of
-    tracing the curves one by one, in order. ValueError names the first
-    curve whose foci are not the first one's.
+    The band and the crossings run once over every level, each level's edge ids
+    after the last one's; after the sort the ids and successors are rebased once
+    to each level's own, and refine runs over as many whole levels as _BATCH rows
+    hold, or one. The contours, and a refusal, are those of tracing the curves
+    one by one, in order. ValueError names the first curve whose foci differ.
     """
     curves = list(curves)
     for k, L in enumerate(curves):
@@ -474,26 +474,24 @@ def trace_levels(curves, w: TraceWindow) -> list[list[Contour]]:
         with np.errstate(over="ignore", invalid="ignore"):  # +inf is the right sign, outside; NaN is refused
             ids, nxt = _crossings(F, w, xs, ys, _band(F, w, xs, ys))
         grid = w.nx * (w.ny + 1) + (w.nx + 1) * w.ny  # edge ids a level (see _crossings)
-        # level k's rows are bounds[k]:bounds[k + 1]
-        bounds = np.searchsorted(ids, grid * np.arange(len(curves) + 1)).tolist() if len(curves) > 1 else [0, len(ids)]
+        bounds = [0, len(ids)]  # level k's rows are bounds[k]:bounds[k + 1]
+        if curves[1:]:  # a family's ids and successors, rebased once to each level's own
+            bounds = np.searchsorted(ids, grid * np.arange(len(curves) + 1)).tolist()
+            counts = np.diff(bounds)
+            ids -= np.repeat(np.arange(len(curves)) * grid, counts)
+            nxt = np.where(nxt < 0, -1, nxt - np.repeat(bounds[:-1], counts))
         out, first = [], 0
         while first < len(curves):  # as many whole levels as _BATCH rows hold, or one
             last = max(first + 1, bisect.bisect(bounds, bounds[first] + _BATCH) - 1)
-            L, edges = curves[first], ids[bounds[first] : bounds[last]]  # shifted in place to one level's ids
-            if last > first + 1:  # a level per row
-                counts = np.diff(bounds[first : last + 1])
-                L = SimpleNamespace(foci=F.foci, level=np.repeat(F.level[first:last], counts))
-                edges -= np.repeat(np.arange(first, last) * grid, counts)
-            elif first:  # level 0 alone shifts nothing
-                edges -= first * grid
+            L = curves[first] if last == first + 1 else _levels(F, np.arange(first, last).repeat(counts[first:last]))
             try:
-                coords = refine(L, *_edge_ends(w, xs, ys, edges))
+                coords = refine(L, *_edge_ends(w, xs, ys, ids[bounds[first] : bounds[last]]))
             except ValueError:  # the band's signs put each edge across the curve, so an end's field overflows
                 foci, r = ", ".join(map(str, F.foci)), curves[first].radius
                 raise ValueError(f"the field overflows a float next to the curve: foci {foci}, radius {r!r}") from None
             for k in range(first, last):  # each level's rows in the run's
                 at = slice(bounds[k] - bounds[first], bounds[k + 1] - bounds[first])
-                out.append(_contours(curves[k], w, coords[at], nxt[bounds[k] : bounds[k + 1]], bounds[k]))
+                out.append(_contours(curves[k], w, coords[at], nxt[bounds[k] : bounds[k + 1]]))
             first, coords = last, None  # not held through the next run
         return out
     except (EmptyTrace, ValueError):
@@ -502,12 +500,10 @@ def trace_levels(curves, w: TraceWindow) -> list[list[Contour]]:
     return [trace(L, w) for L in curves]  # a family refuses as its first curve that refuses alone
 
 
-def _contours(L, w, coords, nxt, first):
-    """L's contours from the coordinates of its crossings and their successors nxt, rows from first on."""
+def _contours(L, w, coords, nxt):
+    """L's contours from the coordinates of its crossings and their successors nxt, as rows of coords."""
     if not len(nxt):
         raise EmptyTrace("no sign change in the window")
-    if first:
-        nxt = np.where(nxt < 0, -1, nxt - first)
     # each crossing within a cell diagonal of a singular point snaps onto the first one within reach
     singular = _singular_points(L).tolist()
     if singular:

@@ -1,6 +1,8 @@
 """Command line surface tests: formats, exit codes, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -12,6 +14,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lemniscate
 import lemniscate.cli as cli
@@ -25,6 +29,18 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# the fields that number-list flags are fuzzed with: empty, blank, numbers at the float range's ends and words
+LIST_FIELDS = ("", " ", "0", "-0", "1", "2.5", "-3", "1e-300", "1e300", "nan", "inf", "x")
+
+
+def is_number(field):
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return True
 
 
 def key_lists(doc):
@@ -386,6 +402,13 @@ class TestFigureCommand:
         assert out == ""
         assert flag in err
 
+    @pytest.mark.parametrize("foci", ["0,0,1,0,2,2", "1,1,1,1", "0,0,1e300,0"], ids=["three", "coincident", "far"])
+    def test_family3_ignores_foci(self, capsys, foci):
+        # family3 has its own foci: a --foci that a Bernoulli preset refuses is not read
+        code, out, err = run_cli(capsys, "figure", "--preset", "family3", f"--foci={foci}", "--grid", "32")
+        assert code == 0 and err == ""
+        assert out == run_cli(capsys, "figure", "--preset", "family3", "--grid", "32")[1]
+
     @pytest.mark.parametrize("command", ["linkage", "maclaurin", "rightangle", "normal"])
     @pytest.mark.parametrize("grid", ["8", "512"])
     def test_json_form_refuses_grid(self, capsys, command, grid):
@@ -510,12 +533,50 @@ class TestErrorPaths:
             (("trace", "--window=1,2,3"), "expected 4 comma-separated numbers, got 3 in '1,2,3'"),
             (("invert", "--point=1,2,3"), "expected 2 comma-separated numbers, got 3 in '1,2,3'"),
             (("normal", "--point=1"), "expected 2 comma-separated numbers, got 1 in '1'"),
+            # an empty or non-numeric field is refused, not dropped
+            (("invert", "--point=0.5,,0.2"), "expected comma-separated numbers, got '0.5,,0.2'"),
+            (("linkage", "--foci=-1,0,,1,0"), "expected comma-separated numbers, got '-1,0,,1,0'"),
+            (("trace", "--window=,-2,2,-1,1"), "expected comma-separated numbers, got ',-2,2,-1,1'"),
+            (("trace", "--window="), "expected comma-separated numbers, got ''"),
+            (("invert", "--point=abc,1"), "expected comma-separated numbers, got 'abc,1'"),
+            (("area", "--foci=1,2,3"), "--foci expects an even number of coordinates x1,y1,x2,y2,..., got 3 in '1,2,3'"),
         ],
-        ids=["two_foci", "window_numbers", "invert_point_numbers", "normal_point_numbers"],
+        ids=[
+            "two_foci",
+            "window_numbers",
+            "invert_point_numbers",
+            "normal_point_numbers",
+            "invert_point_empty_field",
+            "foci_empty_field",
+            "window_empty_first_field",
+            "window_empty",
+            "invert_point_word",
+            "odd_foci",
+        ],
     )
     def test_count_refusal_names_the_input(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "" and err == f"error: {message}\n"
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.lists(st.sampled_from(LIST_FIELDS), min_size=1, max_size=6).map(",".join))
+    def test_no_number_list_is_misread(self, text):
+        # each list is read whole, with the count its flag needs, or refused with one error line
+        fields = text.split(",")
+        for argv, count in (
+            (("area", f"--foci={text}"), 4),
+            (("invert", f"--point={text}"), 2),
+            (("trace", f"--window={text}", "--grid", "8", "--format", "csv"), 4),
+        ):
+            out, err = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                warnings.simplefilter("error")
+                code = main(list(argv))
+            assert code in (0, 2), argv
+            if code == 2:
+                assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, argv
+            else:
+                assert len(fields) == count and all(map(is_number, fields)), argv
 
     def test_trace_of_foci_whose_midpoint_overflows(self, capsys):
         # the double-point test needs the midpoint, which names both foci when it overflows
