@@ -1,19 +1,18 @@
 #!/usr/bin/env python3
 """One digest of what the CLI prints for the benchmark's commands and a few more.
 
-    python3 scripts/output_digest.py [--seeds 7101 7202 7303]
+    python3 scripts/output_digest.py
 
 Runs, through lemniscate.cli.main in this process, every operation that
 bench/workloads.py builds for the verify, trace and figures workloads at
-each seed, then `figure --preset family3` at grids 8 to 1024 and `trace`
-at grids 8, 64 and 3000 in CSV and JSON. It hashes each command's argv,
-exit code, standard output and standard error, in order, and prints the
-number of commands and one SHA-256 of them all. Two trees that print the
-same digest gave the same bytes on every command, refusals included.
-bench/ is only imported, with no bytecode written.
+seeds 7101, 7202 and 7303, then `figure --preset family3` at grids 8 to
+1024 and `trace` at grids 8, 64 and 3000 in CSV and JSON. It hashes each
+command's argv, exit code, standard output and standard error, in order,
+and prints the number of commands and one SHA-256 of them all. Two trees
+that print the same digest gave the same bytes on every command, refusals
+included. bench/ is only imported, with no bytecode written.
 """
 
-import argparse
 import contextlib
 import hashlib
 import io
@@ -30,9 +29,9 @@ import workloads  # noqa: E402
 from lemniscate import cli  # noqa: E402
 
 
-def commands(seeds):
+def commands():
     """Every argv the digest runs, in order."""
-    for seed in seeds:
+    for seed in (7101, 7202, 7303):
         for workload in ("verify", "trace", "figures"):
             yield from (op.argv for op in workloads.build(workload, seed))
     for grid in (8, 16, 32, 64, 128, 256, 512, 1024):
@@ -43,10 +42,8 @@ def commands(seeds):
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--seeds", type=int, nargs="+", default=[7101, 7202, 7303])
     digest, count = hashlib.sha256(), 0
-    for argv in commands(parser.parse_args().seeds):
+    for argv in commands():
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(list(argv))

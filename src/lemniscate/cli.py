@@ -154,8 +154,8 @@ def _cmd_invert(args) -> int:
 
 
 def _cmd_normal(args) -> int:
-    B = _bernoulli(args)
-    x = Point(*_parse_floats(args.point, 2)) if args.point else bernoulli_polar_point(B, math.radians(args.theta))
+    B, point = _bernoulli(args), args.point  # an empty --point= is refused, not read as --theta's point
+    x = bernoulli_polar_point(B, math.radians(args.theta)) if point is None else Point(*_parse_floats(point, 2))
     line = normal_by_angle(B, x)
     fields = {"point": _pt(x), "anchor": _pt(line.anchor), "direction": _pt(line.direction)}
     return _answer(args, _json((B.f1, B.f2), {"theta_deg": args.theta}, **fields))

@@ -566,6 +566,7 @@ class TestErrorPaths:
         for argv, count in (
             (("area", f"--foci={text}"), 4),
             (("invert", f"--point={text}"), 2),
+            (("normal", f"--point={text}"), 2),
             (("trace", f"--window={text}", "--grid", "8", "--format", "csv"), 4),
         ):
             out, err = io.StringIO(), io.StringIO()
