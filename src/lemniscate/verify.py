@@ -257,10 +257,7 @@ def _contact_slope(L, center, radius, x, c: float) -> np.ndarray:
         )
     )
     exact = (value == 0.0).any(axis=1)
-    lx = np.log(steps)
-    ly = np.log(np.where(value == 0.0, 1.0, value))
-    dx = lx - lx.mean()
-    slope = ((ly - ly.mean(axis=1, keepdims=True)) * dx).sum(axis=1) / (dx * dx).sum()
+    slope = np.polyfit(np.log(steps), np.log(np.where(value == 0.0, 1.0, value)).T, 1)[0]
     return np.where(exact, 2.0, slope)
 
 
@@ -323,9 +320,7 @@ def check_unit_hyperbola() -> list[Check]:
     # the tangent at q (perpendicular to the gradient of the quadratic
     # form) meets the axes at r and s, and q is the midpoint of rs
     tangent = row_unit(row_perp(hyperbola_gradient_array(H, q)))
-    origin = np.zeros(2)
-    r = line_line_intersection_array(q, tangent, origin, np.array((1.0, 0.0)))
-    s = line_line_intersection_array(q, tangent, origin, np.array((0.0, 1.0)))
+    r, s = line_line_intersection_array(q, tangent, np.zeros(2), np.eye(2)[:, None])
     return [
         Check("unit_hyperbola_residual", _worst(hyperbola_residual_array(H, q)), 1e-9),
         Check("tangent_midpoint", _worst(row_norm(0.5 * (r + s) - q)), 1e-12),

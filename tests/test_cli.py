@@ -35,6 +35,55 @@ def run_cli(capsys, *argv):
 LIST_FIELDS = ("", " ", "0", "-0", "1", "2.5", "-3", "1e-300", "1e300", "nan", "inf", "x")
 
 
+# the values every number flag is drawn from: numbers at the float range's ends and the special values
+NUMBERS = (
+    "0", "-0", "1", "-1", "0.5", "2", "3", "1e-8", "1e-13", "1e13", "1e-300", "5e-324", "1e300", "1.7e308",
+    "nan", "inf", "-inf",
+)
+GRIDS = ("8", "16", "32")
+# the construction commands, each with the angle it reads
+CONSTRUCTIONS = {"linkage": "theta", "maclaurin": "phi", "rightangle": "alpha", "normal": "theta"}
+
+
+def command_line(data):
+    """A command line of any subcommand but verify, and the format it writes on success, decoded from
+    the bytes data one byte a choice: its number flags from NUMBERS, each optional flag given or left
+    out, and its grid, where it traces, 8, 16 or 32."""
+    choices = iter(data)
+
+    def pick(options):
+        return options[next(choices) % len(options)]
+
+    def numbers(count):
+        return ",".join(pick(NUMBERS) for _ in range(count))
+
+    def optional(flag, value):
+        return [f"--{flag}={value()}"] if pick((False, True)) else []
+
+    command = pick(("trace", "expand", "area", "invert", "figure", *CONSTRUCTIONS))
+    points = pick((1, 2, 3)) if command in ("trace", "expand") else 2
+    argv, form = [command, *optional("foci", lambda: numbers(2 * points))], "json"
+    if command in ("trace", "expand"):
+        argv += optional("radius", lambda: pick(NUMBERS))
+    if command == "trace":
+        form = pick(("csv", "json", "svg"))
+        argv += [*optional("window", lambda: numbers(4)), f"--grid={pick(GRIDS)}", f"--format={form}"]
+    elif command == "invert":
+        argv.append(f"--point={numbers(2)}")
+    elif command == "figure":
+        form = "svg"
+        argv += [f"--preset={pick(lemniscate.FIGURE_PRESETS)}", f"--grid={pick(GRIDS)}"]
+        for angle in ("theta", "phi", "alpha"):
+            argv += optional(angle, lambda: pick(NUMBERS))
+    elif command in CONSTRUCTIONS:
+        form = pick(("json", "svg"))
+        argv += [f"--format={form}", *optional(CONSTRUCTIONS[command], lambda: pick(NUMBERS))]
+        argv += [f"--grid={pick(GRIDS)}"] if form == "svg" else optional("grid", lambda: pick(GRIDS))
+        argv += optional("side", lambda: pick(("opposite", "same"))) if command == "linkage" else []
+        argv += optional("point", lambda: numbers(2)) if command == "normal" else []
+    return argv, form
+
+
 def is_number(field):
     try:
         float(field)
@@ -578,6 +627,26 @@ class TestErrorPaths:
                 assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, argv
             else:
                 assert len(fields) == count and all(map(is_number, fields)), argv
+
+    @settings(derandomize=True, max_examples=1_000, deadline=None)
+    @given(st.binary(min_size=24, max_size=24).map(command_line))
+    def test_every_command_answers_or_refuses_in_one_line(self, command):
+        # any accepted input writes output that parses, with no warning, or is refused with one error line;
+        # hypothesis draws each command as one byte string, a third of the cost of a draw per flag
+        argv, form = command
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = main(argv)
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, argv
+        elif code == 0 and form == "json":
+            json.loads(out.getvalue(), parse_constant=lambda name: pytest.fail(f"{name} in the JSON of {argv}"))
+        elif code == 0 and form == "csv":
+            assert contours_from_csv(out.getvalue()), argv
+        elif code == 0:
+            assert "nan" not in out.getvalue() and "inf" not in out.getvalue(), argv
 
     def test_trace_of_foci_whose_midpoint_overflows(self, capsys):
         # the double-point test needs the midpoint, which names both foci when it overflows

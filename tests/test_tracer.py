@@ -303,33 +303,23 @@ class TestRefine:
         assert refine(L, a[shuffle], b[shuffle]).tobytes() == expected[shuffle].tobytes()
 
 
+def traced_peak(fn, *args):
+    """The tracemalloc peak, in bytes, of the call fn(*args)."""
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestTraceMemory:
-    def test_peak_below_100_mb_at_grid_2048(self):
-        # the field grid is evaluated by broadcasting the axes, with no
-        # meshgrid copies; one float grid at 2049 x 2049 is 33.6 MB
-        w = TraceWindow(-1.6, 1.6, -0.8, 0.8, 2048, 2048)
-        tracemalloc.start()
-        tracemalloc.reset_peak()
-        try:
-            trace(L, w)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 100e6
-
-
     def test_peak_below_5_5_mb_at_grid_2048(self):
-        # only the 4 x 4-cell blocks that may hold the curve are evaluated,
-        # so no array spans the 2049 x 2049 nodes
+        # only the 4 x 4-cell blocks that may hold the curve are evaluated, each by broadcasting its
+        # axes with no meshgrid copies, so no array spans the 2049 x 2049 nodes (33.6 MB a float grid)
         w = TraceWindow(-1.6, 1.6, -0.8, 0.8, 2048, 2048)
-        tracemalloc.start()
-        tracemalloc.reset_peak()
-        try:
-            trace(L, w)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 5.5e6
+        assert traced_peak(trace, L, w) < 5.5e6
 
     @pytest.mark.parametrize("grid, bound", [(1024, 0.95e6), (2048, 1.5e6), (8192, 7.5e6), (16384, 6.5e6)])
     def test_peak_in_the_default_window(self, grid, bound):
@@ -342,14 +332,7 @@ class TestTraceMemory:
         # and 5.52 MB; at 16384 np.unique's ranking of the segment ends sets it)
         w = bernoulli_window(B, grid, 1.6 * math.sqrt(2.0), 0.8 * math.sqrt(2.0))
         trace(L, bernoulli_window(B, 64, 1.6 * math.sqrt(2.0), 0.8 * math.sqrt(2.0)))
-        tracemalloc.start()
-        tracemalloc.reset_peak()
-        try:
-            trace(L, w)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < bound
+        assert traced_peak(trace, L, w) < bound
 
     def test_nine_levels_in_one_pass(self):
         # family3's nine levels share one band (1.12 MB) and refine whole
@@ -357,14 +340,7 @@ class TestTraceMemory:
         # when all nine levels go to refine as one call
         curves, w = family3(512)
         trace_levels(curves, w)
-        tracemalloc.start()
-        tracemalloc.reset_peak()
-        try:
-            trace_levels(curves, w)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.3e6
+        assert traced_peak(trace_levels, curves, w) < 1.3e6
 
     def test_refine_holds_one_copy_of_its_state(self):
         # a bracket of 4,096 rows drops each step's temporaries before it
@@ -374,14 +350,7 @@ class TestTraceMemory:
         inside = lemniscate_field_array(L, *points.T) < 0.0
         a, b = points[inside][:4096].copy(), points[~inside][:4096].copy()
         refine(L, a, b)
-        tracemalloc.start()
-        tracemalloc.reset_peak()
-        try:
-            refine(L, a, b)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 0.92e6
+        assert traced_peak(refine, L, a, b) < 0.92e6
 
 
 class TestBand:

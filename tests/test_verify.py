@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from lemniscate import BernoulliConfig, Contour, Point, trace
 from lemniscate import verify
-from lemniscate.curves import _curvature
+from lemniscate.curves import _curvature, lemniscate_field_array
 from lemniscate.geometry import row_cross, xy
 from lemniscate.tracer import bernoulli_window
 from lemniscate.verify import (
@@ -171,6 +171,45 @@ def test_tangent_circle_center_rebuild_has_no_nan_row(monkeypatch):
         for count in (10, 100, 1_000):
             check_tangent_circle(B, count)
     assert nan_rows == [0] * 240
+
+
+def least_squares_slope(L, center, radius, x, c):
+    """The contact slope with its least-squares fit written out: the slope of
+    log |field| against log step, over arc steps of 1e-2 c, 1e-3 c and 1e-4 c."""
+    steps = np.array((1e-2, 1e-3, 1e-4)) * c
+    ang = np.arctan2(x[:, 1] - center[:, 1], x[:, 0] - center[:, 0])[:, None] + steps / radius[:, None]
+    circle_x, circle_y = center[:, 0:1] + radius[:, None] * np.cos(ang), center[:, 1:2] + radius[:, None] * np.sin(ang)
+    value = np.abs(lemniscate_field_array(L, circle_x, circle_y))
+    lx, ly = np.log(steps), np.log(np.where(value == 0.0, 1.0, value))
+    dx = lx - lx.mean()
+    slope = ((ly - ly.mean(axis=1, keepdims=True)) * dx).sum(axis=1) / (dx * dx).sum()
+    return np.where((value == 0.0).any(axis=1), 2.0, slope)
+
+
+def test_contact_slope_matches_the_least_squares_closed_form(monkeypatch):
+    # the tangent circle touches the curve, so |field| along it grows as the square of the arc
+    # step; on the states check_tangent_circle builds (1,250 crank angles, those near a multiple
+    # of pi/4 skipped), np.polyfit's slope agrees with the closed form and lies near 2
+    calls, contact_slope = [], verify._contact_slope
+
+    def spy(*args):
+        slope = contact_slope(*args)
+        calls.append((args, slope))
+        return slope
+
+    monkeypatch.setattr(verify, "_contact_slope", spy)
+    rng = random.Random(37)
+    placements = [placed(1.0, 0.0, 0.0, 0.0)]
+    for _ in range(3):  # c in 10^[-3, 3], any turn, offsets up to 1e3 c
+        c = 10.0 ** rng.uniform(-3.0, 3.0)
+        placements.append(placed(c, rng.uniform(0.0, math.tau), rng.uniform(-1e3, 1e3) * c, rng.uniform(-1e3, 1e3) * c))
+    for B in placements:
+        check_tangent_circle(B, 1_000)
+    assert len(calls) == 4
+    for args, slope in calls:
+        assert len(slope) >= 1_000
+        np.testing.assert_allclose(slope, least_squares_slope(*args), rtol=1e-12, atol=0.0)
+        assert np.all((1.9 <= slope) & (slope <= 2.1)), (slope.min(), slope.max())
 
 
 def test_peak_memory_stays_within_one_sweep():
