@@ -162,22 +162,21 @@ class CoefficientTable:
         return float(self.evaluate_array(p.x, p.y))
 
     def evaluate_array(self, x, y) -> np.ndarray:
-        """Horner evaluation at the points (x, y), broadcasting the
-        coordinate arrays: inner loop over y inside a loop over x."""
+        """Horner evaluation at the points (x, y), broadcasting the coordinate
+        arrays: every row's sum over y at once (row axis last), then over x."""
+        r, y = 0.0, np.asarray(y)[..., None]
+        for j in range(self.coeffs.shape[1] - 1, -1, -1):
+            r = r * y + self.coeffs[:, j]
         acc = 0.0
         for i in range(self.coeffs.shape[0] - 1, -1, -1):
-            row = self.coeffs[i]
-            r = 0.0
-            for j in range(self.coeffs.shape[1] - 1, -1, -1):
-                r = r * y + row[j]
-            acc = acc * x + r
+            acc = acc * x + r[..., i]
         return acc
 
 
 def _mul2d(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = np.zeros((a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1))
-    for i, j in zip(*np.nonzero(a)):
-        out[i : i + b.shape[0], j : j + b.shape[1]] += a[i, j] * b
+    for i, j in reversed(np.argwhere(b)):  # each out entry sums a's terms in a's row-major order
+        out[i : i + a.shape[0], j : j + a.shape[1]] += a * b[i, j]
     return out
 
 

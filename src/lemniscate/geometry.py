@@ -252,15 +252,15 @@ def invert_point_array(center, radius, p):
     if at_center.any():
         bad = np.broadcast_to(p, v.shape)[at_center][0]
         raise CenterSingular(f"cannot invert the center of inversion (point {row_point(bad)})")
-    k = (radius * radius) / d2
-    image = center + v * k[..., None]
+    k = np.asarray((radius * radius) / d2)  # an array at one point too, so that far rows can be set
     far = np.isinf(d2)
     if far.any():  # v r^2 / |v|^2 = (w s)(s / m): w = v / m, m the largest |coordinate|, s = r / |w|
         m = np.max(np.abs(v[far]), axis=-1, keepdims=True)
         w = v[far] / m
         s = np.broadcast_to(radius, d2.shape)[far][:, None] / row_norm(w)[:, None]
-        image[far] = np.broadcast_to(center, image.shape)[far] + (w * s) * (s / m)
-    return image
+        v[far], k[far] = (w * s) * (s / m), 1.0  # rescaled first, so the scale below keeps them
+    v *= k[..., None]
+    return np.add(v, center, out=v)  # the image, in v's own array
 
 
 def invert_line_array(center, radius, anchor, direction):

@@ -10,8 +10,9 @@ power of the half focal distance c that matches its dimension (c for
 lengths, c^2 for areas and products of lengths, c^4 for the Bernoulli
 field), so one tolerance holds at any similarity placement of the foci.
 Each residual array is reduced to its worst value as soon as it is
-formed, and a sweep that two checks share keeps only the fields a later
-check reads, so the peak is one kernel's own sweep.
+formed, a sweep is solved in blocks of _ROWS rows, and a sweep that two
+checks share keeps only the fields a later check reads: the peak is one
+kernel's own block of rows, not its whole sweep.
 """
 
 from __future__ import annotations
@@ -62,7 +63,8 @@ from .geometry import (
 )
 from .tracer import bernoulli_window, contour_area, trace
 
-_LEMMA1_GROUP = 10  # samples per line in one inversion call of check_lemma1
+_ROWS = 5_000  # rows of a sweep solved at a time: the peak is one block's arrays
+_LEMMA1_GROUP = 10  # samples per line in one inversion call of check_lemma1: a block of 10^4 rows
 
 
 class Check(NamedTuple):
@@ -81,6 +83,13 @@ def _worst(*residuals) -> float:
     """Largest absolute value over the residual arrays and floats: 0 if all are empty, NaN if any holds one."""
     worst = [abs(r) if isinstance(r, float) else float(np.max(np.abs(r), initial=0.0)) for r in residuals]
     return math.nan if any(map(math.isnan, worst)) else max(worst, default=0.0)
+
+
+def _in_blocks(check, t) -> list[Check]:
+    """check(block) on consecutive _ROWS-row blocks of the parameters t, one block alive at a time. Each Check
+    takes the worst over the blocks: exact, as a residual is a max over rows divided by a positive constant after it."""
+    blocks = [check(t[k : k + _ROWS]) for k in range(0, max(len(t), 1), _ROWS)]
+    return [Check(same[0].name, _worst(*(c.max_residual for c in same)), same[0].tolerance) for same in zip(*blocks)]
 
 
 def _off_curve(B: BernoulliConfig, *points) -> float:
@@ -103,14 +112,17 @@ def sweep_angles(count: int) -> np.ndarray:
 
 
 def check_defining_product(B: BernoulliConfig, count: int = 10_000) -> Check:
-    c2 = B.half_distance**2
-    x = bernoulli_polar_array(B, polar_angles(count))
-    product = row_norm(x - xy(B.f1)) * row_norm(x - xy(B.f2))
-    return Check("defining_product", _worst(product - c2) / c2, 1e-10)
+    def block(t):
+        c2 = B.half_distance**2
+        x = bernoulli_polar_array(B, t)
+        product = row_norm(x - xy(B.f1)) * row_norm(x - xy(B.f2))
+        return [Check("defining_product", _worst(product - c2) / c2, 1e-10)]
+
+    return _in_blocks(block, polar_angles(count))[0]
 
 
-def threebar_states(B: BernoulliConfig, count: int, side: str = "opposite"):
-    return three_bar_array(B, sweep_angles(count), side)
+def threebar_states(B: BernoulliConfig, theta, side: str = "opposite"):
+    return three_bar_array(B, theta, side)
 
 
 def check_threebar(B: BernoulliConfig, states) -> list[Check]:
@@ -164,45 +176,52 @@ def check_hyperbola_inverse(B: BernoulliConfig, count: int = 1_000) -> Check:
 
 
 def check_sameside_locus(B: BernoulliConfig, count: int = 10_000) -> Check:
-    c = B.half_distance
-    states = threebar_states(B, count, side="same")
-    return Check("sameside_locus", _worst(row_norm(states.x - xy(B.center)) - c * SQRT2) / c, 1e-8)
+    def block(t):
+        c = B.half_distance
+        x = threebar_states(B, t, side="same").x
+        return [Check("sameside_locus", _worst(row_norm(x - xy(B.center)) - c * SQRT2) / c, 1e-8)]
+
+    return _in_blocks(block, sweep_angles(count))[0]
 
 
 def check_maclaurin(B: BernoulliConfig, count: int = 10_000) -> list[Check]:
-    c = B.half_distance
-    o = xy(B.center)
-    phi = -math.pi / 4 + (np.arange(count) + 0.5) * (math.pi / 2) / count
-    s = maclaurin_array(B, phi)
-    chord = row_norm(s.a - s.b)
-    return [
-        Check("maclaurin_field", _off_curve(B, s.x, s.x_prime), 1e-8),
-        Check(
-            "maclaurin_chord_identity",
-            _worst(_worst(row_norm(s.x - o) - chord), _worst(row_norm(s.x_prime - o) - chord)) / c,
-            1e-10,
-        ),
-    ]
+    def block(phi):
+        c = B.half_distance
+        o = xy(B.center)
+        s = maclaurin_array(B, phi)
+        chord = row_norm(s.a - s.b)
+        return [
+            Check("maclaurin_field", _off_curve(B, s.x, s.x_prime), 1e-8),
+            Check(
+                "maclaurin_chord_identity",
+                _worst(_worst(row_norm(s.x - o) - chord), _worst(row_norm(s.x_prime - o) - chord)) / c,
+                1e-10,
+            ),
+        ]
+
+    return _in_blocks(block, -math.pi / 4 + (np.arange(count) + 0.5) * (math.pi / 2) / count)
 
 
 def check_rightangle(B: BernoulliConfig, count: int = 10_000) -> list[Check]:
-    o = xy(B.center)
-    u = xy(B.axis_unit)
-    c = B.half_distance
-    alpha = -math.pi / 2 + (np.arange(count) + 0.5) * math.pi / count
-    st = right_angle_array(B, alpha)
-    crank2 = row_norm(st.a - o) ** 2
-    right = sticks = 0.0
-    for tip in (st.x, st.y):
-        stick = row_norm(st.a - tip)
-        right = _worst(right, _worst(row_norm(tip - o) ** 2 + crank2 - stick**2))
-        sticks = _worst(sticks, _worst(stick - c * SQRT2))
-    crossing = _worst(_worst(np.maximum(0.0, -row_dot(st.x - o, u))), _worst(np.maximum(0.0, row_dot(st.y - o, u))))
-    return [
-        Check("rightangle_field", _off_curve(B, st.x, st.y), 1e-8),
-        Check("rightangle_right_angle", _worst(right / c**2, sticks / c), 1e-10),
-        Check("rightangle_lobe_separation", crossing / c, 0.0),
-    ]
+    def block(alpha):
+        o = xy(B.center)
+        u = xy(B.axis_unit)
+        c = B.half_distance
+        st = right_angle_array(B, alpha)
+        crank2 = row_norm(st.a - o) ** 2
+        right = sticks = 0.0
+        for tip in (st.x, st.y):
+            stick = row_norm(st.a - tip)
+            right = _worst(right, _worst(row_norm(tip - o) ** 2 + crank2 - stick**2))
+            sticks = _worst(sticks, _worst(stick - c * SQRT2))
+        crossing = _worst(_worst(np.maximum(0.0, -row_dot(st.x - o, u))), _worst(np.maximum(0.0, row_dot(st.y - o, u))))
+        return [
+            Check("rightangle_field", _off_curve(B, st.x, st.y), 1e-8),
+            Check("rightangle_right_angle", _worst(right / c**2, sticks / c), 1e-10),
+            Check("rightangle_lobe_separation", crossing / c, 0.0),
+        ]
+
+    return _in_blocks(block, -math.pi / 2 + (np.arange(count) + 0.5) * math.pi / count)
 
 
 def check_normals(B: BernoulliConfig, count: int = 1_000) -> Check:
@@ -280,13 +299,13 @@ def check_lemma1(pair_count: int = 1_000) -> list[Check]:
 
     # 50 points of each line, inverted, must land on its image circle,
     # which also passes through the center of inversion; taking
-    # _LEMMA1_GROUP samples per line at a time keeps each call to a sweep's size
+    # _LEMMA1_GROUP samples per line at a time keeps each call to one block
     t = -5.0 + 10.0 * (np.arange(50) + 0.5) / 50
     on_circle = []
     for g in np.split(t, range(_LEMMA1_GROUP, len(t), _LEMMA1_GROUP)):
-        samples = rows(ax[:, None] + dx[:, None] * g, ay[:, None] + dy[:, None] * g)
-        images = invert_point_array(center[:, None], radius[:, None], samples)
-        on_circle.append(_worst(row_norm(images - image_center[:, None]) - image_radius[:, None]))
+        images = rows(ax[:, None] + dx[:, None] * g, ay[:, None] + dy[:, None] * g)  # the samples, then their images
+        images = invert_point_array(center[:, None], radius[:, None], images) - image_center[:, None]
+        on_circle.append(_worst(row_norm(images) - image_radius[:, None]))
     through_center = row_norm(center - image_center) - image_radius
     # the circle's center is the image of the center mirrored in the line
     mirrored = reflect_across_line_array(anchor, direction, center)
@@ -343,12 +362,14 @@ def run_verification(
     grid: int = 512,
 ) -> list[Check]:
     """Run every sweep at the given sample counts and collect the checks."""
+    def threebar(t):  # the three-stick sweep that two checks share
+        states = threebar_states(B, t)._replace(theta=None)  # read by neither check
+        found = check_threebar(B, states)
+        states = states._replace(a=None, b=None)  # check_inversion_pairing reads x, p and q alone
+        return found + check_inversion_pairing(B, states)
+
     checks = [check_defining_product(B, sweep)]
-    states = threebar_states(B, sweep)._replace(theta=None)  # read by neither check
-    checks += check_threebar(B, states)
-    states = states._replace(a=None, b=None)  # check_inversion_pairing reads x, p and q alone
-    checks += check_inversion_pairing(B, states)
-    del states  # not held through the trace in check_area
+    checks += _in_blocks(threebar, sweep_angles(sweep))
     checks.append(check_hyperbola_inverse(B, dense))
     checks.append(check_sameside_locus(B, sweep))
     checks += check_maclaurin(B, sweep)

@@ -48,7 +48,7 @@ from lemniscate.errors import (
     UndefinedCenter,
 )
 from lemniscate.geometry import Line
-from lemniscate.verify import threebar_states
+from lemniscate.verify import sweep_angles, threebar_states
 
 SQRT2 = math.sqrt(2.0)
 B = BernoulliConfig(Point(-1.0, 0.0), Point(1.0, 0.0))
@@ -442,7 +442,7 @@ class TestThreeBarClosedForm:
 
     def test_sweep_through_pi(self):
         # 9999 samples put one crank angle exactly at pi
-        states = threebar_states(B, 9999)
+        states = threebar_states(B, sweep_angles(9999))
         k = int(np.argmin(np.abs(states.theta - math.pi)))
         assert states.theta[k] == math.pi
         assert states.x[k, 0] == pytest.approx(-SQRT2, abs=1e-15)

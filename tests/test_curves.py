@@ -304,6 +304,49 @@ class TestExpand:
             assert table.evaluate_array(xs, ys).tolist() == expected
             assert [table.evaluate(Point(x, y)) for x, y in pts] == expected
 
+    def test_table_and_evaluation_match_the_entry_by_entry_loops_bit_for_bit(self):
+        # the products of a 3 x 3 factor's entries, each coefficient's terms summed in the order of
+        # the table's own entries, and one Horner row at a time: the loops the vectorised forms replace
+        def mul2d(a, b):
+            out = np.zeros((a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1))
+            for i, j in zip(*np.nonzero(a)):
+                out[i : i + b.shape[0], j : j + b.shape[1]] += a[i, j] * b
+            return out
+
+        def horner(coeffs, x, y):
+            acc = 0.0
+            for i in range(coeffs.shape[0] - 1, -1, -1):
+                r = 0.0
+                for j in range(coeffs.shape[1] - 1, -1, -1):
+                    r = r * y + coeffs[i, j]
+                acc = acc * x + r
+            return acc
+
+        rng = random.Random(40)
+        for n in range(1, 9):
+            for rep in range(5):
+                scale = 10.0 ** rng.uniform(-3.0, 3.0)
+                foci = tuple(Point(rng.uniform(-2, 2) * scale, rng.uniform(-2, 2) * scale) for _ in range(n))
+                if rep < 2:  # a focus at the origin, then on the y axis: factors with entries of 0
+                    foci = (Point(0.0, rep * foci[0].y),) + foci[1:]
+                L = PolynomialLemniscate(foci, rng.uniform(0.5, 2.0) * scale)
+                acc = np.ones((1, 1))
+                for f in foci:  # |p|^2 - 2 f.p + |f|^2 as a 3 x 3 table
+                    factor = np.array([[f.x * f.x + f.y * f.y, -2.0 * f.y, 1.0], [-2.0 * f.x, 0, 0], [1.0, 0, 0]])
+                    acc = mul2d(acc, factor)
+                acc[0, 0] -= L.level
+                table = expand_coefficients(L)
+                assert table.coeffs.tobytes() == acc.tobytes()
+                x, y = np.array([(rng.uniform(-3, 3) * scale, rng.uniform(-3, 3) * scale) for _ in range(40)]).T
+                assert table.evaluate_array(x, y).tobytes() == horner(acc, x, y).tobytes()
+                grid = (x[:6, None], y[None, :7])  # broadcast coordinates
+                assert table.evaluate_array(*grid).tobytes() == horner(acc, *grid).tobytes()
+        # a table that overflows is refused with the same message
+        foci = (Point(1e80, 1.0), Point(1e80, 2.0), Point(1e80, 3.0), Point(-1e80, 0.0))
+        message = f"the coefficients overflow a float at foci {', '.join(f'({f.x!r}, {f.y!r})' for f in foci)} and radius 1.0"
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            expand_coefficients(PolynomialLemniscate(foci, 1.0))
+
     def test_leading_form_is_binomial(self):
         rng = random.Random(11)
         for n in (2, 3, 5):

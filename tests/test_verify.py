@@ -29,6 +29,7 @@ from lemniscate.verify import (
     check_tangent_circle,
     format_report,
     run_verification,
+    sweep_angles,
     threebar_states,
 )
 
@@ -121,7 +122,7 @@ def test_inversion_pairing_drops_parallel_rows(B):
     # parallel (p and q are NaN) and, at the canonical foci, x is exactly o;
     # the residuals run over every row and drop those rows after: the same
     # checks as on the selected rows, with no floating-point warning
-    states = threebar_states(B, 300)
+    states = threebar_states(B, sweep_angles(300))
     parallel = np.isnan(states.p[:, 0])
     assert parallel.sum() == 2
     with np.errstate(divide="raise", invalid="raise", over="raise"):
@@ -212,20 +213,39 @@ def test_contact_slope_matches_the_least_squares_closed_form(monkeypatch):
         assert np.all((1.9 <= slope) & (slope <= 2.1)), (slope.min(), slope.max())
 
 
-def test_peak_memory_stays_within_one_sweep():
-    # each check reduces every residual array to its worst value as it is formed,
-    # and the three-bar sweep that two checks share keeps only the fields still read,
-    # so the peak is the three-bar solve's own, about 1.37 MB; holding the residual
-    # arrays and the whole sweep read 1.77 MB, and a (1000, 50, 2) batch in
-    # check_lemma1 (which inverts 10 samples per line at a time) peaked at 4.3 MB
-    B = placed(1.0, 0.0, 0.0, 0.0)
+def traced_peak(fn, *args, **kwargs):
+    """tracemalloc's peak, in bytes, over one call of fn."""
     tracemalloc.start()
     try:
-        run_verification(B)
-        peak = tracemalloc.get_traced_memory()[1]
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5e6
+
+
+def test_peak_memory_stays_within_one_sweep():
+    # each check reduces every residual array to its worst value as it is formed, solves
+    # its 10^4-row sweep in blocks of 5,000 rows, and the three-bar sweep that two checks
+    # share keeps only the fields still read, so the peak is about 0.87 MB, the area
+    # trace's and check_lemma1's (which inverts 10 samples per line at a time, in place);
+    # whole sweeps read 1.37 MB, holding the residual arrays as well 1.77 MB, and a
+    # (1000, 50, 2) batch in check_lemma1 peaked at 4.3 MB
+    assert traced_peak(run_verification, placed(1.0, 0.0, 0.0, 0.0)) < 1.0e6
+
+
+def test_peak_memory_is_one_block_at_ten_times_the_sweep():
+    # 10^5 rows hold the parameter arrays whole (0.8 MB each) and one block of
+    # each sweep at a time: about 1.7 MB, against 13.7 MB for whole sweeps
+    assert traced_peak(run_verification, placed(1.0, 0.0, 0.0, 0.0), sweep=100_000, grid=64) < 2.5e6
+
+
+@pytest.mark.parametrize("B", [placed(1.0, 0.0, 0.0, 0.0), placed(5.0, 0.9273, 1.0, 3.0)], ids=["canonical", "placed"])
+def test_blocks_give_the_checks_of_one_pass(B, monkeypatch):
+    # every residual is a max over rows divided by a positive constant after it, so the worst
+    # over blocks of 5,000, 5,000 and 2,345 rows is the one-pass residual, bit for bit
+    blocked = run_verification(B, sweep=12_345, dense=120, grid=64)
+    monkeypatch.setattr(verify, "_ROWS", 10**9)
+    assert blocked == run_verification(B, sweep=12_345, dense=120, grid=64)
 
 
 def test_a_nan_residual_fails_its_check(monkeypatch):
