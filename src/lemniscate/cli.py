@@ -289,7 +289,11 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.run(args)
-    except (GeometryError, ValueError, OSError) as exc:
+    except (GeometryError, ValueError, OSError, MemoryError) as exc:
+        if isinstance(exc, MemoryError):
+            if getattr(args, "grid", None) is None:  # only --grid sizes an allocation without bound
+                raise
+            exc = f"--grid {args.grid} needs more memory than can be allocated"
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

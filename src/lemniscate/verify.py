@@ -10,9 +10,10 @@ power of the half focal distance c that matches its dimension (c for
 lengths, c^2 for areas and products of lengths, c^4 for the Bernoulli
 field), so one tolerance holds at any similarity placement of the foci.
 Each residual array is reduced to its worst value as soon as it is
-formed, a sweep is solved in blocks of _ROWS rows, and a sweep that two
-checks share keeps only the fields a later check reads: the peak is one
-kernel's own block of rows, not its whole sweep.
+formed, each sweep of run_verification's `sweep` rows reaches its
+kernels _ROWS rows at a time, lemma 1 inverts as many samples per line
+at a time as _ROWS rows hold, and a sweep that two checks share keeps
+only the fields a later check reads: the peak is one block, not a sweep.
 """
 
 from __future__ import annotations
@@ -63,8 +64,7 @@ from .geometry import (
 )
 from .tracer import bernoulli_window, contour_area, trace
 
-_ROWS = 5_000  # rows of a sweep solved at a time: the peak is one block's arrays
-_LEMMA1_GROUP = 10  # samples per line in one inversion call of check_lemma1: a block of 10^4 rows
+_ROWS = 5_000  # the most rows one kernel call takes: the peak is one block's arrays
 
 
 class Check(NamedTuple):
@@ -85,10 +85,10 @@ def _worst(*residuals) -> float:
     return math.nan if any(map(math.isnan, worst)) else max(worst, default=0.0)
 
 
-def _in_blocks(check, t) -> list[Check]:
-    """check(block) on consecutive _ROWS-row blocks of the parameters t, one block alive at a time. Each Check
+def _in_blocks(check, B: BernoulliConfig, t) -> list[Check]:
+    """check(B, block) on consecutive _ROWS-row blocks of the parameters t, one block alive at a time. Each Check
     takes the worst over the blocks: exact, as a residual is a max over rows divided by a positive constant after it."""
-    blocks = [check(t[k : k + _ROWS]) for k in range(0, max(len(t), 1), _ROWS)]
+    blocks = [check(B, t[k : k + _ROWS]) for k in range(0, max(len(t), 1), _ROWS)]
     return [Check(same[0].name, _worst(*(c.max_residual for c in same)), same[0].tolerance) for same in zip(*blocks)]
 
 
@@ -100,7 +100,7 @@ def _off_curve(B: BernoulliConfig, *points) -> float:
 
 def polar_angles(count: int, margin: float = 0.0) -> np.ndarray:
     """Angles across both lobes where the polar radius is defined."""
-    half = count // 2
+    half = (count + 1) // 2
     span = math.pi / 2 - 2 * margin
     t = -math.pi / 4 + margin + span * (np.arange(half) + 0.5) / half
     return np.stack((t, t + math.pi), axis=-1).ravel()[:count]
@@ -111,14 +111,11 @@ def sweep_angles(count: int) -> np.ndarray:
     return (np.arange(count) + 0.5) * math.tau / count
 
 
-def check_defining_product(B: BernoulliConfig, count: int = 10_000) -> Check:
-    def block(t):
-        c2 = B.half_distance**2
-        x = bernoulli_polar_array(B, t)
-        product = row_norm(x - xy(B.f1)) * row_norm(x - xy(B.f2))
-        return [Check("defining_product", _worst(product - c2) / c2, 1e-10)]
-
-    return _in_blocks(block, polar_angles(count))[0]
+def check_defining_product(B: BernoulliConfig, t) -> list[Check]:
+    c2 = B.half_distance**2
+    x = bernoulli_polar_array(B, t)
+    product = row_norm(x - xy(B.f1)) * row_norm(x - xy(B.f2))
+    return [Check("defining_product", _worst(product - c2) / c2, 1e-10)]
 
 
 def threebar_states(B: BernoulliConfig, theta, side: str = "opposite"):
@@ -142,6 +139,13 @@ def check_threebar(B: BernoulliConfig, states) -> list[Check]:
         Check("threebar_trapezoid", trapezoid, 1e-9),
         Check("threebar_stick_lengths", lengths / c, 1e-10),
     ]
+
+
+def _threebar(B: BernoulliConfig, theta) -> list[Check]:  # the three-stick sweep that two checks share
+    states = threebar_states(B, theta)._replace(theta=None)  # read by neither check
+    found = check_threebar(B, states)
+    states = states._replace(a=None, b=None)  # check_inversion_pairing reads x, p and q alone
+    return found + check_inversion_pairing(B, states)
 
 
 def check_inversion_pairing(B: BernoulliConfig, states) -> list[Check]:
@@ -168,60 +172,51 @@ def check_inversion_pairing(B: BernoulliConfig, states) -> list[Check]:
 
 def check_hyperbola_inverse(B: BernoulliConfig, count: int = 1_000) -> Check:
     H = hyperbola_of(B)
-    half = count // 2
+    half = (count + 1) // 2
     t = -3.0 + 6.0 * (np.arange(half) + 0.5) / half
-    q = np.concatenate([hyperbola_point_array(H, t, branch) for branch in (1, -1)])
+    q = np.concatenate([hyperbola_point_array(H, t, branch) for branch in (1, -1)])[:count]
     x = invert_between_array(B, q)
     return Check("hyperbola_inverse_direction", _off_curve(B, x), 1e-8)
 
 
-def check_sameside_locus(B: BernoulliConfig, count: int = 10_000) -> Check:
-    def block(t):
-        c = B.half_distance
-        x = threebar_states(B, t, side="same").x
-        return [Check("sameside_locus", _worst(row_norm(x - xy(B.center)) - c * SQRT2) / c, 1e-8)]
-
-    return _in_blocks(block, sweep_angles(count))[0]
+def check_sameside_locus(B: BernoulliConfig, theta) -> list[Check]:
+    c = B.half_distance
+    x = threebar_states(B, theta, side="same").x
+    return [Check("sameside_locus", _worst(row_norm(x - xy(B.center)) - c * SQRT2) / c, 1e-8)]
 
 
-def check_maclaurin(B: BernoulliConfig, count: int = 10_000) -> list[Check]:
-    def block(phi):
-        c = B.half_distance
-        o = xy(B.center)
-        s = maclaurin_array(B, phi)
-        chord = row_norm(s.a - s.b)
-        return [
-            Check("maclaurin_field", _off_curve(B, s.x, s.x_prime), 1e-8),
-            Check(
-                "maclaurin_chord_identity",
-                _worst(_worst(row_norm(s.x - o) - chord), _worst(row_norm(s.x_prime - o) - chord)) / c,
-                1e-10,
-            ),
-        ]
-
-    return _in_blocks(block, -math.pi / 4 + (np.arange(count) + 0.5) * (math.pi / 2) / count)
+def check_maclaurin(B: BernoulliConfig, phi) -> list[Check]:
+    c = B.half_distance
+    o = xy(B.center)
+    s = maclaurin_array(B, phi)
+    chord = row_norm(s.a - s.b)
+    return [
+        Check("maclaurin_field", _off_curve(B, s.x, s.x_prime), 1e-8),
+        Check(
+            "maclaurin_chord_identity",
+            _worst(_worst(row_norm(s.x - o) - chord), _worst(row_norm(s.x_prime - o) - chord)) / c,
+            1e-10,
+        ),
+    ]
 
 
-def check_rightangle(B: BernoulliConfig, count: int = 10_000) -> list[Check]:
-    def block(alpha):
-        o = xy(B.center)
-        u = xy(B.axis_unit)
-        c = B.half_distance
-        st = right_angle_array(B, alpha)
-        crank2 = row_norm(st.a - o) ** 2
-        right = sticks = 0.0
-        for tip in (st.x, st.y):
-            stick = row_norm(st.a - tip)
-            right = _worst(right, _worst(row_norm(tip - o) ** 2 + crank2 - stick**2))
-            sticks = _worst(sticks, _worst(stick - c * SQRT2))
-        crossing = _worst(_worst(np.maximum(0.0, -row_dot(st.x - o, u))), _worst(np.maximum(0.0, row_dot(st.y - o, u))))
-        return [
-            Check("rightangle_field", _off_curve(B, st.x, st.y), 1e-8),
-            Check("rightangle_right_angle", _worst(right / c**2, sticks / c), 1e-10),
-            Check("rightangle_lobe_separation", crossing / c, 0.0),
-        ]
-
-    return _in_blocks(block, -math.pi / 2 + (np.arange(count) + 0.5) * math.pi / count)
+def check_rightangle(B: BernoulliConfig, alpha) -> list[Check]:
+    o = xy(B.center)
+    u = xy(B.axis_unit)
+    c = B.half_distance
+    st = right_angle_array(B, alpha)
+    crank2 = row_norm(st.a - o) ** 2
+    right = sticks = 0.0
+    for tip in (st.x, st.y):
+        stick = row_norm(st.a - tip)
+        right = _worst(right, _worst(row_norm(tip - o) ** 2 + crank2 - stick**2))
+        sticks = _worst(sticks, _worst(stick - c * SQRT2))
+    crossing = _worst(_worst(np.maximum(0.0, -row_dot(st.x - o, u))), _worst(np.maximum(0.0, row_dot(st.y - o, u))))
+    return [
+        Check("rightangle_field", _off_curve(B, st.x, st.y), 1e-8),
+        Check("rightangle_right_angle", _worst(right / c**2, sticks / c), 1e-10),
+        Check("rightangle_lobe_separation", crossing / c, 0.0),
+    ]
 
 
 def check_normals(B: BernoulliConfig, count: int = 1_000) -> Check:
@@ -298,14 +293,15 @@ def check_lemma1(pair_count: int = 1_000) -> list[Check]:
     image_center, image_radius = invert_line_array(center, radius, anchor, direction)
 
     # 50 points of each line, inverted, must land on its image circle,
-    # which also passes through the center of inversion; taking
-    # _LEMMA1_GROUP samples per line at a time keeps each call to one block
+    # which also passes through the center of inversion; as many samples
+    # per line at a time as _ROWS rows hold, or one
     t = -5.0 + 10.0 * (np.arange(50) + 0.5) / 50
-    on_circle = []
-    for g in np.split(t, range(_LEMMA1_GROUP, len(t), _LEMMA1_GROUP)):
-        images = rows(ax[:, None] + dx[:, None] * g, ay[:, None] + dy[:, None] * g)  # the samples, then their images
-        images = invert_point_array(center[:, None], radius[:, None], images) - image_center[:, None]
-        on_circle.append(_worst(row_norm(images) - image_radius[:, None]))
+    group, on_circle = max(1, _ROWS // max(pair_count, 1)), []
+    for g in np.split(t, range(group, len(t), group)):
+        images = anchor + direction * g[:, None, None]  # (samples, lines) of points, then their images
+        images = invert_point_array(center, radius, images)
+        images -= image_center  # in the inversion's own array
+        on_circle.append(_worst(row_norm(images) - image_radius))
     through_center = row_norm(center - image_center) - image_radius
     # the circle's center is the image of the center mirrored in the line
     mirrored = reflect_across_line_array(anchor, direction, center)
@@ -362,18 +358,12 @@ def run_verification(
     grid: int = 512,
 ) -> list[Check]:
     """Run every sweep at the given sample counts and collect the checks."""
-    def threebar(t):  # the three-stick sweep that two checks share
-        states = threebar_states(B, t)._replace(theta=None)  # read by neither check
-        found = check_threebar(B, states)
-        states = states._replace(a=None, b=None)  # check_inversion_pairing reads x, p and q alone
-        return found + check_inversion_pairing(B, states)
-
-    checks = [check_defining_product(B, sweep)]
-    checks += _in_blocks(threebar, sweep_angles(sweep))
+    checks = _in_blocks(check_defining_product, B, polar_angles(sweep))
+    checks += _in_blocks(_threebar, B, sweep_angles(sweep))
     checks.append(check_hyperbola_inverse(B, dense))
-    checks.append(check_sameside_locus(B, sweep))
-    checks += check_maclaurin(B, sweep)
-    checks += check_rightangle(B, sweep)
+    checks += _in_blocks(check_sameside_locus, B, sweep_angles(sweep))
+    checks += _in_blocks(check_maclaurin, B, -math.pi / 4 + (np.arange(sweep) + 0.5) * (math.pi / 2) / sweep)
+    checks += _in_blocks(check_rightangle, B, -math.pi / 2 + (np.arange(sweep) + 0.5) * math.pi / sweep)
     checks.append(check_normals(B, dense))
     checks += check_tangent_circle(B, dense)
     checks += check_lemma1(dense)

@@ -505,6 +505,34 @@ class TestErrorPaths:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "distinct" in err and named in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("trace", "--format", "csv"), ("trace", "--format", "svg"), ("figure", "--preset", "family3"), ("verify",)],
+        ids=["trace_csv", "trace_svg", "family3", "verify"],
+    )
+    def test_a_grid_too_large_to_allocate_is_a_usage_error(self, capsys, monkeypatch, argv):
+        # numpy refuses a grid's node coordinates at once with MemoryError, raised here without
+        # allocating; verify's exit 1 would read as a failed verification
+        linspace = np.linspace
+
+        def refuse(start, stop, num=50, **kwargs):
+            if num > 10**6:
+                raise MemoryError(f"Unable to allocate an array with shape ({num},)")
+            return linspace(start, stop, num, **kwargs)
+
+        monkeypatch.setattr(np, "linspace", refuse)
+        code, out, err = run_cli(capsys, *argv, "--grid", "100000000000")
+        assert code == 2 and out == ""
+        assert err == "error: --grid 100000000000 needs more memory than can be allocated\n"
+
+    def test_memory_error_without_a_grid_is_not_a_usage_error(self, monkeypatch):
+        def exhausted(B):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "bernoulli_area", exhausted)
+        with pytest.raises(MemoryError):
+            main(["area"])
+
     @pytest.mark.parametrize("argv", [("area",), ("verify", "--grid", "64")], ids=["area", "verify"])
     def test_out_path_that_cannot_be_opened_is_a_usage_error(self, capsys, tmp_path, argv):
         path = tmp_path / "missing" / "report.json"

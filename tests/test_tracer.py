@@ -1091,6 +1091,9 @@ class TestTraceLevels:
         with pytest.raises(ValueError, match=r"^curve 3 has foci Point\(x=-1.0, y=0.0\), Point\(x=1.0, y=1e-09\), "):
             trace_levels([L, L, other], TraceWindow(-2, 2, -1, 1, 16, 16))
 
+    def test_no_curves_trace_to_no_levels(self):
+        assert trace_levels([], TraceWindow(-2, 2, -1, 1, 16, 16)) == []
+
 
 class TestContourArea:
     def test_unit_square(self):

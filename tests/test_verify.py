@@ -248,6 +248,45 @@ def test_blocks_give_the_checks_of_one_pass(B, monkeypatch):
     assert blocked == run_verification(B, sweep=12_345, dense=120, grid=64)
 
 
+def test_every_sweep_runs_its_count_in_calls_of_at_most_rows(monkeypatch):
+    # an odd count is solved whole (polar_angles(121) gave 120 angles), each sweep reaches its
+    # kernel in blocks of at most _ROWS rows, and check_lemma1 inverts 41 samples per line at a
+    # time: 121 * 41 = 4,961 rows, then the other 9, then the mirrored centers
+    seen = {}
+
+    def counted(name, kernel):
+        def solve(*args):
+            points = [a for a in args if isinstance(a, np.ndarray)][-1]
+            key = (name, *(a for a in args if isinstance(a, str)))
+            seen.setdefault(key, []).append(points.size // (points.shape[-1] if points.ndim > 1 else 1))
+            return kernel(*args)
+
+        return solve
+
+    for name in (
+        "bernoulli_polar_array",
+        "three_bar_array",
+        "invert_between_array",
+        "maclaurin_array",
+        "right_angle_array",
+        "invert_point_array",
+    ):
+        monkeypatch.setattr(verify, name, counted(name, getattr(verify, name)))
+    run_verification(placed(5.0, 0.9273, 1.0, 3.0), sweep=12_345, dense=121, grid=64)
+    tangent_circle = seen.pop(("three_bar_array",))  # its sweep is padded, then thinned near the parallel cranks
+    assert len(tangent_circle) == 1 and 121 <= tangent_circle[0] <= verify._ROWS
+    blocks = [5_000, 5_000, 2_345]
+    assert seen == {
+        ("bernoulli_polar_array",): blocks + [121],  # the defining product, then the normals
+        ("three_bar_array", "opposite"): blocks,
+        ("invert_between_array",): [121],
+        ("three_bar_array", "same"): blocks,
+        ("maclaurin_array",): blocks,
+        ("right_angle_array",): blocks,
+        ("invert_point_array",): [121 * 41, 121 * 9, 121],
+    }
+
+
 def test_a_nan_residual_fails_its_check(monkeypatch):
     # Python's max and min keep a finite value that comes before a NaN; every worst is
     # combined through one reduction that keeps the NaN, so a NaN row fails each check it reaches
@@ -262,7 +301,9 @@ def test_a_nan_residual_fails_its_check(monkeypatch):
     monkeypatch.setattr(verify, "right_angle_array", nan_last_row(verify.right_angle_array, "y"))
     monkeypatch.setattr(verify, "maclaurin_array", nan_last_row(verify.maclaurin_array, "x_prime"))
     B = placed(5.0, 0.9273, 1.0, 3.0)
-    checks = check_rightangle(B, 100) + check_maclaurin(B, 100)
+    alpha = -math.pi / 2 + (np.arange(100) + 0.5) * math.pi / 100  # 100 cranks and secants, as run_verification's grids
+    phi = -math.pi / 4 + (np.arange(100) + 0.5) * (math.pi / 2) / 100
+    checks = check_rightangle(B, alpha) + check_maclaurin(B, phi)
     assert failures(checks) == [
         "rightangle_field",
         "rightangle_right_angle",
