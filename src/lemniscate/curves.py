@@ -81,12 +81,19 @@ def lemniscate_gradient(L: PolynomialLemniscate, p: Point) -> Point:
 
 
 def lemniscate_field_array(L: PolynomialLemniscate, x, y) -> np.ndarray:
-    """lemniscate_field at the points (x, y), broadcasting the coordinate arrays, or as a float at
-    float coordinates. Squares are d * d, as numpy evaluates an array's ** 2; a float's ** calls C pow."""
-    acc = 1.0
+    """lemniscate_field at the points (x, y), broadcasting the coordinate arrays, or as a float at float coordinates.
+    Squares are d * d, as numpy evaluates an array's ** 2 (a float's ** calls C pow), taken in place; the first focus's
+    term starts the product (1.0 * term is the term bit for bit), so past its differences a focus adds one array."""
+    acc = None
     for f in L.foci:
-        dx, dy = x - f.x, y - f.y
-        acc *= dx * dx + dy * dy
+        dx = x - f.x  # one at a time: the last focus's dx is freed before this dy is formed
+        dy = y - f.y
+        dx *= dx
+        dy *= dy
+        if acc is None:
+            acc = dx + dy
+        else:
+            acc *= dx + dy
     acc -= L.level
     return acc
 

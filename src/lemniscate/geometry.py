@@ -209,7 +209,9 @@ def row_dot(u, v):
 
 
 def row_cross(u, v):
-    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+    cross = u[..., 0] * v[..., 1]
+    cross -= u[..., 1] * v[..., 0]
+    return cross
 
 
 def row_norm(v):
@@ -236,7 +238,8 @@ def reflect_across_line_array(anchor, direction, p):
     unit direction."""
     t = row_dot(p - anchor, direction)
     foot = rows(anchor[..., 0] + direction[..., 0] * t, anchor[..., 1] + direction[..., 1] * t)
-    return 2.0 * foot - p
+    foot *= 2.0
+    return np.subtract(foot, p, out=foot)  # foot has the rows' full shape: it holds the images
 
 
 def invert_point_array(center, radius, p):
@@ -299,5 +302,7 @@ def line_line_intersection_array(a1, d1, a2, d2):
     denom = row_cross(d1, d2)
     parallel = np.abs(denom) <= _EPS
     t = row_cross(a2 - a1, d2) / np.where(parallel, 1.0, denom)
-    p = a1 + d1 * t[..., None]
-    return np.where(parallel[..., None], np.nan, p)
+    p = d1 * t[..., None]
+    p += a1
+    np.copyto(p, np.nan, where=parallel[..., None])
+    return p

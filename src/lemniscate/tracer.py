@@ -22,8 +22,9 @@ then the 4 x 4 blocks inside 4,096 kept blocks at a time, down to 4 x 4
 cells, so work and memory follow the curve; a box inside a certified one
 is certified too. Unlike coarse sampling, the test cannot miss a lobe
 smaller than a block. The field's signs at the kept 4-cell blocks' nodes
-are computed per chunk of 1,024 blocks, with the full grid's element-wise
-arithmetic, so every sign, crossing and contour is what the full grid gives.
+go to the crossings per chunk of 1,024 blocks, evaluated half a chunk at a
+time with the full grid's element-wise arithmetic, so every sign, crossing
+and contour is what the full grid gives.
 
 Crossed edges carry integer ids in the full grid's order; np.unique over
 the segment ends ranks them and links each crossing to its successor.
@@ -47,9 +48,9 @@ band and one sort, each level's edge ids after the last one's, then one
 rebase of ids and successors to each level's own, and refine by levels.
 
 No stage holds more than one batch of working arrays, so a trace of the
-Bernoulli curve in the CLI's default window peaks at 0.87, 1.25, 5.52
-and 11.0 MB (tracemalloc) at grids 1024, 2048, 16384 and 32768, and
-family3's nine levels at grid 512 at 1.22 MB.
+Bernoulli curve in the CLI's default window peaks at 0.52, 0.77, 1.19,
+5.52 and 11.0 MB (tracemalloc) at grids 512, 1024, 2048, 16384 and 32768,
+and family3's nine levels at grid 512 at 1.15 MB.
 """
 
 from __future__ import annotations
@@ -303,8 +304,8 @@ def _band(L, w, xs, ys):
     one kept, _BATCH kept ones at a time, down to _SUB cells. Yields, per
     run, each kept block's node indices along x and y as columns
     (_SUB + 1, k) clamped at the window edge, and its nodes' signs (1 if
-    negative) as int8 (_SUB + 1, _SUB + 1, k); where L.level is an array,
-    a family's, its blocks' level indices (k,) too.
+    negative, from field calls of _CHUNK // 2 blocks) as int8 (_SUB + 1,
+    _SUB + 1, k); where L.level is an array, its blocks' level indices (k,) too.
     """
     size = next(_SUB * 4**k for k in range(1, 32) if 32 * _SUB * 4**k >= max(w.nx, w.ny))
     # the kept blocks' origins and a family's level indices, first one untested block a level spanning the window
@@ -327,11 +328,14 @@ def _band(L, w, xs, ys):
     for run in range(0, len(blocks[0]), _CHUNK):
         ox, oy, *lv = [v[run : run + _CHUNK] for v in blocks]
         ci, cj = np.minimum(ox + nodes, w.nx), np.minimum(oy + nodes, w.ny)
-        f = lemniscate_field_array(_levels(L, *lv), xs[ci][:, None], ys[cj][None])
-        if np.isnan(f).any():  # a float cannot tell the side of the true, finite product
-            raise ValueError(f"the field is 0 * inf at a grid node: foci {', '.join(map(str, L.foci))}")
-        yield ci, cj, (f < 0.0).view(np.int8), *lv
-        del f  # not held while the next run is evaluated
+        neg = np.empty((_SUB + 1, _SUB + 1, len(ox)), dtype=bool)
+        for at in (slice(h, h + _CHUNK // 2) for h in range(0, len(ox), _CHUNK // 2)):  # half a run's field at a time
+            f = lemniscate_field_array(_levels(L, *(v[at] for v in lv)), xs[ci[:, at]][:, None], ys[cj[:, at]][None])
+            if np.isnan(f).any():  # a float cannot tell the side of the true, finite product
+                raise ValueError(f"the field is 0 * inf at a grid node: foci {', '.join(map(str, L.foci))}")
+            np.less(f, 0.0, out=neg[..., at])
+            del f  # not held while the next half, or the run's cells, are worked on
+        yield ci, cj, neg.view(np.int8), *lv
 
 
 def _levels(L, lv=None):

@@ -10,10 +10,10 @@ power of the half focal distance c that matches its dimension (c for
 lengths, c^2 for areas and products of lengths, c^4 for the Bernoulli
 field), so one tolerance holds at any similarity placement of the foci.
 Each residual array is reduced to its worst value as soon as it is
-formed, each sweep of run_verification's `sweep` rows reaches its
-kernels _ROWS rows at a time, lemma 1 inverts as many samples per line
-at a time as _ROWS rows hold, and a sweep that two checks share keeps
-only the fields a later check reads: the peak is one block, not a sweep.
+formed, every sweep of run_verification, of `sweep` or `dense` rows, is
+built and solved _ROWS rows at a time (lemma 1's lines too, inverting as
+many samples a line at a time as _ROWS rows hold), and a sweep that two
+checks share keeps only the fields a later check reads: the peak is one block.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ from .geometry import (
 )
 from .tracer import bernoulli_window, contour_area, trace
 
-_ROWS = 5_000  # the most rows one kernel call takes: the peak is one block's arrays
+_ROWS = 5_000  # the most rows a kernel call takes, so the peak is one block's; even: hyperbola blocks start on branch 1
 
 
 class Check(NamedTuple):
@@ -85,11 +85,16 @@ def _worst(*residuals) -> float:
     return math.nan if any(map(math.isnan, worst)) else max(worst, default=0.0)
 
 
-def _in_blocks(check, B: BernoulliConfig, t) -> list[Check]:
-    """check(B, block) on consecutive _ROWS-row blocks of the parameters t, one block alive at a time. Each Check
+def _in_blocks(check, B, n: int, grid) -> list[Check]:
+    """check(B, grid(i)) on consecutive blocks i of at most _ROWS indices in range(n), built one at a time. Each Check
     takes the worst over the blocks: exact, as a residual is a max over rows divided by a positive constant after it."""
-    blocks = [check(B, t[k : k + _ROWS]) for k in range(0, max(len(t), 1), _ROWS)]
+    blocks = [check(B, grid(np.arange(k, min(k + _ROWS, n)))) for k in range(0, max(n, 1), _ROWS)]
     return [Check(same[0].name, _worst(*(c.max_residual for c in same)), same[0].tolerance) for same in zip(*blocks)]
+
+
+def _unit(v):  # row_unit(v), written into v: for rows that nothing reads after
+    v /= row_norm(v)[..., None]
+    return v
 
 
 def _off_curve(B: BernoulliConfig, *points) -> float:
@@ -98,17 +103,16 @@ def _off_curve(B: BernoulliConfig, *points) -> float:
     return _worst(*fields) / B.half_distance**4
 
 
-def polar_angles(count: int, margin: float = 0.0) -> np.ndarray:
-    """Angles across both lobes where the polar radius is defined."""
-    half = (count + 1) // 2
+def polar_angles(count: int, margin: float = 0.0, at=None) -> np.ndarray:
+    """Angles where the polar radius is defined, alternately in each lobe: all count, or those at the indices at."""
+    i = np.arange(count) if at is None else at
     span = math.pi / 2 - 2 * margin
-    t = -math.pi / 4 + margin + span * (np.arange(half) + 0.5) / half
-    return np.stack((t, t + math.pi), axis=-1).ravel()[:count]
+    return -math.pi / 4 + margin + span * (i // 2 + 0.5) / ((count + 1) // 2) + math.pi * (i % 2)
 
 
-def sweep_angles(count: int) -> np.ndarray:
-    """The (k + 1/2) * tau / count grid."""
-    return (np.arange(count) + 0.5) * math.tau / count
+def sweep_angles(count: int, at=None) -> np.ndarray:
+    """The (k + 1/2) * tau / count grid, at every k or at the indices at."""
+    return ((np.arange(count) if at is None else at) + 0.5) * math.tau / count
 
 
 def check_defining_product(B: BernoulliConfig, t) -> list[Check]:
@@ -128,7 +132,7 @@ def check_threebar(B: BernoulliConfig, states) -> list[Check]:
     # isosceles trapezoid f1-a-f2-b: the legs f1a, f2b are equal by
     # construction, so the testable content is that the bases a->f2
     # and b->f1 are parallel
-    trapezoid = _worst(row_cross(row_unit(f2 - states.a), row_unit(f1 - states.b)))
+    trapezoid = _worst(row_cross(_unit(f2 - states.a), _unit(f1 - states.b)))
     lengths = _worst(
         _worst(row_norm(states.a - f1) - c * SQRT2),
         _worst(row_norm(states.b - f2) - c * SQRT2),
@@ -159,10 +163,8 @@ def check_inversion_pairing(B: BernoulliConfig, states) -> list[Check]:
     membership = _worst(*[_worst(hyperbola_residual_array(H, r)[keep]) for r in (states.p, states.q)])
     pairing = _worst((row_norm(ox) * row_norm(oq) - c2)[keep])
     with np.errstate(invalid="ignore"):  # x can sit on o only in a parallel row: 0/0, then dropped
-        ray = _worst(
-            _worst(row_cross(row_unit(ox), row_unit(oq))[keep]),
-            _worst(np.maximum(0.0, -row_dot(ox, oq))[keep]) / c2,
-        )
+        behind = _worst(np.maximum(0.0, -row_dot(ox, oq))[keep]) / c2
+        ray = _worst(_worst(row_cross(_unit(ox), _unit(oq))[keep]), behind)  # ox and oq are not read after
     return [
         Check("hyperbola_membership_pq", membership / c, 1e-8),
         Check("inversion_pairing", pairing / c2, 1e-8),
@@ -170,13 +172,10 @@ def check_inversion_pairing(B: BernoulliConfig, states) -> list[Check]:
     ]
 
 
-def check_hyperbola_inverse(B: BernoulliConfig, count: int = 1_000) -> Check:
+def check_hyperbola_inverse(B: BernoulliConfig, t) -> list[Check]:  # t alternates branches 1 and -1, from 1 on
     H = hyperbola_of(B)
-    half = (count + 1) // 2
-    t = -3.0 + 6.0 * (np.arange(half) + 0.5) / half
-    q = np.concatenate([hyperbola_point_array(H, t, branch) for branch in (1, -1)])[:count]
-    x = invert_between_array(B, q)
-    return Check("hyperbola_inverse_direction", _off_curve(B, x), 1e-8)
+    q = np.concatenate([hyperbola_point_array(H, t[k::2], branch) for k, branch in enumerate((1, -1))])
+    return [Check("hyperbola_inverse_direction", _off_curve(B, invert_between_array(B, q)), 1e-8)]
 
 
 def check_sameside_locus(B: BernoulliConfig, theta) -> list[Check]:
@@ -219,25 +218,24 @@ def check_rightangle(B: BernoulliConfig, alpha) -> list[Check]:
     ]
 
 
-def check_normals(B: BernoulliConfig, count: int = 1_000) -> Check:
-    x = bernoulli_polar_array(B, polar_angles(count, margin=0.02))
+def check_normals(B: BernoulliConfig, theta) -> list[Check]:
+    x = bernoulli_polar_array(B, theta)
     normal = normal_by_angle_array(B, x)
     g = row_unit(lemniscate_gradient_array(B.lemniscate, x[:, 0], x[:, 1]))
     angle = np.arcsin(np.clip(row_cross(normal, g), -1.0, 1.0))
-    return Check("normal_vs_gradient_angle", _worst(angle), 1e-8)
+    return [Check("normal_vs_gradient_angle", _worst(angle), 1e-8)]
 
 
-def check_tangent_circle(B: BernoulliConfig, count: int = 1_000) -> list[Check]:
+def check_tangent_circle(B: BernoulliConfig, t) -> list[Check]:
     L = B.lemniscate
     H = hyperbola_of(B)
     o = xy(B.center)
     c = B.half_distance
-    # pad the grid so at least `count` states survive after skipping the crank angles within
-    # 5e-2 of a multiple of pi/4, where the stick lines are parallel (the only NaN p) or x
-    # hits o; near those angles the tangent circle degenerates (radius to infinity)
-    t = sweep_angles(count + count // 4)
+    # skip the crank angles within 5e-2 of a multiple of pi/4, where the stick lines are parallel
+    # (the only NaN p) or x hits o; near those angles the tangent circle degenerates (radius to infinity)
     states = three_bar_array(B, t[np.abs(t - math.pi / 4 * np.round(t / (math.pi / 4))) >= 5e-2])
     center, radius = tangent_circle_array(states)
+    slope_deficit = _worst(np.maximum(0.0, 1.9 - _contact_slope(L, center, radius, states.x, c)))  # its (N, 3) first
     radial = row_unit(states.x - center)
     grad = row_unit(lemniscate_gradient_array(L, states.x[:, 0], states.x[:, 1]))
 
@@ -247,13 +245,11 @@ def check_tangent_circle(B: BernoulliConfig, count: int = 1_000) -> list[Check]:
         states.x, normal_by_angle_array(B, states.x), o, row_unit(hyperbola_gradient_array(H, states.q))
     )
     rebuilt_off = row_norm(rebuilt - center)
-
-    slope_deficit = np.maximum(0.0, 1.9 - _contact_slope(L, center, radius, states.x, c))
     return [
         Check("tangent_circle_alignment", _worst(row_cross(radial, grad)), 1e-8),
         Check("tangent_circle_through_o", _worst(radius - row_norm(center - o)) / c, 1e-9),
         Check("tangent_circle_center_rebuild", _worst(rebuilt_off) / c, 1e-8),
-        Check("tangent_contact_slope_deficit", _worst(slope_deficit), 1e-9),
+        Check("tangent_contact_slope_deficit", slope_deficit, 1e-9),
     ]
 
 
@@ -276,7 +272,10 @@ def _contact_slope(L, center, radius, x, c: float) -> np.ndarray:
 
 
 def check_lemma1(pair_count: int = 1_000) -> list[Check]:
-    rng = random.Random(42)
+    return _in_blocks(_lemma1, random.Random(42), pair_count, len)  # each block draws its pairs after the last one's
+
+
+def _lemma1(rng: random.Random, pair_count: int) -> list[Check]:
     draw, bits, u = rng.random, rng.getrandbits, []
     for _ in range(pair_count):  # six draws a pair, in one flat list
         u += draw(), draw(), draw(), draw()
@@ -285,11 +284,9 @@ def check_lemma1(pair_count: int = 1_000) -> list[Check]:
         u += (-1.0, 1.0)[k], draw()
     u = np.array(u).reshape(-1, 6).T
     # the floats of random.uniform(a, b), a + (b - a) * random(), where b - a is 2, 1.5, pi and 2.9
-    cx, cy, radius, ang = -1.0 + 2.0 * u[0], -1.0 + 2.0 * u[1], 0.5 + 1.5 * u[2], 0.0 + math.pi * u[3]
-    offset = u[4] * (0.1 + 2.9 * u[5])
-    dx, dy = np.cos(ang), np.sin(ang)
-    ax, ay = cx - dy * offset, cy + dx * offset  # center + perp(direction) * offset
-    center, direction, anchor = rows(cx, cy), rows(dx, dy), rows(ax, ay)
+    center, radius, ang = rows(-1.0 + 2.0 * u[0], -1.0 + 2.0 * u[1]), 0.5 + 1.5 * u[2], 0.0 + math.pi * u[3]
+    direction = rows(np.cos(ang), np.sin(ang))
+    anchor = center + row_perp(direction) * (u[4] * (0.1 + 2.9 * u[5]))[:, None]  # the offset along perp(direction)
     image_center, image_radius = invert_line_array(center, radius, anchor, direction)
 
     # 50 points of each line, inverted, must land on its image circle,
@@ -358,14 +355,15 @@ def run_verification(
     grid: int = 512,
 ) -> list[Check]:
     """Run every sweep at the given sample counts and collect the checks."""
-    checks = _in_blocks(check_defining_product, B, polar_angles(sweep))
-    checks += _in_blocks(_threebar, B, sweep_angles(sweep))
-    checks.append(check_hyperbola_inverse(B, dense))
-    checks += _in_blocks(check_sameside_locus, B, sweep_angles(sweep))
-    checks += _in_blocks(check_maclaurin, B, -math.pi / 4 + (np.arange(sweep) + 0.5) * (math.pi / 2) / sweep)
-    checks += _in_blocks(check_rightangle, B, -math.pi / 2 + (np.arange(sweep) + 0.5) * math.pi / sweep)
-    checks.append(check_normals(B, dense))
-    checks += check_tangent_circle(B, dense)
+    checks = _in_blocks(check_defining_product, B, sweep, lambda i: polar_angles(sweep, at=i))
+    checks += _in_blocks(_threebar, B, sweep, lambda i: sweep_angles(sweep, i))
+    checks += _in_blocks(check_hyperbola_inverse, B, dense, lambda i: -3.0 + 6.0 * (i // 2 + 0.5) / ((dense + 1) // 2))
+    checks += _in_blocks(check_sameside_locus, B, sweep, lambda i: sweep_angles(sweep, i))
+    checks += _in_blocks(check_maclaurin, B, sweep, lambda i: -math.pi / 4 + (i + 0.5) * (math.pi / 2) / sweep)
+    checks += _in_blocks(check_rightangle, B, sweep, lambda i: -math.pi / 2 + (i + 0.5) * math.pi / sweep)
+    checks += _in_blocks(check_normals, B, dense, lambda i: polar_angles(dense, 0.02, i))
+    # a quarter more crank angles than dense, for those that check_tangent_circle skips
+    checks += _in_blocks(check_tangent_circle, B, dense + dense // 4, lambda i: sweep_angles(dense + dense // 4, i))
     checks += check_lemma1(dense)
     checks.append(check_coefficients())
     checks += check_unit_hyperbola()

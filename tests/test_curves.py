@@ -4,6 +4,7 @@ import math
 import random
 import re
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -116,6 +117,45 @@ class TestField:
             got, want = lemniscate_field_array(L, x, y), self.seeded_field(L, x, y)
         assert np.isinf(got).sum() > 0 and np.isfinite(got).sum() > 0
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+    @staticmethod
+    def product_loop(L, x, y):
+        """The field as a product started at 1.0, each focus's term formed whole: dx * dx + dy * dy."""
+        acc = 1.0
+        for f in L.foci:
+            dx, dy = x - f.x, y - f.y
+            acc *= dx * dx + dy * dy
+        acc -= L.level
+        return acc
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_the_product_loop_bit_for_bit(self, n):
+        # the first focus's term starts the product, as 1.0 * term is the term, and d *= d is
+        # d * d: floats, rows, the band's broadcast and per-row or per-block levels give the same
+        # bits and types, through products that overflow to inf and a 0 * inf that is NaN
+        rng = np.random.default_rng(300 + n)
+        foci = [Point(*rng.uniform(-2.0, 2.0, 2)) for _ in range(n)]
+        x, y = rng.uniform(-3.0, 3.0, (2, 200))
+        x[:4], y[:4] = (1e300, -1e160, 1e80, 3e38), (2.0, 1e160, -1e80, 1e38)
+        curves = [PolynomialLemniscate(tuple(foci), rng.uniform(0.5, 2.0))]
+        # 0 * inf in either order: one factor 0 at the origin, the other overflowing
+        curves += [PolynomialLemniscate((Point(0.0, 0.0), Point(1e300, 0.0)) + tuple(foci[1:]), 1.0)]
+        curves += [PolynomialLemniscate((Point(1e300, 0.0), Point(0.0, 0.0)) + tuple(foci[1:]), 1.0)]
+        x[4:6], y[4:6] = 0.0, 0.0
+        for L in curves:
+            rows = SimpleNamespace(foci=L.foci, level=rng.uniform(0.1, 5.0, 200))  # a level a row, as refine takes
+            blocks = SimpleNamespace(foci=L.foci, level=rows.level[:8])  # a level a block, as the band takes
+            bx, by = x[:40].reshape(5, 1, 8), y[40:80].reshape(1, 5, 8)
+            cases = [(L, x, y), (rows, x, y), (L, bx, by), (blocks, bx, by)]
+            cases += [(L, float(u), float(v)) for u, v in zip(x[:12], y[:12])]
+            for P, u, v in cases:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    got, want = lemniscate_field_array(P, u, v), self.product_loop(P, u, v)
+                assert type(got) is type(want) and np.shape(got) == np.shape(want)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert math.isnan(lemniscate_field_array(curves[1], 0.0, 0.0))
+        assert math.isnan(lemniscate_field_array(curves[2], 0.0, 0.0))
 
 
 class TestOnCurve:

@@ -321,36 +321,37 @@ class TestTraceMemory:
         w = TraceWindow(-1.6, 1.6, -0.8, 0.8, 2048, 2048)
         assert traced_peak(trace, L, w) < 5.5e6
 
-    @pytest.mark.parametrize("grid, bound", [(1024, 0.95e6), (2048, 1.5e6), (8192, 7.5e6), (16384, 6.5e6)])
+    @pytest.mark.parametrize("grid, bound", [(1024, 0.85e6), (2048, 1.31e6), (8192, 7.5e6), (16384, 6.5e6)])
     def test_peak_in_the_default_window(self, grid, bound):
         # the band's signs and segment ends are built _CHUNK blocks at a
-        # time, and a run's cell arrays are dropped before the next is
-        # evaluated; its tests go coarse to fine over 4,096 kept blocks at a
-        # time, and refine brackets 4,096 rows at a time, dropping a step's
-        # temporaries before it compacts its state one array at a time; so
-        # the peak follows the output, 16 bytes a vertex (0.87, 1.25, 3.38
-        # and 5.52 MB; at 16384 np.unique's ranking of the segment ends sets it)
+        # time, its field half a run at a time, and a run's cell arrays are
+        # dropped before the next is evaluated; its tests go coarse to fine
+        # over 4,096 kept blocks at a time, and refine brackets 4,096 rows at
+        # a time, dropping a step's temporaries before it compacts its state
+        # one array at a time; so the peak follows the output, 16 bytes a
+        # vertex (0.77, 1.19, 3.38 and 5.52 MB; at 16384 np.unique's ranking
+        # of the segment ends sets it)
         w = bernoulli_window(B, grid, 1.6 * math.sqrt(2.0), 0.8 * math.sqrt(2.0))
         trace(L, bernoulli_window(B, 64, 1.6 * math.sqrt(2.0), 0.8 * math.sqrt(2.0)))
         assert traced_peak(trace, L, w) < bound
 
     def test_nine_levels_in_one_pass(self):
-        # family3's nine levels share one band (1.12 MB) and refine whole
-        # levels, 4,096 rows at most, at a time: 1.22 MB, against 1.70 MB
-        # when all nine levels go to refine as one call
+        # family3's nine levels share one band and refine whole levels,
+        # 4,096 rows at most, at a time: 1.15 MB, against 1.70 MB when all
+        # nine levels go to refine as one call
         curves, w = family3(512)
         trace_levels(curves, w)
-        assert traced_peak(trace_levels, curves, w) < 1.3e6
+        assert traced_peak(trace_levels, curves, w) < 1.27e6
 
     def test_refine_holds_one_copy_of_its_state(self):
         # a bracket of 4,096 rows drops each step's temporaries before it
-        # compacts its eleven state arrays one at a time: 0.87 MB above its
+        # compacts its eleven state arrays one at a time: 0.80 MB above its
         # inputs, against 0.98 MB when the compacted copies are all built first
         points = np.random.default_rng(29).uniform((-1.6, -0.8), (1.6, 0.8), size=(20_000, 2))
         inside = lemniscate_field_array(L, *points.T) < 0.0
         a, b = points[inside][:4096].copy(), points[~inside][:4096].copy()
         refine(L, a, b)
-        assert traced_peak(refine, L, a, b) < 0.92e6
+        assert traced_peak(refine, L, a, b) < 0.88e6
 
 
 class TestBand:
@@ -375,6 +376,29 @@ class TestBand:
         assert [(c.points.tobytes(), c.closed, c.max_residual) for c in got] == [
             (c.points.tobytes(), c.closed, c.max_residual) for c in expected
         ]
+
+    @pytest.mark.parametrize("grid", [256, 1024, 2048])
+    def test_half_runs_trace_as_one_field_call_a_run(self, monkeypatch, grid):
+        # a run's node signs come from field calls of _CHUNK // 2 blocks each; runs whose block
+        # count is odd or not a multiple of 512 (family3's last runs of 741 and 97 blocks at grids
+        # 256 and 1024, the curve's 780 and 844 at 1024 and 2048) trace as one call a run gives
+        runs, band = [], tracer._band
+
+        def recording(*args):
+            for run in band(*args):
+                runs.append(run[2].shape[-1])
+                yield run
+
+        def traced():
+            key = [(c.points.tobytes(), c.closed, c.max_residual) for c in trace(L, w)]
+            return key, [[(c.points.tobytes(), c.closed, c.max_residual) for c in k] for k in trace_levels(*family)]
+
+        w, family = bernoulli_window(B, grid, 1.6 * math.sqrt(2.0), 0.8 * math.sqrt(2.0)), family3(grid)
+        monkeypatch.setattr(tracer, "_band", recording)
+        expected = traced()
+        assert any(k % 2 for k in runs) and any(k % 512 and k > 512 for k in runs)
+        monkeypatch.setattr(tracer, "_CHUNK", 10**9)
+        assert traced() == expected
 
     @pytest.mark.parametrize(
         "lem, window",

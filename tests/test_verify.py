@@ -149,7 +149,7 @@ def test_tangent_circle_sweep_skips_every_parallel_row(monkeypatch):
         B = placed(c, rng.uniform(0.0, math.tau), rng.uniform(-1e9, 1e9) * c, rng.uniform(-1e9, 1e9) * c)
         for count in (10, 100, 1_000):
             with pytest.raises(Swept):
-                check_tangent_circle(B, count)
+                check_tangent_circle(B, sweep_angles(count + count // 4))
     assert parallel == [0] * 600
 
 
@@ -170,7 +170,7 @@ def test_tangent_circle_center_rebuild_has_no_nan_row(monkeypatch):
         c = 10.0 ** rng.uniform(-13.0, 13.0)
         B = placed(c, rng.uniform(0.0, math.tau), rng.uniform(-1e3, 1e3) * c, rng.uniform(-1e3, 1e3) * c)
         for count in (10, 100, 1_000):
-            check_tangent_circle(B, count)
+            check_tangent_circle(B, sweep_angles(count + count // 4))
     assert nan_rows == [0] * 240
 
 
@@ -205,7 +205,7 @@ def test_contact_slope_matches_the_least_squares_closed_form(monkeypatch):
         c = 10.0 ** rng.uniform(-3.0, 3.0)
         placements.append(placed(c, rng.uniform(0.0, math.tau), rng.uniform(-1e3, 1e3) * c, rng.uniform(-1e3, 1e3) * c))
     for B in placements:
-        check_tangent_circle(B, 1_000)
+        check_tangent_circle(B, sweep_angles(1_250))
     assert len(calls) == 4
     for args, slope in calls:
         assert len(slope) >= 1_000
@@ -225,18 +225,33 @@ def traced_peak(fn, *args, **kwargs):
 
 def test_peak_memory_stays_within_one_sweep():
     # each check reduces every residual array to its worst value as it is formed, solves
-    # its 10^4-row sweep in blocks of 5,000 rows, and the three-bar sweep that two checks
-    # share keeps only the fields still read, so the peak is about 0.87 MB, the area
-    # trace's and check_lemma1's (which inverts 10 samples per line at a time, in place);
-    # whole sweeps read 1.37 MB, holding the residual arrays as well 1.77 MB, and a
-    # (1000, 50, 2) batch in check_lemma1 peaked at 4.3 MB
-    assert traced_peak(run_verification, placed(1.0, 0.0, 0.0, 0.0)) < 1.0e6
+    # its 10^4-row sweep in blocks of 5,000 rows whose parameters are built per block, and
+    # the three-bar sweep that two checks share keeps only the fields still read and takes
+    # its unit vectors in place, so the peak is about 0.69 MB, that three-bar block's; the
+    # area trace, 0.86 MB before its band's field went in halves, set 0.86 MB; whole sweeps
+    # read 1.37 MB, holding the residual arrays as well 1.77 MB
+    assert traced_peak(run_verification, placed(1.0, 0.0, 0.0, 0.0)) < 0.76e6
 
 
 def test_peak_memory_is_one_block_at_ten_times_the_sweep():
-    # 10^5 rows hold the parameter arrays whole (0.8 MB each) and one block of
-    # each sweep at a time: about 1.7 MB, against 13.7 MB for whole sweeps
-    assert traced_peak(run_verification, placed(1.0, 0.0, 0.0, 0.0), sweep=100_000, grid=64) < 2.5e6
+    # each block builds its own parameters, so 10^5 rows peak as 10^4 do: about 0.70 MB,
+    # against 1.7 MB with whole parameter arrays and 13.7 MB for whole sweeps
+    assert traced_peak(run_verification, placed(1.0, 0.0, 0.0, 0.0), sweep=100_000, grid=64) < 0.77e6
+
+
+def test_dense_checks_peak_at_one_block():
+    # the normals, the hyperbola inverse, the tangent circles and lemma 1's lines run in
+    # blocks of 5,000 rows too: 20,000 of each peak at about 1.30 MB (the tangent circles'
+    # contact slopes), against 7.9 MB when each ran whole
+    assert traced_peak(run_verification, placed(1.0, 0.0, 0.0, 0.0), dense=20_000, grid=64) < 1.45e6
+
+
+def test_area_check_peaks_below_its_old_trace():
+    # the band evaluates each run's field in two halves, so the grid-512 area trace peaks
+    # at about 0.55 MB, against 0.85 MB with the whole run's field held through its cells
+    B = placed(1.0, 0.0, 0.0, 0.0)
+    check_area(B)
+    assert traced_peak(check_area, B) < 0.65e6
 
 
 @pytest.mark.parametrize("B", [placed(1.0, 0.0, 0.0, 0.0), placed(5.0, 0.9273, 1.0, 3.0)], ids=["canonical", "placed"])
@@ -285,6 +300,34 @@ def test_every_sweep_runs_its_count_in_calls_of_at_most_rows(monkeypatch):
         ("right_angle_array",): blocks,
         ("invert_point_array",): [121 * 41, 121 * 9, 121],
     }
+
+
+def test_dense_checks_run_in_blocks_of_at_most_rows(monkeypatch):
+    # 7,001 normals and hyperbola points reach their kernels as 5,000 and 2,001 rows, the
+    # 8,751 padded crank angles as 5,000 and 3,751 before the skip, and lemma 1 its lines as
+    # 5,000 and 2,001 pairs inverting one sample a line a call; every check is the one-pass one
+    B = placed(5.0, 0.9273, 1.0, 3.0)
+    seen = {}
+
+    def counted(name, kernel):
+        def solve(B, block):  # parameters, or lemma 1's count of pairs
+            seen.setdefault(name, []).append(block if isinstance(block, int) else len(block))
+            return kernel(B, block)
+
+        return solve
+
+    blocked = run_verification(B, sweep=10, dense=7_001, grid=32)
+    for name in ("check_normals", "check_hyperbola_inverse", "check_tangent_circle", "_lemma1"):
+        monkeypatch.setattr(verify, name, counted(name, getattr(verify, name)))
+    assert run_verification(B, sweep=10, dense=7_001, grid=32) == blocked
+    assert seen == {
+        "check_hyperbola_inverse": [5_000, 2_001],
+        "check_normals": [5_000, 2_001],
+        "check_tangent_circle": [5_000, 3_751],
+        "_lemma1": [5_000, 2_001],
+    }
+    monkeypatch.setattr(verify, "_ROWS", 10**9)
+    assert run_verification(B, sweep=10, dense=7_001, grid=32) == blocked
 
 
 def test_a_nan_residual_fails_its_check(monkeypatch):
