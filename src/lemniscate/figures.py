@@ -31,7 +31,7 @@ from .curves import (
     hyperbola_tangent_at,
 )
 from .errors import UndefinedCenter, UnknownPreset
-from .geometry import SQRT2, Point, midpoint
+from .geometry import SQRT2, Point, midpoint, rows
 from .tracer import TraceWindow, bernoulli_window, trace, trace_levels
 
 
@@ -354,8 +354,8 @@ def emit_svg(scene: Scene) -> str:
     for el in scene.elements:
         if isinstance(el, PolylineElement):
             points = np.asarray(el.points)
-            rows = np.stack(to_px(points[..., 0], points[..., 1]), axis=-1) + 0.0  # as _fmt: -0.0 + 0.0 is 0.0
-            coords = " ".join(["%.9g,%.9g"] * len(rows)) % tuple(rows.ravel().tolist())
+            px = rows(*to_px(points[..., 0], points[..., 1])) + 0.0  # as _fmt: -0.0 + 0.0 is 0.0
+            coords = " ".join(["%.9g,%.9g"] * len(px)) % tuple(px.ravel().tolist())
             tag = "polygon" if el.closed else "polyline"
             lines.append(f'  <{tag} points="{coords}" fill="none" {stroke(_CURVE_COLOR, el.style)}/>')
         elif isinstance(el, CircleElement):

@@ -219,7 +219,9 @@ def row_norm(v):
 
 
 def row_unit(v):
-    return v / row_norm(v)[..., None]
+    """Divide each row of v by its norm, in place, and return v: callers pass an array built for the call."""
+    v /= row_norm(v)[..., None]
+    return v
 
 
 def row_perp(v):

@@ -71,7 +71,7 @@ from .curves import (
     on_curve,
 )
 from .errors import EmptyTrace, OpenContour
-from .geometry import midpoint, row_norm, xy
+from .geometry import midpoint, row_norm, rows, xy
 
 _REFINE_TOL = 5e-13
 _MAX_STEPS = 64
@@ -355,9 +355,7 @@ def _edge_ends(w, xs, ys, ids):
     along_y = ids >= w.nx * (w.ny + 1)
     k = ids - along_y * (w.nx * (w.ny + 1))
     i, j = np.divmod(k, np.where(along_y, w.ny, w.ny + 1))
-    a = np.stack((xs[i], ys[j]), axis=-1)
-    b = np.stack((xs[i + ~along_y], ys[j + along_y]), axis=-1)
-    return a, b
+    return rows(xs[i], ys[j]), rows(xs[i + ~along_y], ys[j + along_y])
 
 
 def _crossings(L, w, xs, ys, band):

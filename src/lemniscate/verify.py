@@ -88,13 +88,15 @@ def _worst(*residuals) -> float:
 def _in_blocks(check, B, n: int, grid) -> list[Check]:
     """check(B, grid(i)) on consecutive blocks i of at most _ROWS indices in range(n), built one at a time. Each Check
     takes the worst over the blocks: exact, as a residual is a max over rows divided by a positive constant after it."""
-    blocks = [check(B, grid(np.arange(k, min(k + _ROWS, n)))) for k in range(0, max(n, 1), _ROWS)]
+    blocks = [check(B, grid(np.arange(k, min(k + _ROWS, n)))) for k in range(0, n, _ROWS)]
     return [Check(same[0].name, _worst(*(c.max_residual for c in same)), same[0].tolerance) for same in zip(*blocks)]
 
 
-def _unit(v):  # row_unit(v), written into v: for rows that nothing reads after
-    v /= row_norm(v)[..., None]
-    return v
+def _refuse_below_one(**counts) -> None:
+    """ValueError naming the first sample count below 1: a sweep of no rows would pass every check it reaches."""
+    for name, count in counts.items():
+        if count < 1:
+            raise ValueError(f"{name} must be at least 1, got {count}")
 
 
 def _off_curve(B: BernoulliConfig, *points) -> float:
@@ -103,9 +105,8 @@ def _off_curve(B: BernoulliConfig, *points) -> float:
     return _worst(*fields) / B.half_distance**4
 
 
-def polar_angles(count: int, margin: float = 0.0, at=None) -> np.ndarray:
-    """Angles where the polar radius is defined, alternately in each lobe: all count, or those at the indices at."""
-    i = np.arange(count) if at is None else at
+def polar_angles(count: int, margin: float, i) -> np.ndarray:
+    """The angles at the indices i of count where the polar radius is defined, alternately in each lobe."""
     span = math.pi / 2 - 2 * margin
     return -math.pi / 4 + margin + span * (i // 2 + 0.5) / ((count + 1) // 2) + math.pi * (i % 2)
 
@@ -132,7 +133,7 @@ def check_threebar(B: BernoulliConfig, states) -> list[Check]:
     # isosceles trapezoid f1-a-f2-b: the legs f1a, f2b are equal by
     # construction, so the testable content is that the bases a->f2
     # and b->f1 are parallel
-    trapezoid = _worst(row_cross(_unit(f2 - states.a), _unit(f1 - states.b)))
+    trapezoid = _worst(row_cross(row_unit(f2 - states.a), row_unit(f1 - states.b)))
     lengths = _worst(
         _worst(row_norm(states.a - f1) - c * SQRT2),
         _worst(row_norm(states.b - f2) - c * SQRT2),
@@ -146,7 +147,7 @@ def check_threebar(B: BernoulliConfig, states) -> list[Check]:
 
 
 def _threebar(B: BernoulliConfig, theta) -> list[Check]:  # the three-stick sweep that two checks share
-    states = threebar_states(B, theta)._replace(theta=None)  # read by neither check
+    states = threebar_states(B, theta)
     found = check_threebar(B, states)
     states = states._replace(a=None, b=None)  # check_inversion_pairing reads x, p and q alone
     return found + check_inversion_pairing(B, states)
@@ -164,7 +165,7 @@ def check_inversion_pairing(B: BernoulliConfig, states) -> list[Check]:
     pairing = _worst((row_norm(ox) * row_norm(oq) - c2)[keep])
     with np.errstate(invalid="ignore"):  # x can sit on o only in a parallel row: 0/0, then dropped
         behind = _worst(np.maximum(0.0, -row_dot(ox, oq))[keep]) / c2
-        ray = _worst(_worst(row_cross(_unit(ox), _unit(oq))[keep]), behind)  # ox and oq are not read after
+        ray = _worst(_worst(row_cross(row_unit(ox), row_unit(oq))[keep]), behind)  # ox and oq are not read after
     return [
         Check("hyperbola_membership_pq", membership / c, 1e-8),
         Check("inversion_pairing", pairing / c2, 1e-8),
@@ -272,6 +273,7 @@ def _contact_slope(L, center, radius, x, c: float) -> np.ndarray:
 
 
 def check_lemma1(pair_count: int = 1_000) -> list[Check]:
+    _refuse_below_one(pair_count=pair_count)
     return _in_blocks(_lemma1, random.Random(42), pair_count, len)  # each block draws its pairs after the last one's
 
 
@@ -293,7 +295,7 @@ def _lemma1(rng: random.Random, pair_count: int) -> list[Check]:
     # which also passes through the center of inversion; as many samples
     # per line at a time as _ROWS rows hold, or one
     t = -5.0 + 10.0 * (np.arange(50) + 0.5) / 50
-    group, on_circle = max(1, _ROWS // max(pair_count, 1)), []
+    group, on_circle = max(1, _ROWS // pair_count), []
     for g in np.split(t, range(group, len(t), group)):
         images = anchor + direction * g[:, None, None]  # (samples, lines) of points, then their images
         images = invert_point_array(center, radius, images)
@@ -355,7 +357,8 @@ def run_verification(
     grid: int = 512,
 ) -> list[Check]:
     """Run every sweep at the given sample counts and collect the checks."""
-    checks = _in_blocks(check_defining_product, B, sweep, lambda i: polar_angles(sweep, at=i))
+    _refuse_below_one(sweep=sweep, dense=dense)
+    checks = _in_blocks(check_defining_product, B, sweep, lambda i: polar_angles(sweep, 0.0, i))
     checks += _in_blocks(_threebar, B, sweep, lambda i: sweep_angles(sweep, i))
     checks += _in_blocks(check_hyperbola_inverse, B, dense, lambda i: -3.0 + 6.0 * (i // 2 + 0.5) / ((dense + 1) // 2))
     checks += _in_blocks(check_sameside_locus, B, sweep, lambda i: sweep_angles(sweep, i))

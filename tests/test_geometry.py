@@ -22,7 +22,15 @@ from lemniscate import (
     reflect_across_line,
 )
 from lemniscate.errors import CenterSingular, Concentric, LineThroughCenter
-from lemniscate.geometry import line_circle_array, midpoint, reflect_across_line_array, rows, xy
+from lemniscate.geometry import (
+    line_circle_array,
+    midpoint,
+    reflect_across_line_array,
+    row_norm,
+    row_unit,
+    rows,
+    xy,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -432,3 +440,27 @@ class TestRows:
         assert (got.view(np.int64) == expected.view(np.int64)).all()
         assert got.tobytes() == expected.tobytes() and got.tolist() == expected.tolist()
         assert got[..., 0].flags.c_contiguous and got[..., 1].flags.c_contiguous
+
+
+class TestRowUnit:
+    """row_unit divides each row by its norm in the array it is given, and returns that array."""
+
+    @pytest.mark.parametrize(
+        "v, zero",
+        [
+            (np.array([[3.0, -4.0], [0.0, 0.0], [1e-300, 2e-300], [-1e300, 5e299]]), [False, True, False, False]),
+            # coordinate-major, as the kernels build their rows; the middle row is (0, 0)
+            (rows(np.linspace(-2.0, 2.0, 9), np.sin(np.linspace(-2.0, 2.0, 9))), [False] * 4 + [True] + [False] * 4),
+            (np.array([-0.6, 0.8]), False),
+            (np.array([0.0, -0.0]), True),
+            (np.arange(30.0).reshape(3, 5, 2) // 2 - 7.0, np.arange(15).reshape(3, 5) == 7),  # row k is (k - 7, k - 7)
+        ],
+        ids=["N-2", "N-2-coordinate-major", "2", "2-zero", "k-N-2"],
+    )
+    def test_is_the_old_division_written_into_its_argument(self, v, zero):
+        with np.errstate(invalid="ignore"):  # a zero row is 0/0: NaN, as before
+            expected = v / row_norm(v)[..., None]
+            got = row_unit(v)
+        assert got is v
+        assert got.shape == expected.shape and (got.view(np.int64) == expected.view(np.int64)).all()
+        assert (np.isnan(got).all(axis=-1) == zero).all()

@@ -28,6 +28,7 @@ from lemniscate.verify import (
     check_rightangle,
     check_tangent_circle,
     format_report,
+    polar_angles,
     run_verification,
     sweep_angles,
     threebar_states,
@@ -328,6 +329,41 @@ def test_dense_checks_run_in_blocks_of_at_most_rows(monkeypatch):
     }
     monkeypatch.setattr(verify, "_ROWS", 10**9)
     assert run_verification(B, sweep=10, dense=7_001, grid=32) == blocked
+
+
+@pytest.mark.parametrize(
+    "counts, refusal",
+    [
+        ({"sweep": 0, "dense": 0}, "sweep must be at least 1, got 0"),
+        ({"sweep": -3, "dense": 5}, "sweep must be at least 1, got -3"),
+        ({"sweep": 10, "dense": -1}, "dense must be at least 1, got -1"),
+    ],
+)
+def test_sample_counts_below_one_are_refused(counts, refusal):
+    # a sweep of no rows reaches no kernel, so each check it feeds would pass at a residual of 0
+    with pytest.raises(ValueError, match=f"^{refusal}$"):
+        run_verification(placed(1.0, 0.0, 0.0, 0.0), grid=16, **counts)
+
+
+@pytest.mark.parametrize("pair_count", [0, -2])
+def test_lemma1_refuses_fewer_than_one_pair(pair_count):
+    with pytest.raises(ValueError, match=f"^pair_count must be at least 1, got {pair_count}$"):
+        check_lemma1(pair_count)
+
+
+def test_one_sample_a_sweep_still_runs():
+    checks = run_verification(placed(5.0, 0.9273, 1.0, 3.0), sweep=1, dense=1, grid=32)
+    assert len(checks) == 25 and not failures(checks)
+
+
+@pytest.mark.parametrize("count", [121, 1_000])
+@pytest.mark.parametrize("margin", [0.0, 0.02])
+def test_polar_angles_at_indices_are_the_whole_sweep_bit_for_bit(count, margin):
+    # the whole sweep's angles from one expression over every index, against polar_angles in blocks of 50
+    i = np.arange(count)
+    whole = -math.pi / 4 + margin + (math.pi / 2 - 2 * margin) * (i // 2 + 0.5) / ((count + 1) // 2) + math.pi * (i % 2)
+    got = np.concatenate([polar_angles(count, margin, i[k : k + 50]) for k in range(0, count, 50)])
+    assert got.tobytes() == whole.tobytes()
 
 
 def test_a_nan_residual_fails_its_check(monkeypatch):
